@@ -15,13 +15,17 @@ first token names the failure (USAGE, INPUT_PARSE, NOT_NICE_DIMENSIONS,
 DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED, REGULAR).
 
 Lambda values are exact rational strings ("1/2", "3") for the algebra
-commands; ``trace`` also accepts decimals since its engine is numerical.
+commands; ``trace`` also accepts decimals since its engine is numerical,
+but not ``nan`` or ``inf`` (USAGE).  ``trace`` reports DOMAIN when lambda
+sends a traced point outside the finite floats or when no pair-location
+scheme exists for the manifold's (n, q).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -94,16 +98,18 @@ def _parse_lambda_exact(text: str) -> Fraction:
 
 
 def _parse_lambda_numeric(text: str) -> float:
-    """Parse lambda as a rational string or a decimal (trace only)."""
+    """Parse a finite lambda as a rational string or a decimal (trace only)."""
     body = text.strip()
     try:
-        return float(Fraction(body))
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return float(body)
-    except ValueError:
-        raise ValueError("lambda must be a rational or decimal number")
+        lam = float(Fraction(body))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        try:
+            lam = float(body)
+        except ValueError:
+            raise ValueError("lambda must be a rational or decimal number")
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
+    return lam
 
 
 def _germ_names(k: int, n: int) -> List[str]:
@@ -162,6 +168,8 @@ def _cmd_trace(args) -> int:
         branches = trace_equidistant(
             manifold, lam, step=args.step, seed_density=args.seed_density
         )
+    except DomainError as exc:
+        return _fail("DOMAIN", str(exc), EXIT_MATH)
     except ValueError as exc:
         return _fail("DEGENERATE_LAMBDA", str(exc), EXIT_MATH)
     branches = [detect_singularities(b) for b in branches]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .contact_lab import GraphPair, contact_map
 from .germ_algebra import MapGerm, monomials_upto
-from .normal_forms import GermClass, recognize
+from .normal_forms import DomainError, GermClass, recognize
 
 TAU_RANK = 1e-8
 FRAME_COND_LIMIT = 1e8
@@ -38,6 +38,14 @@ class ImmersionError(ValueError):
 
 class FrameAlignmentError(ValueError):
     """The adapted frame at a pair is ill conditioned or misaligned."""
+
+
+class UnsupportedDimensionsError(DomainError):
+    """No pair-location scheme exists for the manifold's (n, q)."""
+
+
+class NonFiniteEquidistantError(DomainError):
+    """Lambda sends traced lambda-points outside the finite floats."""
 
 
 # --------------------------------------------------------------------------
@@ -186,11 +194,13 @@ def _lagrange_matrix() -> np.ndarray:
 _LAGRANGE_INV = _lagrange_matrix()
 
 
-def _poly_eval_deriv(coeffs: np.ndarray, tau: float, m: int) -> np.ndarray:
-    # coeffs indexed by power along axis 0
+def _poly_eval_deriv(coeffs: np.ndarray, tau, m: int) -> np.ndarray:
+    # coeffs indexed by power along axis 0; tau broadcasts against
+    # coeffs[p].  float_power rounds like the scalar `tau ** k` (libm pow);
+    # the array `**` may take a SIMD pow that differs in the last bit.
     out = np.zeros(coeffs.shape[1:])
     for p in range(m, coeffs.shape[0]):
-        out = out + coeffs[p] * math.perm(p, m) * tau ** (p - m)
+        out = out + coeffs[p] * math.perm(p, m) * np.float_power(tau, p - m)
     return out
 
 
@@ -215,9 +225,7 @@ class _SampledCurve:
         rows = (idx[:, None] + np.arange(-3, 4)[None, :]) % n
         window = self.grid[rows]                # (N, 7, q)
         coeffs = np.einsum("pk,nkq->pnq", _LAGRANGE_INV, window)
-        out = np.empty((th.shape[0], self.grid.shape[1]))
-        for i in range(th.shape[0]):
-            out[i] = _poly_eval_deriv(coeffs[:, i, :], tau[i], m) / self.h ** m
+        out = _poly_eval_deriv(coeffs, tau[:, None], m) / self.h ** m
         return out[0] if scalar else out
 
     def payload(self):
@@ -471,39 +479,85 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _g_scalar(M, s, t):
-    Ts = M.derivative(s, (1,))
-    Tt = M.derivative(t, (1,))
-    scale = np.linalg.norm(Ts) * np.linalg.norm(Tt)
-    return _cross2(Ts, Tt), scale
+def _norm2(v):
+    # row-wise sqrt(v @ v): np.vecdot rounds like the scalar `v @ v` and
+    # np.linalg.norm of one vector, which `(v * v).sum(-1)` does not
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _g_grad(M, s, t):
     Ts, Tt = M.derivative(s, (1,)), M.derivative(t, (1,))
     As, At = M.derivative(s, (2,)), M.derivative(t, (2,))
     g = _cross2(Ts, Tt)
-    return g, _cross2(As, Tt), _cross2(Ts, At), \
-        np.linalg.norm(Ts) * np.linalg.norm(Tt)
+    return g, _cross2(As, Tt), _cross2(Ts, At), _norm2(Ts) * _norm2(Tt)
 
 
-def _bisect_root(f, lo, hi, flo, iters=80):
+def _bisect_lockstep(f, lo, hi, flo, iters):
+    """Bisect every bracket [lo[i], hi[i]] of the vectorized f at once.
+
+    Each element halves toward its sign change and freezes at the first
+    midpoint where f is exactly zero, as a scalar bisection returns it.
+    Once no bracket moves (each midpoint has rounded onto an end), every
+    remaining step would repeat the last one, so the loop stops there with
+    the result of all `iters` steps.
+    """
+    root = np.zeros_like(lo)
+    frozen = np.zeros(lo.shape, dtype=bool)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        hit = (fm == 0.0) & ~frozen
+        root[hit] = mid[hit]
+        frozen |= hit
+        same = (fm > 0) == (flo > 0)
+        new_lo = np.where(same, mid, lo)
+        new_hi = np.where(same, hi, mid)
+        if (frozen | ((new_lo == lo) & (new_hi == hi))).all():
+            break
+        lo, hi = new_lo, new_hi
+    return np.where(frozen, root, 0.5 * (lo + hi))
+
+
+def _curve_pair_points(M, S, T, residuals=None):
+    """PairPoints of a plane curve at the parameter lists S and T.
+
+    Frames, immersion checks and ranks come from stacked SVDs, which run
+    the LAPACK call of `parallelism` on each matrix; errors are raised for
+    the first offending pair, as pair-by-pair construction would.  Without
+    `residuals`, each pair gets its normalized |g|.
+    """
+    if not len(S):
+        return []
+    Sa, Ta = np.array(S, dtype=float), np.array(T, dtype=float)
+    dist = np.fmod(np.abs(Sa - Ta), TWO_PI)
+    distinct = np.minimum(dist, TWO_PI - dist) > 1e-12
+    Ts, Tt = _curve_tangents(M, Sa), _curve_tangents(M, Ta)
+    sv_s = np.linalg.svd(Ts[:, None, :], compute_uv=False)
+    sv_t = np.linalg.svd(Tt[:, None, :], compute_uv=False)
+    bad_s, bad_t = ((sv[:, 0] == 0.0) | (sv[:, -1] <= TAU_RANK * sv[:, 0])
+                    for sv in (sv_s, sv_t))
+    bad = ~distinct | bad_s | bad_t
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not distinct[k]:
+            raise ValueError("parallelism needs distinct parameters")
+        at, sv = (S[k], sv_s[k]) if bad_s[k] else (T[k], sv_t[k])
+        raise ImmersionError(
+            f"tangent frame drops rank at {at}: singular values {sv}")
+    # (n, q) = (1, 2): degree and codimension are both 2 - rank
+    sv = np.linalg.svd(np.stack([Ts, Tt], axis=1), compute_uv=False)
+    deg = 2 - np.sum(sv > TAU_RANK * sv[:, :1], axis=1)
+    if residuals is None:
+        residuals = np.abs(_cross2(Ts, Tt)) / (_norm2(Ts) * _norm2(Tt))
+    A, B = M.position((Sa,)), M.position((Ta,))
+    return [PairPoint(S[k], T[k], A[k], B[k], int(deg[k]), int(deg[k]),
+                      float(residuals[k])) for k in range(len(S))]
 
 
 def _pairs_curve(M, density, tol, delta):
     thetas = np.arange(density) * (TWO_PI / density)
     T = _curve_tangents(M, thetas)
-    G = np.outer(T[:, 0], np.ones(density)) * T[:, 1][None, :] \
-        - np.outer(T[:, 1], np.ones(density)) * T[:, 0][None, :]
+    G = _cross2(T[:, None], T[None, :])
     norms = np.linalg.norm(T, axis=1)
     G = G / (norms[:, None] * norms[None, :])
     spacing = TWO_PI / density
@@ -511,41 +565,41 @@ def _pairs_curve(M, density, tol, delta):
     didx = np.minimum(didx, density - didx)
     banned = didx * spacing < delta
 
-    found = {}
+    # brackets along t at fixed s = thetas[i], then along s at fixed
+    # t = thetas[j]; G[i, j] is the value at the bracket's low end
+    Gr = np.roll(G, -1, axis=1)
+    ti, tj = np.nonzero((G * Gr < 0) & ~banned & ~np.roll(banned, -1, axis=1))
+    Gc = np.roll(G, -1, axis=0)
+    si, sj = np.nonzero((G * Gc < 0) & ~banned & ~np.roll(banned, -1, axis=0))
+    if len(ti) + len(si) == 0:
+        return []
+    along_t = np.arange(len(ti) + len(si)) < len(ti)
+    fixed = thetas[np.concatenate([ti, sj])]
+    lo = thetas[np.concatenate([tj, si])]
+    flo = np.concatenate([G[ti, tj], G[si, sj]])
+    Tf = _curve_tangents(M, fixed)
 
-    def record(s, t, res):
+    def g_at(x):
+        Tx = _curve_tangents(M, x)
+        return np.where(along_t, _cross2(Tf, Tx), _cross2(Tx, Tf))
+
+    root = _bisect_lockstep(g_at, lo, lo + spacing, flo, 80)
+    S = np.where(along_t, fixed, root)
+    T = np.where(along_t, root, fixed)
+    Ts, Tt = _curve_tangents(M, S), _curve_tangents(M, T)
+    val = np.abs(_cross2(Ts, Tt))
+    scale = _norm2(Ts) * _norm2(Tt)
+
+    found = {}
+    for k in np.nonzero(val <= tol * scale)[0]:
+        s, t = S[k], T[k]
         key = (int(round(s / (spacing / 2))) % (2 * density),
                int(round(t / (spacing / 2))) % (2 * density))
         if key not in found:
-            found[key] = (s % TWO_PI, t % TWO_PI, res)
+            found[key] = (s % TWO_PI, t % TWO_PI, val[k] / scale[k])
 
-    def refine_line(fixed, lo, hi, flo, along_t):
-        if along_t:
-            f = lambda x: _g_scalar(M, fixed, x)[0]
-        else:
-            f = lambda x: _g_scalar(M, x, fixed)[0]
-        root = _bisect_root(f, lo, hi, flo)
-        val, scale = (_g_scalar(M, fixed, root) if along_t
-                      else _g_scalar(M, root, fixed))
-        if abs(val) <= tol * scale:
-            if along_t:
-                record(fixed, root, abs(val) / scale)
-            else:
-                record(root, fixed, abs(val) / scale)
-
-    Gr = np.roll(G, -1, axis=1)
-    sign_t = (G * Gr < 0) & ~banned & ~np.roll(banned, -1, axis=1)
-    for i, j in zip(*np.nonzero(sign_t)):
-        refine_line(thetas[i], thetas[j], thetas[j] + spacing,
-                    G[i, j], along_t=True)
-    Gc = np.roll(G, -1, axis=0)
-    sign_s = (G * Gc < 0) & ~banned & ~np.roll(banned, -1, axis=0)
-    for i, j in zip(*np.nonzero(sign_s)):
-        refine_line(thetas[j], thetas[i], thetas[i] + spacing,
-                    G[i, j], along_t=False)
-
-    pairs = [_pair_point(M, s, t, res)
-             for s, t, res in sorted(found.values())]
+    s_list, t_list, res = zip(*sorted(found.values())) if found else ((),) * 3
+    pairs = _curve_pair_points(M, s_list, t_list, res)
     return [p for p in pairs if p.codim > 0]
 
 
@@ -726,13 +780,15 @@ def find_parallel_pairs(M: ParametricManifold,
     """Sample the weakly parallel pairs of M off the diagonal band.
 
     Curves: sign changes of the stacked-tangent determinant on the grid,
-    refined by bisection.  Torus: normal-alignment residual polished by
+    refined by lockstep bisection, all brackets in one array pass per
+    step.  Torus: normal-alignment residual polished by
     Gauss-Newton.  Graph surfaces in R^4: sign changes of the reduced 2x2
     determinant along grid lines.  Duplicates merge by parameter distance;
     output is ordered lexicographically.  The default density is 256 for
     curves and 24 / 16 for the surface schemes, whose pair sets are two-
     and three-dimensional, so their sample counts grow with a power of the
-    density instead of linearly.
+    density instead of linearly.  Any other (n, q) raises
+    UnsupportedDimensionsError, a DomainError.
     """
     if grid_density is None:
         grid_density = {(1, 2): 256, (2, 3): 24, (2, 4): 16}.get(
@@ -746,7 +802,8 @@ def find_parallel_pairs(M: ParametricManifold,
         return _pairs_torus(M, grid_density, tol, delta_diag)
     if M.n == 2 and M.q == 4:
         return _pairs_graph4(M, grid_density, tol, delta_diag)
-    raise ValueError(f"no pair-location scheme for (n, q) = ({M.n}, {M.q})")
+    raise UnsupportedDimensionsError(
+        f"no pair-location scheme for (n, q) = ({M.n}, {M.q})")
 
 
 # --------------------------------------------------------------------------
@@ -797,18 +854,35 @@ def _step_direction(M, z, prev):
         d = -d
     return d
 
-def _project_to_zero(M, z, tol, iters=16):
-    z = np.array(z, dtype=float)
+
+def _project_to_zero_many(M, Z, tol, iters=16):
+    """Newton-project every row (s, t) of Z onto {g = 0} at once.  Each row
+    stops at its own first converged iterate; the mask marks the rows that
+    converged (a row whose gradient vanishes fails)."""
+    Z = np.array(Z, dtype=float)
+    ok = np.zeros(len(Z), dtype=bool)
+    live = np.arange(len(Z))
     for _ in range(iters):
-        g, gs, gt, scale = _g_grad(M, z[0], z[1])
-        if abs(g) <= tol * scale:
-            return z
+        if not len(live):
+            return Z, ok
+        g, gs, gt, scale = _g_grad(M, Z[live, 0], Z[live, 1])
+        conv = np.abs(g) <= tol * scale
         n2 = gs * gs + gt * gt
-        if n2 == 0:
-            return None
-        z = z - g * np.array([gs, gt]) / n2
-    g, _, _, scale = _g_grad(M, z[0], z[1])
-    return z if abs(g) <= 10 * tol * scale else None
+        ok[live[conv]] = True
+        step = ~conv & (n2 != 0)
+        rows = live[step]
+        Z[rows, 0] = Z[rows, 0] - g[step] * gs[step] / n2[step]
+        Z[rows, 1] = Z[rows, 1] - g[step] * gt[step] / n2[step]
+        live = rows
+    if len(live):
+        g, _, _, scale = _g_grad(M, Z[live, 0], Z[live, 1])
+        ok[live] = np.abs(g) <= 10 * tol * scale
+    return Z, ok
+
+
+def _project_to_zero(M, z, tol):
+    Z, ok = _project_to_zero_many(M, [z], tol)
+    return Z[0] if ok[0] else None
 
 
 def _corrector(M, z, base, d, tol, iters=12):
@@ -881,16 +955,13 @@ def _branch_from_path(M, lam, path, status):
     T = np.array([p[1] % TWO_PI for p in path])
     A = M.position((S,))
     B = M.position((T,))
-    X = lam * A + (1 - lam) * B
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = lam * A + (1 - lam) * B      # _check_finite reports overflow
     steps = np.linalg.norm(np.diff(np.array(path), axis=0), axis=1) \
         if len(path) > 1 else np.array([])
     sigmas = np.concatenate([[0.0], np.cumsum(steps)])
-    samples = []
-    for i in range(len(path)):
-        pp = _pair_point(M, float(S[i]), float(T[i]), 0.0)
-        g, scale = _g_scalar(M, float(S[i]), float(T[i]))
-        pp.residual = abs(float(g)) / float(scale)
-        samples.append((pp, X[i]))
+    pairs = _curve_pair_points(M, S.tolist(), T.tolist())
+    samples = list(zip(pairs, X))
     scale = float(np.max(np.linalg.norm(A, axis=1))) or 1.0
     diam = float(np.max(np.ptp(X, axis=0))) if len(X) else 0.0
     return EquidistantBranch(
@@ -909,16 +980,21 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     mapping each solution through x = lam*a + (1-lam)*b.  Branches either
     close up or terminate at the band.  Non-curve inputs fall back to a
     grid-sampled point cloud (status "cloud") with no branch structure.
+    A lambda that sends a traced point outside the finite floats raises
+    NonFiniteEquidistantError, a DomainError.
     """
     lam = float(lam)
     if lam in (0.0, 1.0):
         raise ValueError("lambda must avoid 0 and 1; those reproduce M")
     if M.n != 1:
         pairs = find_parallel_pairs(M, tol=1e-10, delta_diag=delta_diag)
-        samples = [(p, p.lambda_point(lam)) for p in pairs]
-        return [EquidistantBranch(
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = [(p, p.lambda_point(lam)) for p in pairs]
+        branches = [EquidistantBranch(
             lam=lam, manifold=M, samples=samples,
             sigmas=np.zeros(len(samples)), status="cloud")]
+        _check_finite(branches)
+        return branches
     if delta_diag is None:
         delta_diag = 10.0 * TWO_PI / seed_density
     seeds = find_parallel_pairs(M, seed_density, tol=1e-10,
@@ -964,7 +1040,15 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
             mark(p)
         if len(path) >= 2:
             branches.append(_branch_from_path(M, lam, path, status))
+    _check_finite(branches)
     return branches
+
+
+def _check_finite(branches):
+    for br in branches:
+        if br.samples and not np.isfinite(br.points()).all():
+            raise NonFiniteEquidistantError(
+                f"lambda = {br.lam} sends traced points outside the floats")
 
 
 def densify_branch(branch: EquidistantBranch,
@@ -1060,53 +1144,78 @@ def projection_rank_residuals(branch: EquidistantBranch) -> np.ndarray:
 # singularity detection
 
 
-def _cusp_scalar(M, lam, z, ref):
-    g, gs, gt, _ = _g_grad(M, z[0], z[1])
-    tau = np.array([-gt, gs])
-    nrm = np.linalg.norm(tau)
-    if nrm == 0:
-        return 0.0
-    tau = tau / nrm
-    if float(tau @ ref) < 0:
-        tau = -tau
-    Ts = M.derivative(z[0], (1,))
-    Tt = M.derivative(z[1], (1,))
-    mu = float(Ts @ Tt) / float(Ts @ Ts)
-    return lam * tau[0] + (1 - lam) * mu * tau[1]
+def _cusp_velocity(M, lam, Z, refs):
+    """Velocity scalar of the lambda-point along {g = 0} at each row of Z,
+    with the branch tangent oriented along the matching row of refs; 0.0
+    where the tangent vanishes."""
+    S, T = Z[:, 0], Z[:, 1]
+    Ts, Tt = _curve_tangents(M, S), _curve_tangents(M, T)
+    As, At = M.derivative((S,), (2,)), M.derivative((T,), (2,))
+    tau = np.stack([-_cross2(Ts, At), _cross2(As, Tt)], axis=1)
+    nrm = _norm2(tau)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tau = tau / nrm[:, None]
+        tau = np.where((np.vecdot(tau, refs) < 0)[:, None], -tau, tau)
+        mu = np.vecdot(Ts, Tt) / np.vecdot(Ts, Ts)
+        h = lam * tau[:, 0] + (1 - lam) * mu * tau[:, 1]
+    return np.where(nrm == 0, 0.0, h)
 
 
-def _refine_cusp(M, lam, z_lo, z_hi, tol):
-    ref = np.array([_wrap_pi(z_hi[0] - z_lo[0]), _wrap_pi(z_hi[1] - z_lo[1])])
-    nrm = np.linalg.norm(ref)
-    if nrm == 0:
-        return None
-    ref = ref / nrm
+def _unit_chords(z_lo, z_hi):
+    """The wrapped chords z_hi - z_lo scaled to unit length (left as they
+    are where the length is zero), and their lengths."""
+    ref = _wrap_pi(z_hi - z_lo)
+    nrm = _norm2(ref)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where((nrm != 0)[:, None], ref / nrm[:, None], ref)
+    return unit, nrm
 
-    def h_at(fr):
-        z = np.array([z_lo[0] + fr * nrm * ref[0],
-                      z_lo[1] + fr * nrm * ref[1]])
-        z = _project_to_zero(M, z, tol)
-        if z is None:
-            return None, None
-        return _cusp_scalar(M, lam, z, ref), z
 
-    f_lo, _ = h_at(0.0)
-    f_hi, _ = h_at(1.0)
-    if f_lo is None or f_hi is None or f_lo * f_hi > 0:
-        return None
-    lo, hi = 0.0, 1.0
-    z_best = None
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        fm, zm = h_at(mid)
-        if fm is None:
-            return None
-        z_best = zm
-        if (fm > 0) == (f_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return z_best
+def _refine_cusps(M, lam, z_lo, z_hi, tol, iters=70):
+    """Lockstep bisection of the cusps bracketed by the rows of z_lo, z_hi.
+
+    Along each chord, h is the velocity scalar at the projection of the
+    chord point onto {g = 0}.  A bracket fails when its chord is zero, its
+    end values do not change sign, or any projection fails.  Returns the
+    last projected point of every bracket and the mask of those that did
+    not fail.  As in `_bisect_lockstep`, the loop stops early once no
+    bracket moves, with the result of all `iters` steps.
+    """
+    ref, nrm = _unit_chords(z_lo, z_hi)
+
+    def h_at(fr, rows):
+        z = z_lo[rows] + (fr * nrm[rows])[:, None] * ref[rows]
+        z, ok = _project_to_zero_many(M, z, tol)
+        h = np.zeros(len(rows))
+        if ok.any():
+            h[ok] = _cusp_velocity(M, lam, z[ok], ref[rows[ok]])
+        return h, z, ok
+
+    n = len(z_lo)
+    both = np.concatenate([np.arange(n), np.arange(n)])
+    f_end, _, ok_end = h_at(np.repeat([0.0, 1.0], n), both)
+    f_lo = f_end[:n]
+    live = np.nonzero((nrm != 0) & ok_end[:n] & ok_end[n:]
+                      & ~(f_lo * f_end[n:] > 0))[0]
+    lo, hi = np.zeros(n), np.ones(n)
+    z_best = np.zeros((n, 2))
+    for _ in range(iters):
+        if not len(live):
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fm, zm, ok = h_at(mid, live)
+        z_best[live] = zm
+        same = (fm > 0) == (f_lo[live] > 0)
+        new_lo = np.where(same, mid, lo[live])
+        new_hi = np.where(same, hi[live], mid)
+        moved = (new_lo != lo[live]) | (new_hi != hi[live])
+        lo[live], hi[live] = new_lo, new_hi
+        live = live[ok]
+        if not moved[ok].any():
+            break
+    found = np.zeros(n, dtype=bool)
+    found[live] = True
+    return z_best, found
 
 
 def _segment_intersection(p1, p2, p3, p4, min_sin):
@@ -1167,7 +1276,8 @@ def detect_singularities(branch: EquidistantBranch, cross_check: bool = True,
     """Annotate a traced branch with cusps and nodes.
 
     Cusps: sign changes of the velocity scalar of the lambda-point along
-    the branch, refined by bisection on the parallel-pair equation.  Nodes:
+    the branch, refined by lockstep bisection on the parallel-pair
+    equation, every bracket of the branch in one array pass per step.  Nodes:
     transverse self-intersections of the sampled polyline found by a
     bucketed segment sweep.  Each resolved point is optionally
     cross-checked through the adapted-germ contact pipeline; disagreement
@@ -1177,57 +1287,52 @@ def detect_singularities(branch: EquidistantBranch, cross_check: bool = True,
         return replace(branch, annotations=[])
     M, lam = branch.manifold, branch.lam
     tol = 1e-13
-    Z = [np.array([pp.s, pp.t]) for pp, _ in branch.samples]
+    Z = np.array([[pp.s, pp.t] for pp, _ in branch.samples])
     closed = branch.status == "closed"
-    refs = []
-    hs = []
     last = len(Z) - 1 if closed else len(Z)
-    for i in range(last):
-        nxt = Z[(i + 1) % len(Z)]
-        ref = np.array([_wrap_pi(nxt[0] - Z[i][0]),
-                        _wrap_pi(nxt[1] - Z[i][1])])
-        nrm = np.linalg.norm(ref)
-        refs.append(ref / nrm if nrm else ref)
-        hs.append(_cusp_scalar(M, lam, Z[i], refs[-1]))
-    annotations: List[Annotation] = []
+    nxt = (np.arange(last) + 1) % len(Z)
+    refs, _ = _unit_chords(Z[:last], Z[nxt])
+    hs = _cusp_velocity(M, lam, Z[:last], refs)
     pair_count = last if closed else last - 1
-    for i in range(pair_count):
-        j = (i + 1) % last
-        if hs[i] == 0.0 or hs[i] * hs[j] >= 0:
-            continue
-        z_star = _refine_cusp(M, lam, Z[i], Z[(i + 1) % len(Z)], tol)
-        if z_star is None:
-            annotations.append(Annotation(index=i, label="UNRESOLVED"))
-            continue
-        pp = _pair_point(M, float(z_star[0] % TWO_PI),
-                         float(z_star[1] % TWO_PI), 0.0)
-        x = pp.lambda_point(lam)
-        ann = Annotation(index=i, label="A2_cusp", pair=pp, x=x)
-        if cross_check:
-            ann = _cross_checked(M, ann, lam, ("A", (2,)))
-        annotations.append(ann)
-    P = branch.points()
-    for si, sj, xpt in _find_node_candidates(P, closed, index_gap, min_sin):
-        for spos in (si, sj):
-            i = int(spos)
-            fr = spos % 1
-            nxt = Z[(i + 1) % len(Z)]
-            z = np.array([
-                Z[i][0] + fr * _wrap_pi(nxt[0] - Z[i][0]),
-                Z[i][1] + fr * _wrap_pi(nxt[1] - Z[i][1])])
-            zp = _project_to_zero(M, z, tol)
-            if zp is None:
-                annotations.append(Annotation(index=i, label="UNRESOLVED"))
-                continue
-            pp = _pair_point(M, float(zp[0] % TWO_PI),
-                             float(zp[1] % TWO_PI), 0.0)
-            ann = Annotation(index=i, label="A1_node", pair=pp,
-                             x=pp.lambda_point(lam))
-            if cross_check:
-                ann = _cross_checked(M, ann, lam, ("A", (1,)))
-            annotations.append(ann)
+    i = np.arange(pair_count)
+    h_i, h_j = hs[i], hs[(i + 1) % last]
+    brackets = i[~(h_i == 0.0) & ~(h_i * h_j >= 0)]
+    annotations: List[Annotation] = []
+    if len(brackets):
+        z_star, found = _refine_cusps(M, lam, Z[brackets],
+                                      Z[(brackets + 1) % len(Z)], tol)
+        annotations += _annotate(M, lam, brackets.tolist(), z_star, found,
+                                 "A2_cusp", ("A", (2,)), cross_check)
+    nodes = _find_node_candidates(branch.points(), closed, index_gap, min_sin)
+    if nodes:
+        ends = np.array([spos for si, sj, _ in nodes for spos in (si, sj)])
+        idx = ends.astype(int)
+        fr = ends % 1
+        z = Z[idx] + fr[:, None] * _wrap_pi(Z[(idx + 1) % len(Z)] - Z[idx])
+        zp, found = _project_to_zero_many(M, z, tol)
+        annotations += _annotate(M, lam, idx.tolist(), zp, found,
+                                 "A1_node", ("A", (1,)), cross_check)
     annotations.sort(key=lambda a: a.index)
     return replace(branch, annotations=annotations)
+
+
+def _annotate(M, lam, index, Z, found, label, expected, cross_check):
+    """Annotations at the parameter rows of Z: `label` where `found`,
+    UNRESOLVED elsewhere, optionally cross-checked against `expected`."""
+    at = Z[found] % TWO_PI
+    pairs = iter(_curve_pair_points(M, at[:, 0].tolist(), at[:, 1].tolist(),
+                                    np.zeros(len(at))))
+    out = []
+    for i, hit in zip(index, found):
+        if not hit:
+            out.append(Annotation(index=i, label="UNRESOLVED"))
+            continue
+        pp = next(pairs)
+        ann = Annotation(index=i, label=label, pair=pp, x=pp.lambda_point(lam))
+        if cross_check:
+            ann = _cross_checked(M, ann, lam, expected)
+        out.append(ann)
+    return out
 
 
 def _cross_checked(M, ann, lam, expected):

@@ -6,6 +6,7 @@ codes, JSON round-trips, file products, and byte-determinism across reruns.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,11 +20,12 @@ from equidistants.contact_lab import (
     lambda_contact_from_pair,
     local_ring_dims,
 )
-from equidistants.geometry_engine import ellipse
+from equidistants.geometry_engine import ellipse, fourier_oval, graph_surface
 from equidistants.germ_algebra import MapGerm, ke_codimension, mapgerm_from_dict, mapgerm_to_json
 from equidistants.normal_forms import parse_label, recognize, stable_singularities
 
 TABLE_2_4 = "k=1: A1 A2 A3 A4 | k=2: C2,2+ C2,2-"
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos", "output")
 
 
 def germ(polys, s):
@@ -360,3 +362,47 @@ def test_trace_unparseable_lambda_is_usage_error(capsys, tmp_path, ellipse_path)
     )
     assert code == 1
     assert err.startswith("USAGE")
+
+
+@pytest.mark.parametrize("lam, code, prefix", [
+    ("nan", 1, "USAGE"), ("inf", 1, "USAGE"), ("-inf", 1, "USAGE"),
+    ("1e308", 3, "DOMAIN"),
+])
+def test_trace_non_finite_lambda_fails_on_one_line(tmp_path, ellipse_path, lam, code, prefix):
+    # a subprocess, so that numpy warnings would show on stderr too;
+    # 1e308 is finite but sends the lambda-points of ellipse(2, 1) to inf
+    proc = subprocess.run(
+        [sys.executable, "-m", "equidistants.cli", "trace", "--input", ellipse_path,
+         "--lambda=" + lam, "--out", str(tmp_path / "x"), "--step", "0.05",
+         "--seed-density", "64"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(prefix + " ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_trace_without_a_pair_scheme_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "r5.json"
+    path.write_text(graph_surface([{(2, 0): 1.0}, {(0, 2): 1.0}, {(1, 1): 1.0}]).to_json())
+    code, out, err = run(
+        capsys, "trace", "--input", str(path), "--lambda", "1/2",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "DOMAIN no pair-location scheme for (n, q) = (2, 5)\n"
+
+
+@pytest.mark.parametrize("lam, golden", [("1/2", "oval_lambda_0_5.csv"),
+                                         ("3/10", "oval_lambda_0_3.csv")])
+def test_trace_reproduces_the_golden_oval_csv(capsys, tmp_path, lam, golden):
+    path = tmp_path / "oval.json"
+    path.write_text(fourier_oval(a=[0.0, 0.0, 0.2]).to_json())
+    prefix = str(tmp_path / "oval")
+    code, _, err = run(capsys, "trace", "--input", str(path), "--lambda", lam, "--out", prefix)
+    assert code == 0, err
+    with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
+        assert (tmp_path / "oval.csv").read_bytes() == fh.read()

@@ -189,6 +189,28 @@ def test_sampled_surface_reproduces_torus_derivatives():
             assert err <= tol, (p, alpha, err)
 
 
+def test_sampled_curve_batch_matches_pointwise_evaluation():
+    # the per-point loop the evaluator used to run, with scalar `tau ** k`;
+    # a rough grid keeps the high powers of tau significant
+    rng = np.random.default_rng(3)
+    S = sampled_curve(rng.normal(size=(64, 2)))
+    grid, h = S._ev.grid, S._ev.h
+    th = rng.uniform(0.0, TWO_PI, 300)
+    idx = np.rint(th / h).astype(int)
+    tau = th / h - idx
+    rows = (idx[:, None] + np.arange(-3, 4)[None, :]) % len(grid)
+    coeffs = np.einsum("pk,nkq->pnq", ge._LAGRANGE_INV, grid[rows])
+    for m in range(4):
+        want = np.empty((len(th), 2))
+        for i in range(len(th)):
+            acc = np.zeros(2)
+            for p in range(m, 7):
+                acc = acc + coeffs[p, i] * math.perm(p, m) * tau[i] ** (p - m)
+            want[i] = acc / h ** m
+        assert S.derivative((th,), (m,)).tobytes() == want.tobytes()
+        assert S.derivative(th[5], (m,)).tobytes() == want[5].tobytes()
+
+
 def test_sampled_grids_reject_tiny_inputs():
     with pytest.raises(ValueError):
         sampled_curve(np.zeros((5, 2)))
@@ -348,6 +370,93 @@ def test_graph_surface_pairs_land_on_the_jacobian_cone():
         d2 = abs(p.t[1] - p.s[1])
         assert abs(d1 - d2) <= 1e-8
         assert (p.deg_k, p.codim) == (1, 1)
+
+
+def _g_scalar(M, s, t):
+    Ts = M.derivative(s, (1,))
+    Tt = M.derivative(t, (1,))
+    scale = np.linalg.norm(Ts) * np.linalg.norm(Tt)
+    return Ts[0] * Tt[1] - Ts[1] * Tt[0], scale
+
+
+def _bisect_root(f, lo, hi, flo, iters=80):
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_curve_pairs(M, density, tol=1e-10):
+    """Curve pair location one bracket at a time, with scalar bisection and
+    pair-by-pair PairPoints: the reference for the lockstep version."""
+    thetas = np.arange(density) * (TWO_PI / density)
+    T = M.derivative((thetas,), (1,))
+    G = np.outer(T[:, 0], np.ones(density)) * T[:, 1][None, :] \
+        - np.outer(T[:, 1], np.ones(density)) * T[:, 0][None, :]
+    norms = np.linalg.norm(T, axis=1)
+    G = G / (norms[:, None] * norms[None, :])
+    spacing = TWO_PI / density
+    didx = np.abs(np.subtract.outer(np.arange(density), np.arange(density)))
+    didx = np.minimum(didx, density - didx)
+    banned = didx * spacing < 10.0 * TWO_PI / density
+    found = {}
+
+    def refine_line(fixed, lo, hi, flo, along_t):
+        def g(x):
+            return _g_scalar(M, fixed, x) if along_t else _g_scalar(M, x, fixed)
+        root = _bisect_root(lambda x: g(x)[0], lo, hi, flo)
+        val, scale = g(root)
+        if abs(val) <= tol * scale:
+            s, t = (fixed, root) if along_t else (root, fixed)
+            key = (int(round(s / (spacing / 2))) % (2 * density),
+                   int(round(t / (spacing / 2))) % (2 * density))
+            if key not in found:
+                found[key] = (s % TWO_PI, t % TWO_PI, abs(val) / scale)
+
+    sign_t = (G * np.roll(G, -1, axis=1) < 0) & ~banned \
+        & ~np.roll(banned, -1, axis=1)
+    for i, j in zip(*np.nonzero(sign_t)):
+        refine_line(thetas[i], thetas[j], thetas[j] + spacing, G[i, j], True)
+    sign_s = (G * np.roll(G, -1, axis=0) < 0) & ~banned \
+        & ~np.roll(banned, -1, axis=0)
+    for i, j in zip(*np.nonzero(sign_s)):
+        refine_line(thetas[j], thetas[i], thetas[i] + spacing, G[i, j], False)
+    out = []
+    for s, t, res in sorted(found.values()):
+        deg, cod = parallelism(M, s, t)
+        if cod > 0:
+            out.append(PairPoint(s, t, M.position(s), M.position(t), deg, cod,
+                                 float(res)))
+    return out
+
+
+def wobbly_samples():
+    th = np.arange(64) * (TWO_PI / 64)
+    return sampled_curve(np.stack([2.0 * np.cos(th) + 0.1 * np.cos(2 * th),
+                                   np.sin(th) + 0.05 * np.sin(3 * th)], axis=1))
+
+
+@pytest.mark.parametrize("density", [128, 256])
+@pytest.mark.parametrize("make", [
+    oval, lambda: ellipse(2.0, 1.0),
+    lambda: fourier_oval(a=[0.1, 0.0, 0.15], b=[0.0, 0.05]), wobbly_samples,
+], ids=["oval", "ellipse", "two_harmonic", "samples"])
+def test_lockstep_pair_location_matches_the_scalar_reference(make, density):
+    M = make()
+    got = find_parallel_pairs(M, density)
+    want = scalar_curve_pairs(M, density)
+    assert len(got) == len(want) > 0
+    for p, q in zip(got, want):
+        assert (p.s, p.t, p.residual) == (q.s, q.t, q.residual)
+        assert (p.deg_k, p.codim) == (q.deg_k, q.codim)
+        assert p.a.tobytes() == q.a.tobytes()
+        assert p.b.tobytes() == q.b.tobytes()
 
 
 def test_pair_location_rejects_unsupported_shapes():
