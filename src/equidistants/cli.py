@@ -17,8 +17,10 @@ DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED, REGULAR).
 Lambda values are exact rational strings ("1/2", "3") for the algebra
 commands; ``trace`` also accepts decimals since its engine is numerical,
 but not ``nan`` or ``inf`` (USAGE).  ``trace`` reports DOMAIN when lambda
-sends a traced point outside the finite floats or when no pair-location
-scheme exists for the manifold's (n, q).
+sends a traced point outside the finite floats, when no pair-location
+scheme exists for the manifold's (n, q), or when the manifold is not
+immersed.  A germ file with a negative order or a dimension below 1 is
+INPUT_PARSE.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ SNAP_DENOMINATOR = 10 ** 12
 TWO_PI = 2.0 * math.pi
 
 
-class ImmersionError(ValueError):
+class ImmersionError(DomainError):
     """The tangent frame dropped rank at an evaluated parameter."""
 
 
@@ -247,24 +247,24 @@ class _SampledSurface:
         u, v = (np.asarray(p, dtype=float) for p in params)
         i, j = alpha
         scalar = u.ndim == 0 and v.ndim == 0
-        u, v = np.atleast_1d(u), np.atleast_1d(v)
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape + (self.grid.shape[2],))
+        u, v = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
+        shape = u.shape
+        u, v = u.ravel(), v.ravel()
         n0, n1 = self.grid.shape[:2]
-        for pos in np.ndindex(u.shape):
-            i0 = int(round(u[pos] / self.h[0]))
-            j0 = int(round(v[pos] / self.h[1]))
-            t0 = u[pos] / self.h[0] - i0
-            t1 = v[pos] / self.h[1] - j0
-            rows = (i0 + np.arange(-3, 4)) % n0
-            cols = (j0 + np.arange(-3, 4)) % n1
-            block = self.grid[np.ix_(rows, cols)]        # (7, 7, q)
-            c1 = np.einsum("pk,akq->paq", _LAGRANGE_INV, block)
-            line = np.stack(
-                [_poly_eval_deriv(c1[:, a, :], t1, j) for a in range(7)])
-            c0 = _LAGRANGE_INV @ line                    # (7, q)
-            out[pos] = _poly_eval_deriv(c0, t0, i) / (
-                self.h[0] ** i * self.h[1] ** j)
+        i0 = np.rint(u / self.h[0]).astype(int)
+        j0 = np.rint(v / self.h[1]).astype(int)
+        t0 = u / self.h[0] - i0
+        t1 = v / self.h[1] - j0
+        rows = (i0[:, None] + np.arange(-3, 4)) % n0
+        cols = (j0[:, None] + np.arange(-3, 4)) % n1
+        block = self.grid[rows[:, :, None], cols[:, None, :]]  # (N, 7, 7, q)
+        c1 = np.einsum("pk,nakq->pnaq", _LAGRANGE_INV, block)
+        line = _poly_eval_deriv(c1, t1[:, None, None], j)      # (N, 7, q)
+        # matmul runs the BLAS call of a single `L @ line` on each point
+        c0 = np.matmul(_LAGRANGE_INV, line).transpose(1, 0, 2)
+        out = _poly_eval_deriv(c0, t0[:, None], i) / (
+            self.h[0] ** i * self.h[1] ** j)
+        out = out.reshape(shape + (self.grid.shape[2],))
         return out[(0,) * (out.ndim - 1)] if scalar else out
 
     def payload(self):
@@ -461,12 +461,6 @@ class PairPoint:
         return lam * self.a + (1.0 - lam) * self.b
 
 
-def _pair_point(M, s, t, residual):
-    deg_k, codim = parallelism(M, s, t)
-    return PairPoint(s, t, M.position(s), M.position(t), deg_k, codim,
-                     float(residual))
-
-
 # --------------------------------------------------------------------------
 # locating weakly parallel pairs
 
@@ -518,24 +512,47 @@ def _bisect_lockstep(f, lo, hi, flo, iters):
     return np.where(frozen, root, 0.5 * (lo + hi))
 
 
-def _curve_pair_points(M, S, T, residuals=None):
-    """PairPoints of a plane curve at the parameter lists S and T.
+def _toroidal_gaps(A, B, periods):
+    """Row-wise |A - B| per parameter, measured around each periodic axis
+    as `_toroidal_dist` measures it."""
+    gaps = np.abs(A - B)
+    for i, period in enumerate(periods):
+        if period is not None:
+            d = np.fmod(gaps[:, i], period)
+            gaps[:, i] = np.minimum(d, period - d)
+    return gaps
 
-    Frames, immersion checks and ranks come from stacked SVDs, which run
-    the LAPACK call of `parallelism` on each matrix; errors are raised for
-    the first offending pair, as pair-by-pair construction would.  Without
-    `residuals`, each pair gets its normalized |g|.
+
+def _rank_drops(frames):
+    """Stacked frames whose rank drops by the rule of `tangent_frame`, and
+    their singular values."""
+    sv = np.linalg.svd(frames, compute_uv=False)
+    return (sv[:, 0] == 0.0) | (sv[:, -1] <= TAU_RANK * sv[:, 0]), sv
+
+
+def _pair_points(M, S, T, residuals=None):
+    """PairPoints of M at the parameter lists S and T, built in one pass.
+
+    Frames come from `M.derivative` at the unit multi-indices; immersion
+    checks and the rank of each stacked 2n x q frame come from stacked
+    SVDs, which run the LAPACK call of `tangent_frame` and `parallelism` on
+    each matrix, so the result is that of pair-by-pair construction.
+    Errors are raised for the first offending pair, in the order
+    `parallelism` checks it.  Without `residuals`, a plane-curve pair gets
+    its normalized |g|.
     """
     if not len(S):
         return []
-    Sa, Ta = np.array(S, dtype=float), np.array(T, dtype=float)
-    dist = np.fmod(np.abs(Sa - Ta), TWO_PI)
-    distinct = np.minimum(dist, TWO_PI - dist) > 1e-12
-    Ts, Tt = _curve_tangents(M, Sa), _curve_tangents(M, Ta)
-    sv_s = np.linalg.svd(Ts[:, None, :], compute_uv=False)
-    sv_t = np.linalg.svd(Tt[:, None, :], compute_uv=False)
-    bad_s, bad_t = ((sv[:, 0] == 0.0) | (sv[:, -1] <= TAU_RANK * sv[:, 0])
-                    for sv in (sv_s, sv_t))
+    n = M.n
+    Sa = np.array(S, dtype=float).reshape(len(S), n)
+    Ta = np.array(T, dtype=float).reshape(len(T), n)
+    Sp, Tp = tuple(Sa.T.copy()), tuple(Ta.T.copy())
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    Fs = np.stack([M.derivative(Sp, e) for e in units], axis=1)
+    Ft = np.stack([M.derivative(Tp, e) for e in units], axis=1)
+    distinct = (_toroidal_gaps(Sa, Ta, M.periods) > 1e-12).any(axis=1)
+    bad_s, sv_s = _rank_drops(Fs)
+    bad_t, sv_t = _rank_drops(Ft)
     bad = ~distinct | bad_s | bad_t
     if bad.any():
         k = int(np.argmax(bad))
@@ -544,14 +561,23 @@ def _curve_pair_points(M, S, T, residuals=None):
         at, sv = (S[k], sv_s[k]) if bad_s[k] else (T[k], sv_t[k])
         raise ImmersionError(
             f"tangent frame drops rank at {at}: singular values {sv}")
-    # (n, q) = (1, 2): degree and codimension are both 2 - rank
-    sv = np.linalg.svd(np.stack([Ts, Tt], axis=1), compute_uv=False)
-    deg = 2 - np.sum(sv > TAU_RANK * sv[:, :1], axis=1)
+    sv = np.linalg.svd(np.concatenate([Fs, Ft], axis=1), compute_uv=False)
+    rank = np.sum(sv > TAU_RANK * sv[:, :1], axis=1)
+    deg, codim = 2 * n - rank, M.q - rank
     if residuals is None:
+        Ts, Tt = Fs[:, 0], Ft[:, 0]
         residuals = np.abs(_cross2(Ts, Tt)) / (_norm2(Ts) * _norm2(Tt))
-    A, B = M.position((Sa,)), M.position((Ta,))
-    return [PairPoint(S[k], T[k], A[k], B[k], int(deg[k]), int(deg[k]),
+    A, B = M.position(Sp), M.position(Tp)
+    return [PairPoint(S[k], T[k], A[k], B[k], int(deg[k]), int(codim[k]),
                       float(residuals[k])) for k in range(len(S))]
+
+
+def _first_of_each_key(keys, S, T):
+    """Rows holding the first occurrence of each distinct key row, ordered
+    lexicographically by (S, T) as sorting the (s, t) tuples orders them."""
+    _, first = np.unique(keys, axis=0, return_index=True)
+    cols = np.column_stack([S[first], T[first]])
+    return first[np.lexsort(cols.T[::-1])]
 
 
 def _pairs_curve(M, density, tol, delta):
@@ -590,16 +616,13 @@ def _pairs_curve(M, density, tol, delta):
     val = np.abs(_cross2(Ts, Tt))
     scale = _norm2(Ts) * _norm2(Tt)
 
-    found = {}
-    for k in np.nonzero(val <= tol * scale)[0]:
-        s, t = S[k], T[k]
-        key = (int(round(s / (spacing / 2))) % (2 * density),
-               int(round(t / (spacing / 2))) % (2 * density))
-        if key not in found:
-            found[key] = (s % TWO_PI, t % TWO_PI, val[k] / scale[k])
-
-    s_list, t_list, res = zip(*sorted(found.values())) if found else ((),) * 3
-    pairs = _curve_pair_points(M, s_list, t_list, res)
+    rows = np.nonzero(val <= tol * scale)[0]
+    keys = np.round(np.column_stack([S[rows], T[rows]]) / (spacing / 2))
+    keys = keys.astype(np.int64) % (2 * density)
+    S, T = S % TWO_PI, T % TWO_PI
+    rows = rows[_first_of_each_key(keys, S[rows], T[rows])]
+    pairs = _pair_points(M, list(S[rows]), list(T[rows]),
+                         val[rows] / scale[rows])
     return [p for p in pairs if p.codim > 0]
 
 
@@ -608,6 +631,12 @@ def _pairs_torus(M, density, tol, delta):
     U, V = np.meshgrid(us, us, indexing="ij")
     Tu = M.derivative((U, V), (1, 0))
     Tv = M.derivative((U, V), (0, 1))
+    bad, sv = _rank_drops(np.stack([Tu, Tv], axis=-2).reshape(-1, 2, M.q))
+    if bad.any():
+        k = int(np.argmax(bad))
+        at = (float(U.flat[k]), float(V.flat[k]))
+        raise ImmersionError(
+            f"tangent frame drops rank at {at}: singular values {sv[k]}")
     N = np.cross(Tu, Tv)
     N = N / np.linalg.norm(N, axis=-1, keepdims=True)
     flat = N.reshape(-1, 3)
@@ -643,45 +672,40 @@ def _pairs_torus(M, density, tol, delta):
     def resid(Z):
         return np.cross(normals(Z[:, 0], Z[:, 1]), normals(Z[:, 2], Z[:, 3]))
 
-    # Gauss-Newton on all candidates at once, finite-difference Jacobian
+    # Gauss-Newton with a finite-difference Jacobian on the live rows, those
+    # whose residual is still at or above tol; a row that drops out would
+    # only ever take zero steps, since its iterate and residual stay fixed
     Z = np.hstack([coords[cand[:, 0]], coords[cand[:, 1]]])
     h = 1e-6
+    live = np.arange(len(Z))
     for _ in range(40):
-        r = resid(Z)
-        active = np.linalg.norm(r, axis=1) >= tol
-        if not active.any():
+        Zl = Z[live]
+        r = resid(Zl)
+        keep = np.linalg.norm(r, axis=1) >= tol
+        if not keep.any():
             break
+        live, Zl, r = live[keep], Zl[keep], r[keep]
         cols = []
         for idx in range(4):
-            Zp = Z.copy()
+            Zp = Zl.copy()
             Zp[:, idx] += h
             cols.append((resid(Zp) - r) / h)
         J = np.stack(cols, axis=2)
         step = -np.einsum("cij,cj->ci", np.linalg.pinv(J), r)
-        step[~active] = 0.0
         sn = np.linalg.norm(step, axis=1)
         big = sn > 0.5
         step[big] *= (0.5 / sn[big])[:, None]
-        Z = Z + step
+        Z[live] = Zl + step
     rn = np.linalg.norm(resid(Z), axis=1)
     Z = Z % TWO_PI
 
-    found = {}
-    for m in range(len(Z)):
-        if rn[m] > tol:
-            continue
-        z = Z[m]
-        if max(_toroidal_dist(z[0], z[2], TWO_PI),
-               _toroidal_dist(z[1], z[3], TWO_PI)) < delta:
-            continue
-        key = tuple(int(round(x / (spacing / 4))) % (4 * density) for x in z)
-        if key not in found:
-            found[key] = ((float(z[0]), float(z[1])),
-                          (float(z[2]), float(z[3])), float(rn[m]))
-    return [
-        _pair_point(M, s, t, res) for s, t, res in
-        sorted(found.values(), key=lambda item: (item[0], item[1]))
-    ]
+    S, T = Z[:, :2], Z[:, 2:]
+    ok = (rn <= tol) & ~(_toroidal_gaps(S, T, M.periods).max(axis=1) < delta)
+    rows = np.nonzero(ok)[0]
+    keys = np.round(Z[rows] / (spacing / 4)).astype(np.int64) % (4 * density)
+    rows = rows[_first_of_each_key(keys, S[rows], T[rows])]
+    return _pair_points(M, [tuple(z) for z in S[rows].tolist()],
+                        [tuple(z) for z in T[rows].tolist()], rn[rows])
 
 
 def _graph_jac_entries(M, y1, y2):
@@ -704,30 +728,18 @@ def _pairs_graph4(M, density, tol, delta):
     pts = np.stack([X1.ravel(), X2.ravel()], axis=1)
 
     # brackets: for fixed s and one fixed t-coordinate, det changes sign
-    # between consecutive grid nodes of the other t-coordinate
-    br_s, br_fix, br_lo, br_hi, br_flo, br_axis = [], [], [], [], [], []
-    for i in range(len(pts)):
-        D = Jf - Jf[i]
-        dets = (D[:, 0] * D[:, 3] - D[:, 1] * D[:, 2]).reshape(density,
-                                                               density)
-        for fixed_axis, grid in ((0, dets), (1, dets.T)):
-            sign = np.signbit(grid)
-            rows, cols = np.nonzero(sign[:, :-1] != sign[:, 1:])
-            for a, b in zip(rows, cols):
-                br_s.append(i)
-                br_fix.append(axis[a])
-                br_lo.append(axis[b])
-                br_hi.append(axis[b + 1])
-                br_flo.append(grid[a, b])
-                br_axis.append(fixed_axis)
-    if not br_s:
+    # between consecutive grid nodes of the other t-coordinate.  G[i, 0]
+    # holds det(J_f(t) - J_f(s_i)) over t = (axis[a], axis[b]), G[i, 1] its
+    # transpose; nonzero() lists them in (i, fixed_axis, a, b) order
+    D = [Jf[None, :, c] - Jf[:, None, c] for c in range(4)]
+    dets = (D[0] * D[3] - D[1] * D[2]).reshape(-1, density, density)
+    G = np.stack([dets, dets.transpose(0, 2, 1)], axis=1)
+    sign = np.signbit(G)
+    si, fax, a, b = np.nonzero(sign[..., :-1] != sign[..., 1:])
+    if not len(si):
         return []
-    si = np.array(br_s)
-    fix = np.array(br_fix)
-    lo_a = np.array(br_lo)
-    hi_a = np.array(br_hi)
-    flo = np.array(br_flo)
-    fax = np.array(br_axis)
+    fix, lo_a, hi_a = axis[a], axis[b], axis[b + 1]
+    flo = G[si, fax, a, b]
     sj = Jf[si]
 
     def det_at(x):
@@ -748,29 +760,20 @@ def _pairs_graph4(M, density, tol, delta):
     T1 = np.where(fax == 0, fix, root)
     T2 = np.where(fax == 0, root, fix)
 
-    found = {}
-    for m in range(len(si)):
-        if res[m] > tol:
-            continue
-        s = pts[si[m]]
-        t = (float(T1[m]), float(T2[m]))
-        if max(abs(s[0] - t[0]), abs(s[1] - t[1])) < delta:
-            continue
-        key = (si[m],
-               int(round(t[0] / (step / 2))), int(round(t[1] / (step / 2))))
-        if key not in found:
-            found[key] = ((float(s[0]), float(s[1])), t, float(res[m]))
-
-    out = []
-    for s, t, r in sorted(found.values(), key=lambda item: (item[0],
-                                                            item[1])):
-        d = np.array(_graph_jac_entries(M, *t)) \
-            - np.array(_graph_jac_entries(M, *s))
-        rank = 0 if np.linalg.norm(d) <= TAU_RANK else 1
-        deg_k = 2 - rank
-        out.append(PairPoint(s, t, M.position(s), M.position(t),
-                             deg_k, deg_k, r))
-    return out
+    S, T = pts[si], np.stack([T1, T2], axis=1)
+    ok = (res <= tol) & ~(np.abs(S - T).max(axis=1) < delta)
+    rows = np.nonzero(ok)[0]
+    keys = np.column_stack([si[rows],
+                            np.round(T[rows] / (step / 2)).astype(np.int64)])
+    rows = rows[_first_of_each_key(keys, S[rows], T[rows])]
+    S, T, res = S[rows], T[rows], res[rows]
+    d = np.stack(_graph_jac_entries(M, T[:, 0], T[:, 1]), axis=1) \
+        - np.stack(_graph_jac_entries(M, S[:, 0], S[:, 1]), axis=1)
+    deg = np.where(_norm2(d) <= TAU_RANK, 2, 1)
+    A, B = M.position((S[:, 0], S[:, 1])), M.position((T[:, 0], T[:, 1]))
+    S, T = map(tuple, S.tolist()), map(tuple, T.tolist())
+    return [PairPoint(s, t, a, b, int(k), int(k), float(r))
+            for s, t, a, b, k, r in zip(S, T, A, B, deg, res)]
 
 
 def find_parallel_pairs(M: ParametricManifold,
@@ -781,13 +784,17 @@ def find_parallel_pairs(M: ParametricManifold,
 
     Curves: sign changes of the stacked-tangent determinant on the grid,
     refined by lockstep bisection, all brackets in one array pass per
-    step.  Torus: normal-alignment residual polished by
-    Gauss-Newton.  Graph surfaces in R^4: sign changes of the reduced 2x2
-    determinant along grid lines.  Duplicates merge by parameter distance;
-    output is ordered lexicographically.  The default density is 256 for
-    curves and 24 / 16 for the surface schemes, whose pair sets are two-
-    and three-dimensional, so their sample counts grow with a power of the
-    density instead of linearly.  Any other (n, q) raises
+    step.  Torus: normal-alignment residual polished by Gauss-Newton, each
+    step taken only on the rows whose residual is still at or above tol;
+    a torus whose grid frames drop rank raises ImmersionError.  Graph
+    surfaces in R^4: sign changes of the reduced 2x2 determinant along grid
+    lines.  Duplicates merge by parameter distance, keeping the first hit;
+    output is ordered lexicographically.  PairPoints are built in one
+    stacked pass (frames, immersion checks and ranks from stacked SVDs), as
+    pair-by-pair construction would build them.  The default density is
+    256 for curves and 24 / 16 for the surface schemes, whose pair sets are
+    two- and three-dimensional, so their sample counts grow with a power of
+    the density instead of linearly.  Any other (n, q) raises
     UnsupportedDimensionsError, a DomainError.
     """
     if grid_density is None:
@@ -960,7 +967,7 @@ def _branch_from_path(M, lam, path, status):
     steps = np.linalg.norm(np.diff(np.array(path), axis=0), axis=1) \
         if len(path) > 1 else np.array([])
     sigmas = np.concatenate([[0.0], np.cumsum(steps)])
-    pairs = _curve_pair_points(M, S.tolist(), T.tolist())
+    pairs = _pair_points(M, S.tolist(), T.tolist())
     samples = list(zip(pairs, X))
     scale = float(np.max(np.linalg.norm(A, axis=1))) or 1.0
     diam = float(np.max(np.ptp(X, axis=0))) if len(X) else 0.0
@@ -1320,8 +1327,8 @@ def _annotate(M, lam, index, Z, found, label, expected, cross_check):
     """Annotations at the parameter rows of Z: `label` where `found`,
     UNRESOLVED elsewhere, optionally cross-checked against `expected`."""
     at = Z[found] % TWO_PI
-    pairs = iter(_curve_pair_points(M, at[:, 0].tolist(), at[:, 1].tolist(),
-                                    np.zeros(len(at))))
+    pairs = iter(_pair_points(M, at[:, 0].tolist(), at[:, 1].tolist(),
+                              np.zeros(len(at))))
     out = []
     for i, hit in zip(index, found):
         if not hit:

@@ -800,6 +800,12 @@ def mapgerm_from_dict(data: Mapping) -> MapGerm:
         comps = data["components"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad map-germ object: {exc}") from exc
+    if order < 0:
+        raise ValueError(f"map-germ order must be >= 0, got {order}")
+    if s < 1 or t < 1:
+        raise ValueError(
+            f"map-germ dimensions must be >= 1, got source_dim={s}, "
+            f"target_dim={t}")
     if len(comps) != t:
         raise ValueError("component count does not match target_dim")
     polys: List[Poly] = []

@@ -47,6 +47,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv):
+    return subprocess.run([sys.executable, "-m", "equidistants.cli", *argv],
+                          capture_output=True, text=True)
+
+
+def assert_one_line_failure(proc, code, prefix):
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(prefix + " ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.fixture
 def y3_path(tmp_path):
     path = tmp_path / "y3.json"
@@ -211,6 +223,20 @@ def test_wrong_schema_exits_2(capsys, tmp_path):
     assert err.startswith("INPUT_PARSE")
 
 
+@pytest.mark.parametrize("command", ["classify", "mu"])
+@pytest.mark.parametrize("field, value", [
+    ("order", -3), ("source_dim", -1), ("source_dim", 0), ("target_dim", 0),
+])
+def test_germ_with_impossible_sizes_is_a_parse_error(tmp_path, command, field, value):
+    # impossible sizes are malformed input, not a germ of infinite
+    # codimension or a monomial enumeration without end
+    blob = json.loads(mapgerm_to_json(germ([{(2,): 1}], 1)))
+    blob[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    assert_one_line_failure(run_subprocess(command, "--germ", str(path)), 2, "INPUT_PARSE")
+
+
 def test_malformed_manifold_exits_2(capsys, tmp_path):
     path = tmp_path / "badcurve.json"
     path.write_text(json.dumps({"kind": "dodecahedron"}))
@@ -371,17 +397,23 @@ def test_trace_unparseable_lambda_is_usage_error(capsys, tmp_path, ellipse_path)
 def test_trace_non_finite_lambda_fails_on_one_line(tmp_path, ellipse_path, lam, code, prefix):
     # a subprocess, so that numpy warnings would show on stderr too;
     # 1e308 is finite but sends the lambda-points of ellipse(2, 1) to inf
-    proc = subprocess.run(
-        [sys.executable, "-m", "equidistants.cli", "trace", "--input", ellipse_path,
-         "--lambda=" + lam, "--out", str(tmp_path / "x"), "--step", "0.05",
-         "--seed-density", "64"],
-        capture_output=True, text=True,
+    proc = run_subprocess(
+        "trace", "--input", ellipse_path, "--lambda=" + lam, "--out", str(tmp_path / "x"),
+        "--step", "0.05", "--seed-density", "64",
     )
-    assert proc.returncode == code
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(prefix + " ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert_one_line_failure(proc, code, prefix)
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_trace_of_a_pinched_torus_is_a_domain_error(tmp_path):
+    # the horn torus is not immersed along v = pi, a grid line of the pair
+    # search, so its grid normals vanish; in a subprocess numpy warnings show
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps({"kind": "torus", "R": 1.0, "r": 1.0}))
+    proc = run_subprocess("trace", "--input", str(path), "--lambda", "1/2",
+                          "--out", str(tmp_path / "o"))
+    assert_one_line_failure(proc, 3, "DOMAIN")
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_trace_without_a_pair_scheme_is_a_domain_error(capsys, tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from equidistants.contact_lab import contact_map
+from equidistants.normal_forms import DomainError
 from equidistants import geometry_engine as ge
 from equidistants.geometry_engine import (
     TAU_RANK,
@@ -211,6 +212,46 @@ def test_sampled_curve_batch_matches_pointwise_evaluation():
         assert S.derivative(th[5], (m,)).tobytes() == want[5].tobytes()
 
 
+def pointwise_surface_derivative(ev, u, v, alpha):
+    """The per-point loop the sampled-surface evaluator used to run."""
+    i, j = alpha
+    n0, n1 = ev.grid.shape[:2]
+    out = np.empty((len(u), ev.grid.shape[2]))
+    for k in range(len(u)):
+        i0 = int(round(u[k] / ev.h[0]))
+        j0 = int(round(v[k] / ev.h[1]))
+        t0 = u[k] / ev.h[0] - i0
+        t1 = v[k] / ev.h[1] - j0
+        rows = (i0 + np.arange(-3, 4)) % n0
+        cols = (j0 + np.arange(-3, 4)) % n1
+        block = ev.grid[np.ix_(rows, cols)]
+        c1 = np.einsum("pk,akq->paq", ge._LAGRANGE_INV, block)
+        line = np.stack(
+            [ge._poly_eval_deriv(c1[:, a, :], t1, j) for a in range(7)])
+        c0 = ge._LAGRANGE_INV @ line
+        out[k] = ge._poly_eval_deriv(c0, t0, i) / (
+            ev.h[0] ** i * ev.h[1] ** j)
+    return out
+
+
+def test_sampled_surface_batch_matches_pointwise_evaluation():
+    # a rough, non-square grid; points beyond both ends of each period and
+    # on the seams exercise the wrapped windows
+    rng = np.random.default_rng(11)
+    S = sampled_surface(rng.normal(size=(12, 10, 3)))
+    u = np.concatenate([rng.uniform(-1.0, TWO_PI + 1.0, 200),
+                        [0.0, TWO_PI, -1e-9, TWO_PI - 1e-9, -TWO_PI, 7.0]])
+    v = np.concatenate([rng.uniform(-1.0, TWO_PI + 1.0, 200),
+                        [TWO_PI, 0.0, 1e-9, -3.0, 9.5, -1e-9]])
+    for alpha in [(0, 0)] + SURF_ALPHAS:
+        want = pointwise_surface_derivative(S._ev, u, v, alpha)
+        assert S.derivative((u, v), alpha).tobytes() == want.tobytes()
+        grid = S.derivative((u.reshape(2, -1), v.reshape(2, -1)), alpha)
+        assert grid.tobytes() == want.tobytes()
+        one = S.derivative((float(u[-3]), float(v[-3])), alpha)
+        assert one.tobytes() == want[-3].tobytes()
+
+
 def test_sampled_grids_reject_tiny_inputs():
     with pytest.raises(ValueError):
         sampled_curve(np.zeros((5, 2)))
@@ -280,6 +321,13 @@ def test_tangent_frame_raises_where_immersion_fails():
     horn = torus(1.0, 1.0)
     with pytest.raises(ImmersionError):
         tangent_frame(horn, (0.3, math.pi))
+
+
+def test_pair_search_on_a_horn_torus_raises_immersion_error():
+    # the horn torus pinches at v = pi, a grid line of the pair search
+    with pytest.raises(ImmersionError) as err:
+        find_parallel_pairs(torus(1.0, 1.0))
+    assert isinstance(err.value, DomainError)
 
 
 def test_parallelism_degrees_on_circle():
@@ -442,6 +490,15 @@ def wobbly_samples():
                                    np.sin(th) + 0.05 * np.sin(3 * th)], axis=1))
 
 
+def assert_same_pairs(got, want):
+    assert len(got) == len(want) > 0
+    for p, q in zip(got, want):
+        assert (p.s, p.t, p.residual) == (q.s, q.t, q.residual)
+        assert (p.deg_k, p.codim) == (q.deg_k, q.codim)
+        assert p.a.tobytes() == q.a.tobytes()
+        assert p.b.tobytes() == q.b.tobytes()
+
+
 @pytest.mark.parametrize("density", [128, 256])
 @pytest.mark.parametrize("make", [
     oval, lambda: ellipse(2.0, 1.0),
@@ -449,14 +506,136 @@ def wobbly_samples():
 ], ids=["oval", "ellipse", "two_harmonic", "samples"])
 def test_lockstep_pair_location_matches_the_scalar_reference(make, density):
     M = make()
-    got = find_parallel_pairs(M, density)
-    want = scalar_curve_pairs(M, density)
-    assert len(got) == len(want) > 0
-    for p, q in zip(got, want):
-        assert (p.s, p.t, p.residual) == (q.s, q.t, q.residual)
-        assert (p.deg_k, p.codim) == (q.deg_k, q.codim)
-        assert p.a.tobytes() == q.a.tobytes()
-        assert p.b.tobytes() == q.b.tobytes()
+    assert_same_pairs(find_parallel_pairs(M, density), scalar_curve_pairs(M, density))
+
+
+def scalar_torus_pairs(M, density, delta, tol=1e-10):
+    """The torus scheme one pair at a time: Gauss-Newton steps on every
+    candidate until all converge, a dict dedupe and pair-by-pair
+    PairPoints.  The reference for the array passes."""
+    us = np.arange(density) * (TWO_PI / density)
+    U, V = np.meshgrid(us, us, indexing="ij")
+    N = np.cross(M.derivative((U, V), (1, 0)), M.derivative((U, V), (0, 1)))
+    flat = (N / np.linalg.norm(N, axis=-1, keepdims=True)).reshape(-1, 3)
+    spacing = TWO_PI / density
+    coords = np.stack([U.ravel(), V.ravel()], axis=1)
+    mis = np.linalg.norm(np.cross(flat[:, None, :], flat[None, :, :]), axis=-1)
+    du = np.abs(coords[:, None, 0] - coords[None, :, 0])
+    dv = np.abs(coords[:, None, 1] - coords[None, :, 1])
+    du = np.minimum(du, TWO_PI - du)
+    dv = np.minimum(dv, TWO_PI - dv)
+    cand = np.argwhere((mis < 2.0 * spacing) & ~(np.maximum(du, dv) < delta))
+    cand = cand[cand[:, 0] < cand[:, 1]]
+
+    def normals(u, v):
+        nn = np.cross(M.derivative((u, v), (1, 0)), M.derivative((u, v), (0, 1)))
+        return nn / np.linalg.norm(nn, axis=-1, keepdims=True)
+
+    def resid(Z):
+        return np.cross(normals(Z[:, 0], Z[:, 1]), normals(Z[:, 2], Z[:, 3]))
+
+    Z = np.hstack([coords[cand[:, 0]], coords[cand[:, 1]]])
+    h = 1e-6
+    for _ in range(40):
+        r = resid(Z)
+        active = np.linalg.norm(r, axis=1) >= tol
+        if not active.any():
+            break
+        cols = []
+        for idx in range(4):
+            Zp = Z.copy()
+            Zp[:, idx] += h
+            cols.append((resid(Zp) - r) / h)
+        J = np.stack(cols, axis=2)
+        step = -np.einsum("cij,cj->ci", np.linalg.pinv(J), r)
+        step[~active] = 0.0
+        sn = np.linalg.norm(step, axis=1)
+        big = sn > 0.5
+        step[big] *= (0.5 / sn[big])[:, None]
+        Z = Z + step
+    rn = np.linalg.norm(resid(Z), axis=1)
+    Z = Z % TWO_PI
+    found = {}
+    for m in range(len(Z)):
+        z = Z[m]
+        if rn[m] > tol or max(tor_dist(z[0], z[2]), tor_dist(z[1], z[3])) < delta:
+            continue
+        key = tuple(int(round(x / (spacing / 4))) % (4 * density) for x in z)
+        if key not in found:
+            found[key] = ((float(z[0]), float(z[1])),
+                          (float(z[2]), float(z[3])), float(rn[m]))
+    out = []
+    for s, t, res in sorted(found.values(), key=lambda item: item[:2]):
+        deg, cod = parallelism(M, s, t)
+        out.append(PairPoint(s, t, M.position(s), M.position(t), deg, cod, res))
+    return out
+
+
+def scalar_graph4_pairs(M, density, delta, tol=1e-10):
+    """The R^4 graph scheme with its brackets collected grid point by grid
+    point, a dict dedupe and pair-by-pair Jacobians: the reference for the
+    array passes."""
+    axis = np.linspace(-M._ev.halfwidth, M._ev.halfwidth, density)
+    step = axis[1] - axis[0]
+    X1, X2 = np.meshgrid(axis, axis, indexing="ij")
+    Jf = np.stack([x.ravel() for x in ge._graph_jac_entries(M, X1, X2)], axis=1)
+    pts = np.stack([X1.ravel(), X2.ravel()], axis=1)
+    br = []
+    for i in range(len(pts)):
+        D = Jf - Jf[i]
+        dets = (D[:, 0] * D[:, 3] - D[:, 1] * D[:, 2]).reshape(density, density)
+        for fixed_axis, grid in ((0, dets), (1, dets.T)):
+            sign = np.signbit(grid)
+            for a, b in zip(*np.nonzero(sign[:, :-1] != sign[:, 1:])):
+                br.append((i, axis[a], axis[b], axis[b + 1], grid[a, b],
+                           fixed_axis))
+    si, fix, lo, hi, flo, fax = (np.array(c) for c in zip(*br))
+    sj = Jf[si]
+
+    def det_at(x):
+        t1, t2 = np.where(fax == 0, fix, x), np.where(fax == 0, x, fix)
+        b11, b12, b21, b22 = ge._graph_jac_entries(M, t1, t2)
+        return ((b11 - sj[:, 0]) * (b22 - sj[:, 3])
+                - (b12 - sj[:, 1]) * (b21 - sj[:, 2]))
+
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = (det_at(mid) > 0) == (flo > 0)
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    root = 0.5 * (lo + hi)
+    res = np.abs(det_at(root))
+    T1, T2 = np.where(fax == 0, fix, root), np.where(fax == 0, root, fix)
+    found = {}
+    for m in range(len(si)):
+        s, t = pts[si[m]], (float(T1[m]), float(T2[m]))
+        if res[m] > tol or max(abs(s[0] - t[0]), abs(s[1] - t[1])) < delta:
+            continue
+        key = (si[m], int(round(t[0] / (step / 2))), int(round(t[1] / (step / 2))))
+        if key not in found:
+            found[key] = ((float(s[0]), float(s[1])), t, float(res[m]))
+    out = []
+    for s, t, r in sorted(found.values(), key=lambda item: item[:2]):
+        d = np.array(ge._graph_jac_entries(M, *t)) \
+            - np.array(ge._graph_jac_entries(M, *s))
+        deg = 2 if np.linalg.norm(d) <= TAU_RANK else 1
+        out.append(PairPoint(s, t, M.position(s), M.position(t), deg, deg, r))
+    return out
+
+
+@pytest.mark.parametrize("R, r, density, delta", [
+    (2.0, 0.5, 24, 10.0 * TWO_PI / 24),  # the search's defaults
+    (1.5, 0.7, 16, 0.6),
+], ids=["R2-r0.5-d24", "R1.5-r0.7-d16"])
+def test_torus_pair_passes_match_the_scalar_reference(R, r, density, delta):
+    M = torus(R, r)
+    got = find_parallel_pairs(M, density, delta_diag=delta)
+    assert_same_pairs(got, scalar_torus_pairs(M, density, delta))
+
+
+def test_graph_pair_passes_match_the_scalar_reference():
+    M = graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}])
+    assert_same_pairs(find_parallel_pairs(M),
+                      scalar_graph4_pairs(M, 16, 10.0 * 2.0 / 16))
 
 
 def test_pair_location_rejects_unsupported_shapes():
