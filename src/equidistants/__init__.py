@@ -67,6 +67,7 @@ from .geometry_engine import (
 from .germ_algebra import (
     INFINITE,
     REGULAR,
+    InfiniteCodimensionError,
     LocalAlgebraReport,
     MapGerm,
     corank,
@@ -110,6 +111,7 @@ __all__ = [
     "GraphPair",
     "INFINITE",
     "ImmersionError",
+    "InfiniteCodimensionError",
     "LocalAlgebraReport",
     "MapGerm",
     "NotNiceDimensionsError",

@@ -49,6 +49,7 @@ from .geometry_engine import (
 from .germ_algebra import (
     INFINITE,
     REGULAR,
+    InfiniteCodimensionError,
     MapGerm,
     format_poly,
     ke_codimension,
@@ -228,9 +229,9 @@ def _cmd_classify(args) -> int:
         return err
     try:
         cls = recognize(germ)
-    except ArithmeticError:
+    except InfiniteCodimensionError:
         return _fail(INFINITE, "germ has infinite Ke-codimension", EXIT_MATH)
-    except UnrecognizedGermError as exc:
+    except (ArithmeticError, UnrecognizedGermError) as exc:
         return _fail("UNRECOGNIZED", str(exc), EXIT_MATH)
     if args.json:
         print(json.dumps(_class_dict(cls), indent=2, sort_keys=True))
@@ -275,9 +276,9 @@ def _cmd_contact(args) -> int:
     theta = reduce_to_theta(kappa, pair.n, pair.q)
     try:
         cls = recognize(kappa)
-    except ArithmeticError:
+    except InfiniteCodimensionError:
         return _fail(INFINITE, "contact germ has infinite Ke-codimension", EXIT_MATH)
-    except UnrecognizedGermError as exc:
+    except (ArithmeticError, UnrecognizedGermError) as exc:
         return _fail("UNRECOGNIZED", str(exc), EXIT_MATH)
     if args.json:
         blob = {

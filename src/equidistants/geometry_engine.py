@@ -637,6 +637,12 @@ def _pairs_torus(M, density, tol, delta):
         at = (float(U.flat[k]), float(V.flat[k]))
         raise ImmersionError(
             f"tangent frame drops rank at {at}: singular values {sv[k]}")
+    ev = M._ev
+    if isinstance(ev, _Torus) and ev.R <= ev.r:
+        # the circle cos v = -R/r, where d/du vanishes, can miss the grid
+        raise ImmersionError(
+            f"torus with R={ev.R} <= r={ev.r} is not immersed where "
+            f"cos v = -R/r")
     N = np.cross(Tu, Tv)
     N = N / np.linalg.norm(N, axis=-1, keepdims=True)
     flat = N.reshape(-1, 3)
@@ -788,8 +794,11 @@ def find_parallel_pairs(M: ParametricManifold,
     step taken only on the rows whose residual is still at or above tol;
     a torus whose grid frames drop rank raises ImmersionError.  Graph
     surfaces in R^4: sign changes of the reduced 2x2 determinant along grid
-    lines.  Duplicates merge by parameter distance, keeping the first hit;
-    output is ordered lexicographically.  PairPoints are built in one
+    lines.  A torus with R <= r raises ImmersionError even when its
+    singular circle misses the grid, and on periodic manifolds a diagonal
+    band wider than half the period, which would leave no pair, raises
+    DomainError.  Duplicates merge by parameter distance, keeping the first
+    hit; output is ordered lexicographically.  PairPoints are built in one
     stacked pass (frames, immersion checks and ranks from stacked SVDs), as
     pair-by-pair construction would build them.  The default density is
     256 for curves and 24 / 16 for the surface schemes, whose pair sets are
@@ -803,6 +812,11 @@ def find_parallel_pairs(M: ParametricManifold,
     if delta_diag is None:
         span = TWO_PI if M.periods[0] else 2 * getattr(M._ev, "halfwidth", 1.0)
         delta_diag = 10.0 * span / grid_density
+    if M.periods[0] and delta_diag > M.periods[0] / 2:
+        raise DomainError(
+            f"diagonal band {delta_diag:.6g} at density {grid_density} "
+            f"exceeds half the period {M.periods[0] / 2:.6g} and covers "
+            f"every pair")
     if M.n == 1 and M.q == 2:
         return _pairs_curve(M, grid_density, tol, delta_diag)
     if M.n == 2 and M.q == 3:

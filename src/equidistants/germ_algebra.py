@@ -16,12 +16,36 @@ graded quotient is generated in degree 0, so the first zero value h_z = 0
 certifies h_d = 0 for every d >= z.  When no zero appears below the cap,
 the dimension is recomputed at increasing orders and declared INFINITE
 after it strictly grows twice in a row.
+
+The elimination runs over F_p for 61-bit primes p and every result is
+proved over Q.  Each generator is scaled to integer coefficients, and a
+prime dividing a denominator is skipped.  The rank of the integer rows
+mod p is at most their rank over Q.  From the echelon form mod p, each
+free column j gives a kernel vector that is 1 at j and 0 above j; the
+vectors of one or more primes are combined by the Chinese remainder
+theorem and lifted to Q by Wang's rational reconstruction.  The lift is
+accepted only when every integer row annihilates every lifted vector in
+exact integer arithmetic.  A vector of the row space led by column j
+has a nonzero product with a vector whose last nonzero entry is at j, so
+no free column mod p is a pivot over Q; with the rank bound the two pivot
+sets, and h, are equal.  A failed lift or check adds a prime, and the
+Fraction elimination runs once every prime is spent.
+
+Since h_d does not depend on D >= d, a truncation ladder climbs on
+uncertified eliminations mod one prime and certifies only the rung where
+they stop it.  The decision of every lower rung is replayed from that
+rung's exact h; when the exact h does not stop the ladder there, the
+climb resumes above it.
 """
 from __future__ import annotations
 
 import json
+import math
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -32,6 +56,14 @@ except ImportError:  # pragma: no cover
 
 INFINITE = "INFINITE"
 REGULAR = "REGULAR"
+
+
+class InfiniteCodimensionError(ArithmeticError):
+    """The quotient is infinite-dimensional; the message is INFINITE."""
+
+    def __init__(self) -> None:
+        super().__init__(INFINITE)
+
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
@@ -45,9 +77,8 @@ def default_order(source_dim: int) -> int:
     return _DEFAULT_ORDER.get(source_dim, 6)
 
 
-def _ladder(source_dim: int, cap: int) -> List[int]:
-    rungs = [d for d in (4, 6, 8, 9, 10, 12) if d < cap]
-    return [r for r in rungs if r >= 4] + [cap]
+def _ladder(cap: int) -> List[int]:
+    return [d for d in (4, 6, 8, 9, 10, 12) if d < cap] + [cap]
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +137,6 @@ def p_mul(a: Poly, b: Poly, order: int) -> Poly:
     return out
 
 
-def p_pow(a: Poly, n: int, source_dim: int, order: int) -> Poly:
-    out: Poly = {(0,) * source_dim: Fraction(1)}
-    for _ in range(n):
-        out = p_mul(out, a, order)
-    return out
-
-
 def p_compose(p: Poly, args: Sequence[Poly], source_dim: int,
               order: int) -> Poly:
     """Substitute args[i] for variable i of p; args live in source_dim vars."""
@@ -154,10 +178,6 @@ def p_diff(p: Poly, i: int) -> Poly:
 
 def p_trunc(p: Poly, order: int) -> Poly:
     return {exp: c for exp, c in p.items() if sum(exp) <= order}
-
-
-def p_min_degree(p: Poly) -> Optional[int]:
-    return min((sum(e) for e in p), default=None)
 
 
 _SUBS = "₀₁₂₃₄₅₆₇₈₉"
@@ -368,64 +388,283 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def _quotient_hilbert(gens: Sequence[Dict[Key, Fraction]], source_dim: int,
-                      slots: int, order: int) -> Tuple[List[int], set]:
-    """Per-degree dims of (free module of rank `slots`)/(span of m*gens).
+# The eight largest primes below 2^61, so residues fit an array('q') and
+# the product of two stays a small Python int.
+_PRIMES = tuple(2 ** 61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391))
 
-    Returns (h[0..order], pivot key set).  h[d] is exact for all d <= order.
-    Keys are encoded as ordinals in the lead order so that elimination runs
-    on plain integers.
+
+def _code(key: Key, slots: int, base: int) -> int:
+    slot, exp = key
+    return sum(e * base ** i for i, e in enumerate(exp)) * slots + slot
+
+
+@lru_cache(maxsize=64)
+def _columns(source_dim: int, slots: int, order: int):
+    """The keys (slot, monomial) of degree <= order in the lead order, their
+    degrees, each key's ordinal by its code, and (degree, code of (0, m))
+    per monomial m.
+
+    A code is the exponents read in base order + 1, times `slots`, plus the
+    slot; multiplying a key by m adds the code of (0, m).  Callers share
+    the cached values and must not change them.
     """
     monos = monomials_upto(source_dim, order)
-    keys: List[Key] = [(slot, m) for m in monos for slot in range(slots)]
-    keys.sort(key=_rank_key)
-    ordinal = {k: i for i, k in enumerate(keys)}
-    rows: List[Dict[int, object]] = []
-    for g in gens:
-        if not g:
-            continue
-        gmin = min(sum(k[1]) for k in g)
-        items = [
-            (slot, exp, sum(exp), _fastq(c.numerator, c.denominator))
-            for (slot, exp), c in g.items()
-        ]
-        for m in monos:
-            dm = sum(m)
-            if dm + gmin > order:
+    keys = tuple(sorted(((slot, m) for m in monos for slot in range(slots)),
+                        key=_rank_key))
+    degree = tuple(sum(m) for _, m in keys)
+    ordinal = {_code(k, slots, order + 1): i for i, k in enumerate(keys)}
+    shifts = tuple((sum(m), _code((0, m), slots, order + 1)) for m in monos)
+    return keys, degree, ordinal, shifts
+
+
+class _Rows:
+    """The rows m*g of one truncated quotient, scaled to integers.
+
+    Columns are the keys numbered in the lead order.  Each generator is
+    scaled by the lcm of its denominators and its terms sorted by that
+    order, which multiplication by a monomial preserves; so row m*g is
+    stored as the generator's index and the ascending column array of its
+    first terms, those that survive the truncation.
+    """
+
+    def __init__(self, gens: Sequence[Dict[Key, Fraction]], source_dim: int,
+                 slots: int, order: int):
+        keys, self.degree, ordinal, shifts = _columns(source_dim, slots, order)
+        self.keys = keys
+        self.order = order
+        self.coeffs: List[List[int]] = []
+        self.rows: List[Tuple[int, array]] = []
+        self.scale = 1  # lcm of every denominator
+        for g in gens:
+            # (column of the term at m = 1, code, coefficient) in lead order
+            items = sorted((ordinal[c], c, v) for c, v in (
+                (_code(k, slots, order + 1), v) for k, v in g.items()
+                if sum(k[1]) <= order))
+            if not items:
                 continue
-            row: Dict[int, object] = {}
-            for slot, exp, de, c in items:
-                if dm + de > order:
-                    continue
-                key = (slot, tuple(a + b for a, b in zip(m, exp)))
-                row[ordinal[key]] = c
-            if row:
-                rows.append(row)
-    # Ascending lead order keeps fill-in local to each degree band.
-    rows.sort(key=min)
-    pivots: Dict[int, Dict[int, object]] = {}
-    pivot_per_degree = [0] * (order + 1)
-    for row in rows:
+            lcm = math.lcm(*(v.denominator for _, _, v in items))
+            self.scale = math.lcm(self.scale, lcm)
+            gi = len(self.coeffs)
+            self.coeffs.append([v.numerator * (lcm // v.denominator)
+                                for _, _, v in items])
+            degs = [self.degree[i] for i, _, _ in items]
+            codes = [c for _, c, _ in items]
+            for dm, shift in shifts:
+                keep = bisect_right(degs, order - dm)
+                if not keep:
+                    break
+                self.rows.append((gi, array("q", [
+                    ordinal[shift + c] for c in codes[:keep]])))
+        # Ascending lead order keeps fill-in local to each degree band.
+        self.rows.sort(key=lambda row: row[1][0])
+
+    def hilbert(self, pivots) -> List[int]:
+        h = [0] * (self.order + 1)
+        for d in self.degree:
+            h[d] += 1
+        for c in pivots:
+            h[self.degree[c]] -= 1
+        return h
+
+    def primes(self) -> List[int]:
+        """The primes that divide no denominator, where rows keep their rank
+        unless a numerator conspires."""
+        return [p for p in _PRIMES if self.scale % p]
+
+    def annihilate(self, kernel: Dict[int, List[Tuple[int, int]]]) -> bool:
+        """Whether every row kills every kernel vector, in exact integers;
+        `kernel[k]` lists (vector, integer entry at column k)."""
+        for gi, cols in self.rows:
+            acc: Dict[int, int] = {}
+            for k, a in zip(cols, self.coeffs[gi]):
+                for j, w in kernel.get(k, ()):
+                    acc[j] = acc.get(j, 0) + a * w
+            if any(acc.values()):
+                return False
+        return True
+
+
+def _eliminate_mod(rows: _Rows, p: int) -> Dict[int, Tuple[array, array]]:
+    """Echelon form mod p: {lead column: (columns, values)} of each pivot
+    row past its lead, whose value is 1; columns ascend.
+
+    A row is a dict only while it is reduced; entries grow unreduced and
+    are taken mod p when they lead or when the row becomes a pivot.  Every
+    column above `top`, the last free one, is a pivot, so a row whose lead
+    passes it is spent.
+    """
+    pivots: Dict[int, Tuple[array, array]] = {}
+    top = len(rows.keys) - 1
+    for gi, cols in rows.rows:
+        row = dict(zip(cols, rows.coeffs[gi]))
+        get = row.get
         while row:
             lead = min(row)
+            if lead > top:
+                break
+            c = row[lead] % p
+            if not c:
+                del row[lead]
+                continue
             piv = pivots.get(lead)
             if piv is None:
-                c = row[lead]
-                pivots[lead] = {k: v / c for k, v in row.items()}
-                pivot_per_degree[sum(keys[lead][1])] += 1
+                inv = pow(c, -1, p)
+                del row[lead]
+                kept = [(k, v * inv % p) for k, v in sorted(row.items())]
+                kept = [kv for kv in kept if kv[1]]
+                pivots[lead] = (array("q", [k for k, _ in kept]),
+                                array("q", [v for _, v in kept]))
+                while top in pivots:
+                    top -= 1
                 break
+            del row[lead]
+            for k, v in zip(*piv):
+                row[k] = get(k, 0) - c * v
+    return pivots
+
+
+def _eliminate_exact(rows: _Rows) -> set:
+    """Pivot columns over Q by Fraction elimination: the fallback of
+    `_certified_pivots` and the oracle its tests compare against."""
+    pivots: Dict[int, Dict[int, object]] = {}
+    for gi, cols in rows.rows:
+        row = {k: _fastq(c) for k, c in zip(cols, rows.coeffs[gi]) if c}
+        while row:
+            lead = min(row)
             c = row[lead]
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = {k: v / c for k, v in row.items()}
+                break
             for k, v in piv.items():
                 s = row.get(k, 0) - c * v
                 if s:
                     row[k] = s
                 else:
                     row.pop(k, None)
-    counts = [0] * (order + 1)
-    for m in monos:
-        counts[sum(m)] += slots
-    h = [counts[d] - pivot_per_degree[d] for d in range(order + 1)]
-    return h, {keys[i] for i in pivots}
+    return set(pivots)
+
+
+def _free_entries(pivots: Dict[int, Tuple[array, array]], free: set,
+                  p: int) -> Dict[Tuple[int, int], int]:
+    """{(pivot c, free j): entry} of the reduced echelon form mod p.
+
+    The kernel vector of free column j is 1 at j, minus these entries at
+    the pivots c < j, and 0 at every other column: above j in particular.
+    """
+    reduced: Dict[int, Dict[int, int]] = {}
+    out: Dict[Tuple[int, int], int] = {}
+    for c in sorted(pivots, reverse=True):
+        cols, vals = pivots[c]
+        acc: Dict[int, int] = {}
+        for k, v in zip(cols, vals):
+            if k in free:
+                acc[k] = acc.get(k, 0) + v
+            else:
+                for j, w in reduced[k].items():
+                    acc[j] = acc.get(j, 0) - v * w
+        acc = {j: v % p for j, v in acc.items() if v % p}
+        reduced[c] = acc
+        for j, v in acc.items():
+            out[(c, j)] = v
+    return out
+
+
+def _rational(a: int, m: int) -> Optional[Tuple[int, int]]:
+    """Wang's rational reconstruction: (n, d) with n = a*d mod m, |n| and
+    0 < d at most sqrt(m/2) and gcd(n, d) = 1; None when none exists."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(residues: Dict[Tuple[int, int], int], modulus: int,
+          free: set) -> Optional[Dict[int, List[Tuple[int, int]]]]:
+    """The kernel vectors over Q as integer columns for `_Rows.annihilate`,
+    or None when some entry has no rational reconstruction."""
+    fracs = {}
+    for pos, a in residues.items():
+        nd = _rational(a, modulus)
+        if nd is None:
+            return None
+        fracs[pos] = nd
+    den = dict.fromkeys(free, 1)
+    for (_, j), (_, d) in fracs.items():
+        den[j] = math.lcm(den[j], d)
+    kernel: Dict[int, List[Tuple[int, int]]] = {j: [(j, den[j])] for j in free}
+    for (c, j), (n, d) in fracs.items():
+        kernel.setdefault(c, []).append((j, -n * (den[j] // d)))
+    return kernel
+
+
+def _certified_pivots(rows: _Rows, first=None) -> set:
+    """Pivot columns of the rows over Q, proved from eliminations mod p.
+
+    `first` is the elimination already made mod the first usable prime.
+    See the module docstring for the certificate; primes whose pivots fall
+    behind the best seen are dropped, and the Fraction elimination runs
+    when every prime is spent.
+    """
+    best = None
+    for n, p in enumerate(rows.primes()):
+        if n == 0 and first is not None:
+            piv = first
+        else:
+            piv = _eliminate_mod(rows, p)
+        # Over Q the rank is largest and the sorted leads least, entrywise.
+        key = (-len(piv), sorted(piv))
+        if best is not None and key > best:
+            continue
+        free = set(range(len(rows.keys))).difference(piv)
+        entries = _free_entries(piv, free, p)
+        if best is None or key < best:
+            best, residues, modulus = key, entries, p
+        elif key == best:
+            inv = pow(modulus, -1, p)
+            for pos in residues.keys() | entries.keys():
+                a = residues.get(pos, 0)
+                t = (entries.get(pos, 0) - a) * inv % p
+                residues[pos] = a + modulus * t
+            modulus *= p
+        kernel = _lift(residues, modulus, free)
+        if kernel is not None and rows.annihilate(kernel):
+            return set(best[1])
+    return _eliminate_exact(rows)
+
+
+def _quotient_hilbert(gens: Sequence[Dict[Key, Fraction]], source_dim: int,
+                      slots: int, order: int) -> Tuple[List[int], set]:
+    """Per-degree dims of (free module of rank `slots`)/(span of m*gens).
+
+    Returns (h[0..order], pivot key set).  h[d] is exact for all d <= order.
+    """
+    rows = _Rows(gens, source_dim, slots, order)
+    pivots = _certified_pivots(rows)
+    return rows.hilbert(pivots), {rows.keys[c] for c in pivots}
+
+
+def _settle(h: List[int], pivots: set, rungs: List[int], cap: int):
+    """The ladder's result from the exact h and pivot keys at truncation
+    rungs[-1], replaying the decision of every rung up to it; None when the
+    ladder climbs past rungs[-1]."""
+    if 0 in h:
+        z = h.index(0)
+        used = next(D for D in rungs if D >= z)
+        return (sum(h[:z]), h[:z], True,
+                {k for k in pivots if sum(k[1]) <= used}, used)
+    if rungs[-1] < cap + 2:
+        return None
+    # No certified zero by the cap: fall back to total-dimension growth.
+    dims = [sum(h[:cap + 1]), sum(h[:cap + 2]), sum(h)]
+    if dims[2] > dims[1] > dims[0]:
+        return INFINITE, h, False, pivots, cap + 2
+    return dims[2], h, dims[2] == dims[1], pivots, cap + 2
 
 
 def _module_dimension(
@@ -435,28 +674,28 @@ def _module_dimension(
     """Certified quotient dimension via the truncation ladder.
 
     Returns (dimension or INFINITE, hilbert, stabilized, pivots, used_order).
+    The ladder climbs on eliminations mod one prime and certifies only the
+    rung where they stop it; `_settle` replays every lower rung from that
+    rung's exact h, and the climb resumes above it if the exact h does not
+    stop the ladder there.
     """
-    h: List[int] = []
-    pivots: set = set()
-    used = cap
-    for D in _ladder(source_dim, cap):
-        h, pivots = _quotient_hilbert(gens, source_dim, slots, D)
-        used = D
-        if 0 in h:
-            z = h.index(0)
-            return sum(h[:z]), h[:z], True, pivots, used
-    # No certified zero by the cap: fall back to total-dimension growth.
-    dims = [sum(h)]
-    for D in (cap + 1, cap + 2):
-        hh, pivots2 = _quotient_hilbert(gens, source_dim, slots, D)
-        if 0 in hh:
-            z = hh.index(0)
-            return sum(hh[:z]), hh[:z], True, pivots2, D
-        dims.append(sum(hh))
-        h, pivots, used = hh, pivots2, D
-    if dims[2] > dims[1] > dims[0]:
-        return INFINITE, h, False, pivots, used
-    return dims[2], h, dims[2] == dims[1], pivots, used
+    rungs = _ladder(cap) + [cap + 1, cap + 2]
+    start = 0
+    while True:
+        for i in range(start, len(rungs)):
+            rows = _Rows(gens, source_dim, slots, rungs[i])
+            primes = rows.primes()
+            probe = _eliminate_mod(rows, primes[0]) if primes else None
+            if probe is None or i == len(rungs) - 1:
+                break
+            if 0 in rows.hilbert(probe):
+                break
+        pivots = _certified_pivots(rows, probe)
+        settled = _settle(rows.hilbert(pivots),
+                          {rows.keys[c] for c in pivots}, rungs[:i + 1], cap)
+        if settled is not None:
+            return settled
+        start = i + 1
 
 
 def _ideal_gens(f: MapGerm) -> List[Dict[Key, Fraction]]:
@@ -582,7 +821,7 @@ def miniversal_basis(f: MapGerm,
         _tangent_gens(f), f.source_dim, f.target_dim, cap
     )
     if dim == INFINITE:
-        raise ArithmeticError(INFINITE)
+        raise InfiniteCodimensionError()
     out: List[MapGerm] = []
     for m in monomials_upto(f.source_dim, max(len(h) - 1, 0)):
         for slot in range(f.target_dim):

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .germ_algebra import (
     INFINITE,
     REGULAR,
+    InfiniteCodimensionError,
     MapGerm,
     corank,
     hilbert_prefix,
@@ -722,9 +723,10 @@ def _pencil_profile(f: MapGerm) -> str:
     return f"s{s}"
 
 
-# Component-ideal Hilbert prefixes are compared only at low degree; every
-# catalogue pair they separate differs by degree 3.
-_EIH_DEPTH = 8
+# Component-ideal Hilbert prefixes are compared only at low degree.  The
+# only catalogue pairs that the Ke-Hilbert function and the pencil profile
+# leave together are F9/H9 and F10/H10, and each first differs in degree 3.
+_EIH_DEPTH = 3
 
 
 def _signature(f: MapGerm, keh=None):
@@ -826,7 +828,7 @@ def recognize(f: MapGerm) -> GermClass:
         f = reduced
     keh = ke_quotient_hilbert(f)
     if keh == INFINITE:
-        raise ArithmeticError(INFINITE)
+        raise InfiniteCodimensionError()
     mu = sum(keh)
     t = f.target_dim
     if t == 1:

@@ -16,6 +16,7 @@ import sympy
 from scipy.spatial import cKDTree
 
 import oracle_tools as oracle
+from engine_oracle import both_engines
 from equidistants import (
     INFINITE,
     NotNiceDimensionsError,
@@ -25,7 +26,10 @@ from equidistants import (
     detect_singularities,
     ellipse,
     fourier_oval,
+    hilbert_prefix,
     ke_codimension,
+    ke_quotient_hilbert,
+    local_algebra,
     local_ring_dims,
     normal_form,
     parse_label,
@@ -37,7 +41,7 @@ from equidistants import (
     trace_equidistant,
 )
 from equidistants.geometry_engine import TAU_RANK
-from equidistants.normal_forms import clear_mu_cache
+from equidistants.normal_forms import _EIH_DEPTH, clear_mu_cache
 
 NICE_PAIRS = [
     (1, 2), (2, 3), (2, 4), (3, 4), (3, 5),
@@ -170,6 +174,22 @@ def test_corank_of_contact_map_equals_k_on_200_seeded_pairs():
         assert corank(contact_map(gp)) == k, (n, q, k, i)
 
 
+def test_seeded_contact_maps_match_the_fraction_engine():
+    # at truncation 4, which keeps the Fraction oracle affordable on the
+    # three-variable maps whose curve-shaped quotients climb to order 10
+    def reports():
+        out = []
+        for i in range(200):
+            kappa = contact_map(random_graph_pair(
+                *CORANK_COMBOS[i % len(CORANK_COMBOS)], seed=i))
+            r = local_algebra(kappa, order=4)
+            out.append((r.dimension, r.hilbert, r.basis, r.stabilized))
+        return out
+
+    modular, exact = both_engines(reports)
+    assert modular == exact
+
+
 # ---------------------------------------------------- local-ring equality
 
 RING_QUOTAS = (
@@ -203,6 +223,30 @@ def test_hundred_finite_contact_pairs_have_matching_rings():
     assert checked == 100
 
 
+def test_ring_pairs_match_the_fraction_engine():
+    # the pairs of the test above, finite and INFINITE alike
+    lam = Fraction(1, 3)
+    pairs = []
+    for combo, quota in RING_QUOTAS:
+        found = seed = 0
+        while found < quota:
+            gp = random_graph_pair(*combo, seed=seed)
+            seed += 1
+            pairs.append(gp)
+            found += INFINITE not in local_ring_dims(gp, lam).dimensions
+
+    def rings():
+        out = []
+        for gp in pairs:
+            dims = local_ring_dims(gp, lam)
+            out.append((dims.dimensions, dims.pi.hilbert, dims.kappa.hilbert,
+                        dims.theta.hilbert))
+        return out
+
+    modular, exact = both_engines(rings)
+    assert modular == exact
+
+
 # ---------------------------------------------------- contact-group moves
 
 
@@ -226,6 +270,22 @@ def test_k_moves_preserve_mu_corank_and_family(cls):
         assert ke_codimension(moved) == mu, (cls.label, seed)
         assert corank(moved) == co, (cls.label, seed)
         assert recognize(moved).family == cls.family, (cls.label, seed)
+
+
+@pytest.mark.parametrize("cls", _catalogue_forms(), ids=lambda c: c.label)
+def test_k_move_sweep_matches_the_fraction_engine(cls):
+    # the exact-engine inputs of the sweep above: the codimension is the
+    # sum of the Ke-Hilbert function, and recognition reads it together
+    # with the ideal Hilbert prefix
+    form = normal_form(cls, cls.intrinsic_source)
+    moved = [random_k_move(form, seed=seed) for seed in range(100)]
+
+    def invariants():
+        return [(ke_quotient_hilbert(g), hilbert_prefix(g, _EIH_DEPTH))
+                for g in moved]
+
+    modular, exact = both_engines(invariants)
+    assert modular == exact
 
 
 # ---------------------------------------------------- curve pipeline

@@ -438,3 +438,67 @@ def test_trace_reproduces_the_golden_oval_csv(capsys, tmp_path, lam, golden):
     assert code == 0, err
     with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
         assert (tmp_path / "oval.csv").read_bytes() == fh.read()
+
+
+# A CLI run with one function of normal_forms replaced by a stub that raises
+# ArithmeticError(message): no natural input reaches these failures.
+PATCHED_CLI = """
+import sys
+import equidistants.normal_forms as nf
+from equidistants.cli import main
+
+def fail(*args):
+    raise ArithmeticError({message!r})
+
+nf.{name} = fail
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_patched(name, message, *argv):
+    code = PATCHED_CLI.format(name=name, message=message)
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("name, message, polys, s", [
+    ("rank0_reduce", "elimination left a regular variable",
+     [{(1, 0): 1, (0, 2): 1}, {(0, 3): 1}], 2),
+    ("_restricted_cubic", "kernel is not two-dimensional",
+     [{(2, 1): 1, (0, 3): 1}], 2),
+])
+def test_classify_reports_other_arithmetic_errors_as_unrecognized(
+        tmp_path, name, message, polys, s):
+    path = tmp_path / "germ.json"
+    path.write_text(mapgerm_to_json(germ(polys, s)))
+    proc = run_patched(name, message, "classify", "--germ", str(path))
+    assert_one_line_failure(proc, 3, "UNRECOGNIZED")
+    assert proc.stderr == "UNRECOGNIZED {}\n".format(message)
+
+
+def test_contact_reports_other_arithmetic_errors_as_unrecognized(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(graphpair_to_json(curve_pair({(3,): 1}, {(2,): 1})))
+    proc = run_patched("ke_quotient_hilbert", "kernel is not two-dimensional",
+                       "contact", "--input", str(path), "--lambda", "1/2")
+    assert_one_line_failure(proc, 3, "UNRECOGNIZED")
+
+
+def test_classify_of_the_printed_w8_misprint_stays_infinite(tmp_path):
+    path = tmp_path / "w8.json"
+    path.write_text(mapgerm_to_json(germ(
+        [{(2, 0, 0): 1, (0, 3, 0): 1}, {(0, 2, 0): 1, (1, 0, 1): 1}], 3)))
+    proc = run_subprocess("classify", "--germ", str(path))
+    assert_one_line_failure(proc, 3, "INFINITE")
+
+
+@pytest.mark.parametrize("R", [0.3, 0.7])
+def test_trace_of_a_spindle_torus_is_a_domain_error(tmp_path, R):
+    # a spindle torus is not immersed where cos v = -R/r, a circle that
+    # misses the default grid for these radii
+    path = tmp_path / "spindle.json"
+    path.write_text(json.dumps({"kind": "torus", "R": R, "r": 1.0}))
+    proc = run_subprocess("trace", "--input", str(path), "--lambda", "1/2",
+                          "--out", str(tmp_path / "o"))
+    assert_one_line_failure(proc, 3, "DOMAIN")
+    assert "not immersed" in proc.stderr

@@ -330,6 +330,25 @@ def test_pair_search_on_a_horn_torus_raises_immersion_error():
     assert isinstance(err.value, DomainError)
 
 
+@pytest.mark.parametrize("R, density", [(0.3, 24), (0.7, 24), (1.0, 25)])
+def test_pair_search_on_a_spindle_torus_raises_immersion_error(R, density):
+    # the singular circle cos v = -R/r misses these grids
+    with pytest.raises(ImmersionError, match="not immersed"):
+        find_parallel_pairs(torus(R, 1.0), density)
+
+
+@pytest.mark.parametrize("M, density", [(torus(1.5, 0.7), 16),
+                                        (torus(3.0, 1.0), 13),
+                                        (ellipse(2.0, 1.0), 16)])
+def test_a_diagonal_band_covering_every_pair_is_a_domain_error(M, density):
+    # the default band 10 * 2pi / density exceeds pi, the largest distance
+    # from the diagonal, so no pair could survive it
+    with pytest.raises(DomainError, match=f"at density {density} exceeds"):
+        find_parallel_pairs(M, density)
+    with pytest.raises(DomainError, match="diagonal band 3.2 at density 64"):
+        find_parallel_pairs(M, 64, delta_diag=3.2)
+
+
 def test_parallelism_degrees_on_circle():
     C = ellipse(1.0, 1.0)
     assert parallelism(C, 0.4, 0.4 + math.pi) == (1, 1)

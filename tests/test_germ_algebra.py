@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import equidistants.germ_algebra as ga
 import oracle_tools as oracle
+from engine_oracle import both_engines
 from equidistants.germ_algebra import (
     INFINITE,
     REGULAR,
@@ -443,3 +445,138 @@ def test_hilbert_prefix_depth_controls_length_not_values():
     qs = [oracle.ideal_quotient_dimension(comps, [y1, y2], d)
           for d in range(4)]
     assert short == tuple(qs[d] - (qs[d - 1] if d else 0) for d in range(4))
+
+
+# ------------------------------------------------- certified modular engine
+
+P1 = ga._PRIMES[0]
+
+
+def _local_report(f):
+    r = local_algebra(f)
+    return r.dimension, r.hilbert, r.basis, r.stabilized
+
+
+def _moved_germs():
+    """Small germs of every source dimension, with their K-moves."""
+    base = [
+        germ([{(3,): 1}], 1),
+        germ([{(2, 1): 1, (0, 3): 1}], 2),
+        germ([{(1, 1): 1}, {(2, 0): 1, (0, 2): 1}], 2),
+        germ([{(2, 0): 1, (0, 3): 1}, {(0, 3): 1}], 2),
+        germ([{(2, 0, 0): 1, (0, 1, 1): 1}, {(1, 1, 0): 1, (0, 0, 3): 1}], 3),
+        germ([{(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}], 3),
+        germ([{(2, 0): 1}], 2),
+    ]
+    return base + [random_k_move(f, seed) for f in base for seed in (1, 2)]
+
+
+def test_local_algebra_and_miniversal_basis_match_the_fraction_engine():
+    for f in _moved_germs():
+        modular, exact = both_engines(_local_report, f)
+        assert modular == exact
+        modular, exact = both_engines(ke_quotient_hilbert, f)
+        assert modular == exact
+        if modular != INFINITE:
+            modular, exact = both_engines(miniversal_basis, f)
+            assert [str(g) for g in modular] == [str(g) for g in exact]
+
+
+def test_module_dimension_matches_fraction_on_small_primes(monkeypatch):
+    # With three-digit primes, unlucky primes, failed lifts and mod-p
+    # ladders that stop on the wrong rung are common, so every branch of
+    # the certificate and of the ladder replay runs against the oracle.
+    monkeypatch.setattr(ga, "_PRIMES", (101, 103, 107, 109, 113, 127))
+    rng = random.Random(20)
+    cases = 0
+    for f in _moved_germs():
+        for gens, slots in ((ga._ideal_gens(f), 1),
+                            (ga._tangent_gens(f), f.target_dim)):
+            args = (gens, f.source_dim, slots, ga._analysis_cap(f))
+            modular, exact = both_engines(ga._module_dimension, *args)
+            assert modular == exact
+            cases += 1
+    for _ in range(40):
+        s = rng.choice((1, 2))
+        polys = []
+        for _ in range(rng.choice((1, 2))):
+            p = {}
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(0, 5) for _ in range(s))
+                if 0 < sum(e) <= 7:
+                    num = rng.choice((1, -1, 101, 2 * 103, 107 * 109))
+                    p[e] = Fraction(num, rng.choice((1, 2, 113)))
+            polys.append(p)
+        f = germ(polys, s)
+        args = (ga._ideal_gens(f), s, 1, ga._analysis_cap(f))
+        modular, exact = both_engines(ga._module_dimension, *args)
+        assert modular == exact, polys
+        cases += 1
+    assert cases == 82
+
+
+def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    used = []
+    eliminate = ga._eliminate_mod
+
+    def spy(rows, p):
+        used.append(p)
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(ga, "_eliminate_mod", spy)
+    f = germ([{(1, 0): Fraction(1, P1), (0, 2): 1}, {(0, 3): 1}], 2)
+    modular, exact = both_engines(_local_report, f)
+    assert modular == exact == (3, (1, 1, 1), ((0, 0), (0, 1), (0, 2)), True)
+    assert used and P1 not in used
+
+
+def test_an_unlucky_first_prime_is_caught_by_the_check():
+    # mod P1 the ideal is (y1^2, y2^2) with h = (1, 2, 1); over Q the
+    # lead of y1^2 + P1*y2 is y2 and h = (1, 1, 1, 1)
+    f = germ([{(2, 0): 1, (0, 1): P1}, {(0, 2): 1}], 2)
+    modular, exact = both_engines(_local_report, f)
+    assert modular == exact
+    assert modular[:2] == (4, (1, 1, 1, 1))
+    modular, exact = both_engines(ke_codimension, f)
+    assert modular == exact
+
+
+def test_ladder_replay_settles_below_the_rung_where_mod_p_stopped():
+    # mod P1 the germ is y^6, so the one-prime climb stops at rung 6;
+    # over Q its lead is y and the Fraction ladder stops at rung 4
+    f = germ([{(1,): P1, (6,): 1}], 1)
+    args = (ga._ideal_gens(f), 1, 1, ga._analysis_cap(f))
+    modular, exact = both_engines(ga._module_dimension, *args)
+    assert modular == exact
+    assert modular[0] == 1 and modular[4] == 4
+
+
+def test_ladder_replay_climbs_past_the_rung_where_mod_p_stopped():
+    # mod P1 the ideal is (y1^6, y1*y2, y2^2), finite with its zero in
+    # degree 6; over Q, y2 = y1^6/P1 and the zero is in degree 7, above rung 6
+    f = germ([{(6, 0): 1, (0, 1): -P1}, {(1, 1): 1}, {(0, 2): 1}], 2)
+    args = (ga._ideal_gens(f), 2, 1, ga._analysis_cap(f))
+    modular, exact = both_engines(ga._module_dimension, *args)
+    assert modular == exact
+    assert modular[:3] == (7, [1] * 7, True) and modular[4] == 8
+    assert _local_report(f)[:2] == (7, (1,) * 7)
+
+
+def test_tall_coefficients_need_more_than_one_prime(monkeypatch):
+    # the kernel vector of the free monomial y1^2 holds c, past the
+    # one-prime reconstruction bound of about 2^30
+    c = 2 ** 40 + 15
+    f = germ([{(0, 1): 1, (2, 0): -c}, {(3, 0): 1}], 2)
+    fallbacks = []
+    exact = ga._eliminate_exact
+
+    def spy(rows):
+        fallbacks.append(rows.order)
+        return exact(rows)
+
+    monkeypatch.setattr(ga, "_eliminate_exact", spy)
+    assert _local_report(f) == (3, (1, 1, 1), ((0, 0), (1, 0), (2, 0)), True)
+    assert fallbacks == []
+    monkeypatch.setattr(ga, "_PRIMES", ga._PRIMES[:1])
+    assert _local_report(f) == (3, (1, 1, 1), ((0, 0), (1, 0), (2, 0)), True)
+    assert fallbacks == [4]

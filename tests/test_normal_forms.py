@@ -11,11 +11,16 @@ from fractions import Fraction
 
 import pytest
 
+import equidistants.normal_forms as nf
+from engine_oracle import both_engines
 from equidistants.germ_algebra import (
     INFINITE,
+    InfiniteCodimensionError,
     MapGerm,
     corank,
+    hilbert_prefix,
     ke_codimension,
+    ke_quotient_hilbert,
     random_k_move,
 )
 from equidistants.normal_forms import (
@@ -519,8 +524,10 @@ def test_recognize_printed_ttilde7_misprint_lands_on_s5():
 def test_recognize_printed_w8_misprint_is_infinite():
     f = germ([{(2, 0, 0): 1, (0, 3, 0): 1},
               {(0, 2, 0): 1, (1, 0, 1): 1}], 3)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(InfiniteCodimensionError) as err:
         recognize(f)
+    assert str(err.value) == "INFINITE"
+    assert isinstance(err.value, ArithmeticError)
 
 
 def test_recognize_error_paths():
@@ -548,3 +555,44 @@ def test_recognize_reduces_linear_rank_first():
     f = germ([{(1, 0): 1}, {(0, 3): 1}], 2)
     assert corank(f) == 1
     assert recognize(f) == GermClass("A", (2,))
+
+
+# ---------------------------------------------------- exact engine oracle
+
+CATALOGUE_SHAPES = ((1, 1), (2, 1), (3, 1), (2, 2), (3, 2))
+
+
+def test_catalogue_mu_table_matches_the_fraction_engine():
+    def table():
+        return [(cls.label, cls.mu)
+                for k, l in CATALOGUE_SHAPES for cls in catalogue(k, l, 14)]
+
+    modular, exact = both_engines(table)
+    assert modular == exact
+    assert len(modular) > 100
+
+
+def test_eih_depth_is_the_least_depth_separating_the_catalogue():
+    # Pairs of two-component rows with equal Ke-Hilbert function and pencil
+    # profile are told apart only by the ideal Hilbert prefix; the depth
+    # that tells every such pair apart, and no less, is the recognizer's.
+    sigs = []
+    for k in (2, 3):
+        for cls in catalogue(k, 2, 14):
+            for sign in (PLUS, MINUS):
+                g = MapGerm.from_polys(
+                    nf._table_polys(cls.family, cls.params, sign), k)
+                sigs.append(((cls.family, cls.params), ke_quotient_hilbert(g),
+                             nf._pencil_profile(g), hilbert_prefix(g, 10)))
+    needed = {}
+    for i, (row_a, keh_a, prof_a, eih_a) in enumerate(sigs):
+        for row_b, keh_b, prof_b, eih_b in sigs[i + 1:]:
+            if row_a == row_b or (keh_a, prof_a) != (keh_b, prof_b):
+                continue
+            first = next(d for d, (a, b) in enumerate(zip(eih_a, eih_b))
+                         if a != b)
+            needed[frozenset((row_a, row_b))] = first
+    assert max(needed.values()) == nf._EIH_DEPTH
+    labels = {tuple(sorted(family + str(params[0])
+                           for family, params in pair)) for pair in needed}
+    assert labels == {("F9", "H9"), ("F10", "H10")}
