@@ -18,9 +18,12 @@ Lambda values are exact rational strings ("1/2", "3") for the algebra
 commands; ``trace`` also accepts decimals since its engine is numerical,
 but not ``nan`` or ``inf`` (USAGE).  ``trace`` reports DOMAIN when lambda
 sends a traced point outside the finite floats, when no pair-location
-scheme exists for the manifold's (n, q), or when the manifold is not
-immersed.  A germ file with a negative order or a dimension below 1 is
-INPUT_PARSE.
+scheme exists for the manifold's (n, q), when the manifold is not
+immersed, or when the seed density is so low that the diagonal band
+covers every pair.  A germ file with a negative order or a dimension
+below 1 is INPUT_PARSE.  ``classify`` and ``contact`` report INFINITE only
+for infinite Ke-codimension and any other arithmetic failure of the
+recognizer as UNRECOGNIZED.
 """
 
 from __future__ import annotations

@@ -467,8 +467,8 @@ class _Rows:
         return h
 
     def primes(self) -> List[int]:
-        """The primes that divide no denominator, where rows keep their rank
-        unless a numerator conspires."""
+        """The primes that divide no denominator; scaling a generator by a
+        multiple of p would send some of its terms to 0 mod p."""
         return [p for p in _PRIMES if self.scale % p]
 
     def annihilate(self, kernel: Dict[int, List[Tuple[int, int]]]) -> bool:
@@ -638,17 +638,6 @@ def _certified_pivots(rows: _Rows, first=None) -> set:
     return _eliminate_exact(rows)
 
 
-def _quotient_hilbert(gens: Sequence[Dict[Key, Fraction]], source_dim: int,
-                      slots: int, order: int) -> Tuple[List[int], set]:
-    """Per-degree dims of (free module of rank `slots`)/(span of m*gens).
-
-    Returns (h[0..order], pivot key set).  h[d] is exact for all d <= order.
-    """
-    rows = _Rows(gens, source_dim, slots, order)
-    pivots = _certified_pivots(rows)
-    return rows.hilbert(pivots), {rows.keys[c] for c in pivots}
-
-
 def _settle(h: List[int], pivots: set, rungs: List[int], cap: int):
     """The ladder's result from the exact h and pivot keys at truncation
     rungs[-1], replaying the decision of every rung up to it; None when the
@@ -771,7 +760,8 @@ def hilbert_prefix(f: MapGerm, depth: int) -> Tuple[int, ...]:
     anything above the truncation, so the prefix is exact whether or not
     the full quotient is finite.  Trailing zero entries are trimmed.
     """
-    h, _ = _quotient_hilbert(_ideal_gens(f), f.source_dim, 1, depth)
+    rows = _Rows(_ideal_gens(f), f.source_dim, 1, depth)
+    h = rows.hilbert(_certified_pivots(rows))
     if 0 in h:
         h = h[:h.index(0)]
     return tuple(h)

@@ -479,7 +479,7 @@ def test_local_algebra_and_miniversal_basis_match_the_fraction_engine():
         assert modular == exact
         if modular != INFINITE:
             modular, exact = both_engines(miniversal_basis, f)
-            assert [str(g) for g in modular] == [str(g) for g in exact]
+            assert modular == exact
 
 
 def test_module_dimension_matches_fraction_on_small_primes(monkeypatch):
