@@ -24,6 +24,12 @@ covers every pair.  A germ file with a negative order or a dimension
 below 1 is INPUT_PARSE.  ``classify`` and ``contact`` report INFINITE only
 for infinite Ke-codimension and any other arithmetic failure of the
 recognizer as UNRECOGNIZED.
+
+``ringdims --order`` is the truncation cap of the three local rings and
+must be at least 1 (USAGE otherwise).  A ring whose ideal has fewer
+nonzero generators than variables is INFINITE by Krull's height theorem;
+its Hilbert function is listed through the cap.  Any other INFINITE ring
+lists it through the cap + 2, where the truncation ladder ends.
 """
 
 from __future__ import annotations
@@ -309,7 +315,7 @@ def _cmd_ringdims(args) -> int:
     except ValueError as exc:
         if "transversal" in str(exc):
             return _fail(REGULAR, str(exc), EXIT_MATH)
-        raise
+        return _fail("USAGE", str(exc), EXIT_USAGE)
     d_pi, d_kappa, d_theta = dims.dimensions
     if args.json:
         blob = {

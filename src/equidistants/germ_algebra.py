@@ -13,9 +13,26 @@ terms are taken lowest-total-degree first; inside a degree, graded lex
 with the last variable heaviest.  For a filtered quotient the per-degree
 dimension h_d computed at truncation D is exact for all d <= D, and the
 graded quotient is generated in degree 0, so the first zero value h_z = 0
-certifies h_d = 0 for every d >= z.  When no zero appears below the cap,
-the dimension is recomputed at increasing orders and declared INFINITE
-after it strictly grows twice in a row.
+certifies h_d = 0 for every d >= z.  A truncation ladder climbs one
+degree at a time, from min(4, cap) to cap + 2, and stops at the first
+rung whose h has a zero.  A quotient with no zero by cap + 2 is reported
+INFINITE, which certifies a codimension above cap + 2: by Nakayama's
+lemma a finite codimension c has h_c = 0.
+
+Inside one elimination at truncation D the row space is closed under
+multiplication by a monomial followed by truncation, since
+trunc_D(x^b * trunc_D(h)) = trunc_D(x^b * h), and the lead order is
+degree-first and multiplicative.  So once the pivots fill every column
+of a degree d, every slot included, every column of degree >= d is a
+pivot; the elimination enters those columns unworked and spends no row
+on them.  This is the rule h_z = 0 => h_d = 0 applied within one
+truncation, and it holds mod p and over Q alike.
+
+An ideal with fewer nonzero generators t than variables s has an
+infinite quotient by Krull's height theorem, dim E_s/I >= s - t > 0, so
+`local_algebra` skips the ladder and reports h and the basis through the
+cap from one certified elimination.  Tangent modules get no such
+shortcut: an ICIS has finite Ke-codimension with t < s.
 
 The elimination runs over F_p for 61-bit primes p and every result is
 proved over Q.  Each generator is scaled to integer coefficients, and a
@@ -47,6 +64,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 try:
@@ -68,17 +86,14 @@ class InfiniteCodimensionError(ArithmeticError):
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
 
-# Truncation caps by source dimension; ladders climb toward the cap so
-# small quotients certify early and never pay for the full order.
+# Truncation caps by source dimension; ladders climb toward the cap one
+# degree at a time so small quotients certify early and never pay for the
+# full order.
 _DEFAULT_ORDER = {0: 6, 1: 12, 2: 12, 3: 8}
 
 
 def default_order(source_dim: int) -> int:
     return _DEFAULT_ORDER.get(source_dim, 6)
-
-
-def _ladder(cap: int) -> List[int]:
-    return [d for d in (4, 6, 8, 9, 10, 12) if d < cap] + [cap]
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +407,9 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 # the product of two stays a small Python int.
 _PRIMES = tuple(2 ** 61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391))
 
+# The tail of a pivot that the cutoff of `_eliminate_mod` enters unworked.
+_NO_TAIL = (array("q"), array("q"))
+
 
 def _code(key: Key, slots: int, base: int) -> int:
     slot, exp = key
@@ -489,13 +507,20 @@ def _eliminate_mod(rows: _Rows, p: int) -> Dict[int, Tuple[array, array]]:
     row past its lead, whose value is 1; columns ascend.
 
     A row is a dict only while it is reduced; entries grow unreduced and
-    are taken mod p when they lead or when the row becomes a pivot.  Every
-    column above `top`, the last free one, is a pivot, so a row whose lead
-    passes it is spent.
+    are taken mod p when they lead or when the row becomes a pivot.  Once
+    the pivots fill every column of a degree d, every column of degree
+    >= d is a pivot (see the module docstring): those columns enter with
+    an empty tail and `top` drops below them, so a row whose lead passes
+    `top` is spent.  Only the tails of the columns above `top` differ from
+    the full elimination, and no free column lies past them.
     """
     pivots: Dict[int, Tuple[array, array]] = {}
+    unfilled = rows.hilbert(())
+    first = list(accumulate(unfilled, initial=0))
     top = len(rows.keys) - 1
     for gi, cols in rows.rows:
+        if cols[0] > top:
+            break
         row = dict(zip(cols, rows.coeffs[gi]))
         get = row.get
         while row:
@@ -514,8 +539,12 @@ def _eliminate_mod(rows: _Rows, p: int) -> Dict[int, Tuple[array, array]]:
                 kept = [kv for kv in kept if kv[1]]
                 pivots[lead] = (array("q", [k for k, _ in kept]),
                                 array("q", [v for _, v in kept]))
-                while top in pivots:
-                    top -= 1
+                d = rows.degree[lead]
+                unfilled[d] -= 1
+                if not unfilled[d]:
+                    for k in range(first[d], top + 1):
+                        pivots.setdefault(k, _NO_TAIL)
+                    top = first[d] - 1
                 break
             del row[lead]
             for k, v in zip(*piv):
@@ -641,7 +670,8 @@ def _certified_pivots(rows: _Rows, first=None) -> set:
 def _settle(h: List[int], pivots: set, rungs: List[int], cap: int):
     """The ladder's result from the exact h and pivot keys at truncation
     rungs[-1], replaying the decision of every rung up to it; None when the
-    ladder climbs past rungs[-1]."""
+    ladder climbs past rungs[-1].  The quotient is stabilized exactly when
+    it is finite."""
     if 0 in h:
         z = h.index(0)
         used = next(D for D in rungs if D >= z)
@@ -649,11 +679,7 @@ def _settle(h: List[int], pivots: set, rungs: List[int], cap: int):
                 {k for k in pivots if sum(k[1]) <= used}, used)
     if rungs[-1] < cap + 2:
         return None
-    # No certified zero by the cap: fall back to total-dimension growth.
-    dims = [sum(h[:cap + 1]), sum(h[:cap + 2]), sum(h)]
-    if dims[2] > dims[1] > dims[0]:
-        return INFINITE, h, False, pivots, cap + 2
-    return dims[2], h, dims[2] == dims[1], pivots, cap + 2
+    return INFINITE, h, False, pivots, cap + 2
 
 
 def _module_dimension(
@@ -663,12 +689,13 @@ def _module_dimension(
     """Certified quotient dimension via the truncation ladder.
 
     Returns (dimension or INFINITE, hilbert, stabilized, pivots, used_order).
-    The ladder climbs on eliminations mod one prime and certifies only the
-    rung where they stop it; `_settle` replays every lower rung from that
-    rung's exact h, and the climb resumes above it if the exact h does not
-    stop the ladder there.
+    The ladder climbs one degree at a time from truncation min(4, cap) to
+    cap + 2 on eliminations mod one prime and certifies only the rung where
+    they stop it; `_settle` replays every lower rung from that rung's exact
+    h, and the climb resumes above it if the exact h does not stop the
+    ladder there.
     """
-    rungs = _ladder(cap) + [cap + 1, cap + 2]
+    rungs = list(range(min(4, cap), cap + 3))
     start = 0
     while True:
         for i in range(start, len(rungs)):
@@ -731,26 +758,39 @@ class LocalAlgebraReport:
         return self.dimension != INFINITE
 
 
-def _analysis_cap(f: MapGerm) -> int:
-    """Default truncation: the dimension default, raised when the germ
-    itself carries higher-degree monomials."""
-    return max(default_order(f.source_dim), f.max_degree() + 1)
+def _analysis_cap(f: MapGerm, order: Optional[int] = None) -> int:
+    """The truncation cap: `order` when given, which must be at least 1;
+    else the dimension default, raised when the germ itself carries
+    higher-degree monomials."""
+    if order is None:
+        return max(default_order(f.source_dim), f.max_degree() + 1)
+    if order < 1:
+        raise ValueError(f"truncation order must be >= 1, got {order}")
+    return order
 
 
 def local_algebra(f: MapGerm, order: Optional[int] = None) -> LocalAlgebraReport:
-    """Dimension, Hilbert function and monomial basis of E_s/<f_1..f_t>."""
-    cap = order if order is not None else _analysis_cap(f)
-    dim, h, stable, pivots, used = _module_dimension(
-        _ideal_gens(f), f.source_dim, 1, cap
-    )
+    """Dimension, Hilbert function and monomial basis of E_s/<f_1..f_t>.
+
+    With fewer nonzero components than variables the quotient is infinite
+    by Krull's height theorem; its report lists h and the basis through
+    the truncation order from one certified elimination.
+    """
+    cap = _analysis_cap(f, order)
+    gens = _ideal_gens(f)
+    if sum(map(bool, gens)) < f.source_dim:
+        rows = _Rows(gens, f.source_dim, 1, cap)
+        piv = _certified_pivots(rows)
+        dim, h, used = INFINITE, rows.hilbert(piv), cap
+        pivots = {rows.keys[c] for c in piv}
+    else:
+        dim, h, _, pivots, used = _module_dimension(gens, f.source_dim, 1, cap)
     # Finite case: basis degrees run strictly below the certified zero of h.
     # Infinite case: list the quotient monomials up to the explored order.
     top = used if dim == INFINITE else len(h) - 1
-    basis = tuple(
-        m for m in monomials_upto(f.source_dim, min(top, used))
-        if (0, m) not in pivots
-    )
-    return LocalAlgebraReport(dim, tuple(h), basis, stable)
+    basis = tuple(m for m in monomials_upto(f.source_dim, top)
+                  if (0, m) not in pivots)
+    return LocalAlgebraReport(dim, tuple(h), basis, dim != INFINITE)
 
 
 def hilbert_prefix(f: MapGerm, depth: int) -> Tuple[int, ...]:
@@ -774,7 +814,7 @@ def corank(f: MapGerm) -> int:
 
 def ke_codimension(f: MapGerm, order: Optional[int] = None) -> Union[int, str]:
     """Dimension of E^t over the extended contact tangent space of f."""
-    cap = order if order is not None else _analysis_cap(f)
+    cap = _analysis_cap(f, order)
     dim, _, _, _, _ = _module_dimension(
         _tangent_gens(f), f.source_dim, f.target_dim, cap
     )
@@ -784,7 +824,7 @@ def ke_codimension(f: MapGerm, order: Optional[int] = None) -> Union[int, str]:
 def ke_quotient_hilbert(f: MapGerm,
                         order: Optional[int] = None) -> Union[Tuple[int, ...], str]:
     """Hilbert function of the contact tangent-space quotient (or INFINITE)."""
-    cap = order if order is not None else _analysis_cap(f)
+    cap = _analysis_cap(f, order)
     dim, h, _, _, _ = _module_dimension(
         _tangent_gens(f), f.source_dim, f.target_dim, cap
     )
@@ -806,7 +846,7 @@ def _raw_mapgerm(source_dim: int, target_dim: int, order: int,
 def miniversal_basis(f: MapGerm,
                      order: Optional[int] = None) -> List[MapGerm]:
     """Monomial t-tuples spanning a complement of the contact tangent space."""
-    cap = order if order is not None else _analysis_cap(f)
+    cap = _analysis_cap(f, order)
     dim, h, _, pivots, used = _module_dimension(
         _tangent_gens(f), f.source_dim, f.target_dim, cap
     )

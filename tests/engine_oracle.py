@@ -1,4 +1,4 @@
-"""Run the package's exact engine on its Fraction elimination alone.
+"""Reference engines that tests compare the package's exact engine with.
 
 Inside ``fraction_engine()`` the modular elimination has no prime to try,
 so every quotient that the public API computes is eliminated over Q by
@@ -6,8 +6,13 @@ the Fraction routine the modular path falls back to.  Tests compute a
 result both ways and require them to be equal.  The memoized catalogue
 signatures and codimensions are dropped on entry and on exit, so neither
 engine reads values the other computed.
+
+``full_eliminate_mod`` is the modular elimination without the cutoff at
+the first full degree: it works every row until its lead passes the last
+free column.
 """
 
+from array import array
 from contextlib import contextmanager
 
 import equidistants.germ_algebra as ga
@@ -37,3 +42,36 @@ def both_engines(fn, *args):
     with fraction_engine():
         exact = fn(*args)
     return modular, exact
+
+
+def full_eliminate_mod(rows, p):
+    """Echelon form mod p of `rows` (a ``germ_algebra._Rows``) in the
+    format of ``germ_algebra._eliminate_mod``, every pivot worked."""
+    pivots = {}
+    top = len(rows.keys) - 1
+    for gi, cols in rows.rows:
+        row = dict(zip(cols, rows.coeffs[gi]))
+        get = row.get
+        while row:
+            lead = min(row)
+            if lead > top:
+                break
+            c = row[lead] % p
+            if not c:
+                del row[lead]
+                continue
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(c, -1, p)
+                del row[lead]
+                kept = [(k, v * inv % p) for k, v in sorted(row.items())]
+                kept = [kv for kv in kept if kv[1]]
+                pivots[lead] = (array("q", [k for k, _ in kept]),
+                                array("q", [v for _, v in kept]))
+                while top in pivots:
+                    top -= 1
+                break
+            del row[lead]
+            for k, v in zip(*piv):
+                row[k] = get(k, 0) - c * v
+    return pivots

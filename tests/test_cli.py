@@ -19,6 +19,7 @@ from equidistants.contact_lab import (
     graphpair_to_json,
     lambda_contact_from_pair,
     local_ring_dims,
+    random_graph_pair,
 )
 from equidistants.geometry_engine import ellipse, fourier_oval, graph_surface
 from equidistants.germ_algebra import MapGerm, ke_codimension, mapgerm_from_dict, mapgerm_to_json
@@ -324,6 +325,20 @@ def test_ringdims_json_carries_hilbert_functions(capsys, parabola_pair_path):
     for key, report in (("pi", dims.pi), ("kappa", dims.kappa), ("theta", dims.theta)):
         assert blob[key]["dimension"] == report.dimension
         assert blob[key]["hilbert"] == list(report.hilbert)
+
+
+@pytest.mark.parametrize("order", ["-3", "0"])
+def test_ringdims_rejects_an_order_below_one(tmp_path, order):
+    # the rings have dimension 4; no truncation below order 1 can say so
+    path = tmp_path / "pair.json"
+    path.write_text(graphpair_to_json(random_graph_pair(2, 4, 2, seed=0)))
+    argv = ("ringdims", "--input", str(path), "--lambda", "1/3")
+    proc = run_subprocess(*argv, "--order", order)
+    assert_one_line_failure(proc, 1, "USAGE")
+    assert "order must be >= 1" in proc.stderr
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 0
+    assert proc.stdout == "dim(pi)=4 dim(kappa)=4 dim(theta)=4\n"
 
 
 # -------------------------------------------------------------- trace

@@ -14,7 +14,13 @@ import sympy
 
 import equidistants.germ_algebra as ga
 import oracle_tools as oracle
-from engine_oracle import both_engines
+from engine_oracle import both_engines, full_eliminate_mod
+from equidistants.contact_lab import (
+    lambda_contact_from_pair,
+    local_ring_dims,
+    pi_tilde_local,
+    random_graph_pair,
+)
 from equidistants.germ_algebra import (
     INFINITE,
     REGULAR,
@@ -33,6 +39,7 @@ from equidistants.germ_algebra import (
     random_k_move,
     rank0_reduce,
 )
+from equidistants.normal_forms import normal_form, stable_singularities
 
 y1, y2, y3 = sympy.symbols("y1 y2 y3")
 
@@ -558,7 +565,7 @@ def test_ladder_replay_climbs_past_the_rung_where_mod_p_stopped():
     args = (ga._ideal_gens(f), 2, 1, ga._analysis_cap(f))
     modular, exact = both_engines(ga._module_dimension, *args)
     assert modular == exact
-    assert modular[:3] == (7, [1] * 7, True) and modular[4] == 8
+    assert modular[:3] == (7, [1] * 7, True) and modular[4] == 7
     assert _local_report(f)[:2] == (7, (1,) * 7)
 
 
@@ -580,3 +587,95 @@ def test_tall_coefficients_need_more_than_one_prime(monkeypatch):
     monkeypatch.setattr(ga, "_PRIMES", ga._PRIMES[:1])
     assert _local_report(f) == (3, (1, 1, 1), ((0, 0), (1, 0), (2, 0)), True)
     assert fallbacks == [4]
+
+
+# ------------------------------------------- cutoff at the first full degree
+
+RING_COMBOS = ((1, 2, 1), (2, 4, 1), (2, 4, 2), (3, 6, 1), (3, 6, 2),
+               (3, 6, 3))
+
+
+def _rungs(f, top=None):
+    cap = ga._analysis_cap(f)
+    return [D for D in range(min(4, cap), cap + 3) if top is None or D <= top]
+
+
+def _assert_cutoff_matches_full_elimination(gens, source_dim, slots, rungs):
+    for D in rungs:
+        rows = ga._Rows(gens, source_dim, slots, D)
+        p = rows.primes()[0]
+        cut = ga._eliminate_mod(rows, p)
+        full = full_eliminate_mod(rows, p)
+        assert cut.keys() == full.keys(), (source_dim, slots, D)
+        free = set(range(len(rows.keys))).difference(full)
+        assert ga._free_entries(cut, free, p) == \
+            ga._free_entries(full, free, p), (source_dim, slots, D)
+
+
+def _ring_germs(combo, seed):
+    gp = random_graph_pair(*combo, seed=seed)
+    lam = Fraction(1, 3)
+    kappa = lambda_contact_from_pair(gp, lam)
+    return [pi_tilde_local(gp, lam), kappa, rank0_reduce(kappa)]
+
+
+@pytest.mark.parametrize("combo", RING_COMBOS)
+def test_cutoff_pivots_equal_the_full_elimination_on_ring_pairs(combo):
+    # every rung of the three rings, up to rung 5 in six variables
+    for seed in range(4):
+        for f in _ring_germs(combo, seed):
+            top = 5 if f.source_dim == 6 else None
+            _assert_cutoff_matches_full_elimination(
+                ga._ideal_gens(f), f.source_dim, 1, _rungs(f, top))
+
+
+def test_cutoff_pivots_equal_the_full_elimination_on_tangent_modules():
+    # the cutoff counts every slot of a degree before it fires; rungs
+    # above 6 cost the full elimination seconds in three variables
+    forms = {}
+    for pair in ((2, 3), (2, 4), (3, 5), (4, 7), (4, 8)):
+        for row in stable_singularities(*pair).rows:
+            for cls in row.entries:
+                forms.setdefault(cls.label, cls)
+    modules = 0
+    for label in sorted(forms):
+        form = normal_form(forms[label], forms[label].intrinsic_source)
+        if form.target_dim < 2:
+            continue
+        for seed in (0, 1):
+            f = random_k_move(form, seed)
+            _assert_cutoff_matches_full_elimination(
+                ga._tangent_gens(f), f.source_dim, f.target_dim, _rungs(f, 6))
+            modules += 1
+    assert modules >= 40
+
+
+def test_ring_dims_of_the_slowest_bench_pair():
+    dims = local_ring_dims(random_graph_pair(3, 6, 3, seed=0), Fraction(1, 3))
+    assert dims.dimensions == (12, 12, 12)
+    assert dims.hilberts == ((1, 3, 4, 3, 1),) * 3
+
+
+def test_fewer_generators_than_variables_is_infinite_at_the_cap():
+    # Krull: one generator in two variables never cuts a finite quotient;
+    # one certified elimination at the cap gives h and the basis
+    f = germ([{(2, 0): 1, (0, 3): 1, (1, 2): 2}], 2)
+    rep = local_algebra(f, order=5)
+    assert rep.dimension == INFINITE and not rep.stabilized
+    assert rep.hilbert == (1, 2, 2, 2, 2, 2)
+    assert len(rep.basis) == sum(rep.hilbert)
+    assert all(sum(m) <= 5 for m in rep.basis)
+    modular, exact = both_engines(_local_report, random_k_move(f, 3))
+    assert modular == exact and modular[0] == INFINITE
+    # a zero component is no generator: (x^2 + y^3, 0) is still Krull
+    g = germ([{(2, 0): 1, (0, 3): 1}, {}], 2)
+    assert local_algebra(g, order=6).hilbert == (1, 2, 2, 2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_a_truncation_order_below_one_is_rejected(order):
+    f = germ([{(2, 0): 1}, {(0, 2): 1}], 2)
+    for fn in (local_algebra, ke_codimension, ke_quotient_hilbert,
+               miniversal_basis):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            fn(f, order)
