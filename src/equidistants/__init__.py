@@ -1,21 +1,21 @@
 """Affine equidistants and the contact classes of weakly parallel points.
 
-Four engines, usable separately or chained end to end:
+Three engines, usable separately or chained end to end:
 
-``germ_algebra``
-    Exact truncated-jet arithmetic over the rationals: map-germs, local
-    algebras, Hilbert functions, Ke-codimension, miniversal bases.
-``normal_forms``
-    The catalogue of simple contact classes, the recognizer that names a
+Exact (``germ_algebra``, ``normal_forms``)
+    Truncated-jet arithmetic over the rationals: map-germs, local
+    algebras, Hilbert functions, Ke-codimension, miniversal bases; the
+    catalogue of simple contact classes, the recognizer that names a
     polynomial germ, and the enumeration of stable singularity types for a
     dimension pair (n, q).
-``contact_lab``
+Numerical (``geometry_engine``)
+    Parametrized curves and surfaces, location of weakly parallel pairs,
+    equidistant tracing, cusp and node detection.
+Bridge (``contact_lab``, plus ``classify_pair``)
     Weakly parallel pairs of submanifold germs in adapted graph charts, the
-    lambda-contact map they induce, and the three local rings attached to it.
-``geometry_engine``
-    Floating-point side: parametrized curves and surfaces, location of
-    weakly parallel pairs, equidistant tracing, cusp and node detection,
-    and the bridge that hands traced points back to the exact engines.
+    lambda-contact map they induce and the three local rings attached to
+    it; ``classify_pair`` hands Taylor jets of traced points to the exact
+    engine through the same jet kernel, with float coefficients.
 
 The ``equidistants`` console script exposes the same pipeline as
 subcommands (enumerate, trace, classify, contact, ringdims, mu).

@@ -24,22 +24,26 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 from .germ_algebra import (
     INFINITE,
     REGULAR,
     LocalAlgebraReport,
     MapGerm,
+    Poly,
     corank,
     default_order,
     local_algebra,
     mapgerm_to_dict,
+    monomials_upto,
+    p_add,
     p_compose,
+    p_scale,
+    polys_from_payload,
     rank0_reduce,
+    unit_exp,
 )
-
-Poly = Dict[Tuple[int, ...], Fraction]
 
 
 def _check_lambda(lam) -> Fraction:
@@ -129,12 +133,6 @@ def swap_pair(gp: GraphPair) -> GraphPair:
 # ------------------------------------------------------- polynomial helpers
 
 
-def _unit(i: int, total: int) -> Tuple[int, ...]:
-    e = [0] * total
-    e[i] = 1
-    return tuple(e)
-
-
 def _embed(p: Poly, positions: Sequence[int], total: int) -> Poly:
     """Re-index a polynomial into a larger variable tuple."""
     out: Poly = {}
@@ -143,22 +141,6 @@ def _embed(p: Poly, positions: Sequence[int], total: int) -> Poly:
         for pos, a in zip(positions, exp):
             e[pos] = a
         out[tuple(e)] = c
-    return out
-
-
-def _scale(p: Poly, c: Fraction) -> Poly:
-    return {e: c * v for e, v in p.items()} if c else {}
-
-
-def _merge(*parts: Poly) -> Poly:
-    out: Poly = {}
-    for p in parts:
-        for e, c in p.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
     return out
 
 
@@ -185,27 +167,31 @@ def lambda_reflection(a: Sequence, lam, x: Sequence) -> tuple:
 # ------------------------------------------------------------ contact maps
 
 
+def _reflected_contact(gp: GraphPair, s: Fraction, pref: Fraction) -> MapGerm:
+    """Components z + pref * eta(s y, s psi(y,z)) and
+    phi(y,z) + pref * zeta(s y, s psi(y,z)), truncated at the working jet
+    order."""
+    n, k = gp.n, gp.k
+    order = _work_order(gp, n)
+    inner = [{unit_exp(i, n): s} for i in range(k)] + [
+        p_scale(p, s) for p in gp.psi.polys()
+    ]
+    comps = [
+        p_add({unit_exp(k + j, n): Fraction(1)},
+              p_scale(p_compose(eta_j, inner, n, order), pref))
+        for j, eta_j in enumerate(gp.eta.polys())
+    ] + [
+        p_add(phi_i, p_scale(p_compose(zeta_i, inner, n, order), pref))
+        for phi_i, zeta_i in zip(gp.phi.polys(), gp.zeta.polys())
+    ]
+    return MapGerm.from_polys(comps, n, order=order)
+
+
 def contact_map(gp: GraphPair) -> MapGerm:
     """kappa(y,z) = (z - eta(y, psi(y,z)), phi(y,z) - zeta(y, psi(y,z))),
     a germ (R^n,0) -> (R^(q-n),0) whose corank equals k; truncated
     composition at the working jet order."""
-    n, k = gp.n, gp.k
-    order = _work_order(gp, n)
-    inner = [{_unit(i, n): Fraction(1)} for i in range(k)] + list(
-        gp.psi.polys()
-    )
-    comps: List[Poly] = []
-    for j, eta_j in enumerate(gp.eta.polys()):
-        comps.append(_merge(
-            {_unit(k + j, n): Fraction(1)},
-            _scale(p_compose(eta_j, inner, n, order), Fraction(-1)),
-        ))
-    for phi_i, zeta_i in zip(gp.phi.polys(), gp.zeta.polys()):
-        comps.append(_merge(
-            phi_i,
-            _scale(p_compose(zeta_i, inner, n, order), Fraction(-1)),
-        ))
-    return MapGerm.from_polys(comps, n, order=order)
+    return _reflected_contact(gp, Fraction(1), Fraction(-1))
 
 
 def lambda_contact_from_pair(gp: GraphPair, lam=None) -> MapGerm:
@@ -214,25 +200,7 @@ def lambda_contact_from_pair(gp: GraphPair, lam=None) -> MapGerm:
     phi(y,z) + ((1-lambda)/lambda) zeta(s y, s psi(y,z)) where
     s = -lambda/(1-lambda); exact in lambda."""
     lam = _check_lambda(lam if lam is not None else gp.lam)
-    n, k = gp.n, gp.k
-    order = _work_order(gp, n)
-    pref = (1 - lam) / lam
-    s = -lam / (1 - lam)
-    inner = [{_unit(i, n): s} for i in range(k)] + [
-        _scale(p, s) for p in gp.psi.polys()
-    ]
-    comps: List[Poly] = []
-    for j, eta_j in enumerate(gp.eta.polys()):
-        comps.append(_merge(
-            {_unit(k + j, n): Fraction(1)},
-            _scale(p_compose(eta_j, inner, n, order), pref),
-        ))
-    for phi_i, zeta_i in zip(gp.phi.polys(), gp.zeta.polys()):
-        comps.append(_merge(
-            phi_i,
-            _scale(p_compose(zeta_i, inner, n, order), pref),
-        ))
-    return MapGerm.from_polys(comps, n, order=order)
+    return _reflected_contact(gp, -lam / (1 - lam), (1 - lam) / lam)
 
 
 def reduce_to_theta(kappa: MapGerm, n: int, q: int) -> Union[MapGerm, str]:
@@ -270,21 +238,21 @@ def pi_tilde_local(gp: GraphPair, lam=None) -> MapGerm:
     minus = list(range(n, total))    # (ytilde, v)
     comps: List[Poly] = []
     for i in range(k):
-        comps.append({_unit(i, total): lam, _unit(n + i, total): lam1})
+        comps.append({unit_exp(i, total): lam, unit_exp(n + i, total): lam1})
     for j, eta_j in enumerate(gp.eta.polys()):
-        comps.append(_merge(
-            {_unit(k + j, total): lam},
-            _scale(_embed(eta_j, minus, total), lam1),
+        comps.append(p_add(
+            {unit_exp(k + j, total): lam},
+            p_scale(_embed(eta_j, minus, total), lam1),
         ))
     for phi_i, zeta_i in zip(gp.phi.polys(), gp.zeta.polys()):
-        comps.append(_merge(
-            _scale(_embed(phi_i, plus, total), lam),
-            _scale(_embed(zeta_i, minus, total), lam1),
+        comps.append(p_add(
+            p_scale(_embed(phi_i, plus, total), lam),
+            p_scale(_embed(zeta_i, minus, total), lam1),
         ))
     for j, psi_j in enumerate(gp.psi.polys()):
-        comps.append(_merge(
-            _scale(_embed(psi_j, plus, total), lam),
-            {_unit(n + k + j, total): lam1},
+        comps.append(p_add(
+            p_scale(_embed(psi_j, plus, total), lam),
+            {unit_exp(n + k + j, total): lam1},
         ))
     return MapGerm.from_polys(comps, total, order=order)
 
@@ -333,26 +301,6 @@ def local_ring_dims(gp: GraphPair, lam=None,
 # ------------------------------------------------------------ serialization
 
 
-def _polys_from_payload(payload, slots: int, n: int, name: str) -> List[Poly]:
-    if not isinstance(payload, list) or len(payload) != slots:
-        raise ValueError(f"{name} must list {slots} components")
-    polys: List[Poly] = []
-    for comp in payload:
-        if not isinstance(comp, list):
-            raise ValueError(f"{name} components must be lists of terms")
-        p: Poly = {}
-        for item in comp:
-            try:
-                exps = tuple(int(e) for e in item["exponents"])
-                c = Fraction(item["coeff"])
-            except (KeyError, TypeError, ValueError,
-                    ZeroDivisionError) as err:
-                raise ValueError(f"bad term in {name}: {item!r}") from err
-            p[exps] = p.get(exps, Fraction(0)) + c
-        polys.append(p)
-    return polys
-
-
 def graphpair_to_dict(gp: GraphPair) -> dict:
     out = {
         "n": gp.n, "q": gp.q, "k": gp.k,
@@ -376,7 +324,7 @@ def graphpair_from_dict(payload: dict) -> GraphPair:
         if name not in payload:
             raise ValueError(f"payload lacks {name}")
         germs[name] = MapGerm.from_polys(
-            _polys_from_payload(payload[name], slots, n, name), n
+            polys_from_payload(payload[name], slots, name), n
         )
     lam = payload.get("lambda")
     return GraphPair(n, q, k, lam=lam, **germs)
@@ -403,23 +351,9 @@ def random_graph_pair(n: int, q: int, k: int, seed,
     quadratic and cubic terms in every block."""
     rng = random.Random(f"graphpair|{seed}|{n}|{q}|{k}")
     u_dim, z_dim = q + k - 2 * n, n - k
-
-    def monomials(degree):
-        if n == 1:
-            return [(degree,)]
-        out = []
-
-        def rec(prefix, left, slots):
-            if slots == 1:
-                out.append(prefix + (left,))
-                return
-            for a in range(left + 1):
-                rec(prefix + (a,), left - a, slots - 1)
-
-        rec((), degree, n)
-        return out
-
-    quads, cubes = monomials(2), monomials(3)
+    monos = monomials_upto(n, 3)
+    quads = [m for m in monos if sum(m) == 2]
+    cubes = [m for m in monos if sum(m) == 3]
 
     def rand_poly():
         p = {}

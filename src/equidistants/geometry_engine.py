@@ -17,12 +17,12 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .contact_lab import GraphPair, contact_map
-from .germ_algebra import MapGerm, monomials_upto
+from .germ_algebra import MapGerm, monomials_upto, p_compose, unit_exp
 from .normal_forms import DomainError, GermClass, recognize
 
 TAU_RANK = 1e-8
@@ -341,7 +341,7 @@ def graph_surface(components, halfwidth: float = 1.0) -> ParametricManifold:
                               (None, None), ev)
 
 
-def sampled_curve(grid, q: Optional[int] = None) -> ParametricManifold:
+def sampled_curve(grid) -> ParametricManifold:
     ev = _SampledCurve(np.asarray(grid, dtype=float))
     return ParametricManifold(1, ev.grid.shape[1], "samples", (TWO_PI,), ev)
 
@@ -393,8 +393,7 @@ def manifold_from_json(text: str) -> ParametricManifold:
 
 def tangent_frame(M: ParametricManifold, params) -> np.ndarray:
     """Rows are the first partial derivatives at `params` (an n x q frame)."""
-    rows = [M.derivative(params, tuple(int(i == j) for j in range(M.n)))
-            for i in range(M.n)]
+    rows = [M.derivative(params, unit_exp(i, M.n)) for i in range(M.n)]
     frame = np.stack(rows)
     sv = np.linalg.svd(frame, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= TAU_RANK * sv[0]:
@@ -547,7 +546,7 @@ def _pair_points(M, S, T, residuals=None):
     Sa = np.array(S, dtype=float).reshape(len(S), n)
     Ta = np.array(T, dtype=float).reshape(len(T), n)
     Sp, Tp = tuple(Sa.T.copy()), tuple(Ta.T.copy())
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    units = [unit_exp(i, n) for i in range(n)]
     Fs = np.stack([M.derivative(Sp, e) for e in units], axis=1)
     Ft = np.stack([M.derivative(Tp, e) for e in units], axis=1)
     distinct = (_toroidal_gaps(Sa, Ta, M.periods) > 1e-12).any(axis=1)
@@ -1113,13 +1112,7 @@ def densify_branch(branch: EquidistantBranch,
     S = np.concatenate(S_new + [[Zu[-1, 0]]])
     T = np.concatenate(T_new + [[Zu[-1, 1]]])
     for _ in range(3):
-        Ts = M.derivative((S,), (1,))
-        Tt = M.derivative((T,), (1,))
-        As = M.derivative((S,), (2,))
-        At = M.derivative((T,), (2,))
-        g = _cross2(Ts, Tt)
-        gs = _cross2(As, Tt)
-        gt = _cross2(Ts, At)
+        g, gs, gt, _ = _g_grad(M, S, T)
         n2 = gs * gs + gt * gt
         n2[n2 == 0] = 1.0
         S = S - g * gs / n2
@@ -1377,55 +1370,20 @@ def _factorial_multi(alpha):
     return out
 
 
-def _fmul(p, q, order):
-    out: Dict[tuple, float] = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if sum(e) > order:
-                continue
-            out[e] = out.get(e, 0.0) + ca * cb
-    return out
-
-
-def _fcompose(f, subs, n, order):
-    pows: List[Dict[int, dict]] = [
-        {0: {(0,) * n: 1.0}, 1: dict(s)} for s in subs]
-    out: Dict[tuple, float] = {}
-    for exps, c in f.items():
-        term = {(0,) * n: c}
-        for j, e in enumerate(exps):
-            if e == 0:
-                continue
-            while e not in pows[j]:
-                top = max(pows[j])
-                pows[j][top + 1] = _fmul(pows[j][top], pows[j][1], order)
-            term = _fmul(term, pows[j][e], order)
-            if not term:
-                break
-        for e, v in term.items():
-            out[e] = out.get(e, 0.0) + v
-    return {e: v for e, v in out.items() if v != 0.0}
-
-
-def _unit_exp(i, n):
-    return tuple(int(i == j) for j in range(n))
-
-
 def _series_invert(A, n, order):
-    L = np.array([[A[i].get(_unit_exp(j, n), 0.0) for j in range(n)]
+    L = np.array([[A[i].get(unit_exp(j, n), 0.0) for j in range(n)]
                   for i in range(n)])
     if np.linalg.cond(L) > FRAME_COND_LIMIT:
         raise FrameAlignmentError("ill-conditioned frame alignment")
     Li = np.linalg.inv(L)
     B = [
-        {_unit_exp(j, n): float(Li[i, j]) for j in range(n) if Li[i, j]}
+        {unit_exp(j, n): float(Li[i, j]) for j in range(n) if Li[i, j]}
         for i in range(n)
     ]
     for _ in range(order - 1):
-        comp = [_fcompose(A[i], B, n, order) for i in range(n)]
+        comp = [p_compose(A[i], B, n, order) for i in range(n)]
         for i in range(n):
-            e = _unit_exp(i, n)
+            e = unit_exp(i, n)
             comp[i][e] = comp[i].get(e, 0.0) - 1.0
         newB = []
         for i in range(n):
@@ -1473,15 +1431,15 @@ def _adapted_basis(Fa, Fb, k, q):
     return B
 
 
-def _chart_series(M, params, Binv, base, n, order, scale=None):
+def _chart_series(M, params, Binv, const, scale, n, order):
+    """Chart coordinates Binv @ (.) of the Taylor series of `scale` * M at
+    `params`, one dict per coordinate; `const` is the constant term."""
     xi = [dict() for _ in range(M.q)]
     for alpha in monomials_upto(n, order):
-        d = sum(alpha)
-        vec = np.asarray(M.derivative(params, alpha), dtype=float)
-        if d == 0:
-            vec = vec - base
-        elif scale is not None:
-            vec = scale * vec
+        if sum(alpha):
+            vec = scale * np.asarray(M.derivative(params, alpha), dtype=float)
+        else:
+            vec = const
         w = Binv @ (vec / _factorial_multi(alpha))
         for r in range(M.q):
             if w[r] != 0.0:
@@ -1492,7 +1450,7 @@ def _chart_series(M, params, Binv, base, n, order, scale=None):
 def _graph_functions(xi, indep_rows, dep_rows, n, order):
     A = [xi[r] for r in indep_rows]
     Binv_series = _series_invert(A, n, order)
-    return [_fcompose(xi[r], Binv_series, n, order) for r in dep_rows]
+    return [p_compose(xi[r], Binv_series, n, order) for r in dep_rows]
 
 
 def _snap_block(comps, clip=COEFF_CLIP):
@@ -1550,7 +1508,8 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
     Binv = np.linalg.inv(B)
     a = np.asarray(M.position(pair.s), dtype=float)
 
-    xi_a = _chart_series(M, pair.s, Binv, a, n, order)
+    # the chart is centred at a, so the first series has no constant term
+    xi_a = _chart_series(M, pair.s, Binv, np.zeros(q), 1.0, n, order)
     u_dim = q + k - 2 * n
 
     phi_psi = _graph_functions(xi_a, list(range(n)),
@@ -1559,20 +1518,10 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
     psi = _snap_block(phi_psi[u_dim:])
 
     # reflected second graph: base point maps to a, derivatives rescale
-    xi_b = [dict() for _ in range(q)]
     refl_base = (1.0 / lam) * pair.lambda_point(lam) \
         - (1 - lam) / lam * np.asarray(M.position(pair.t), dtype=float)
-    for alpha in monomials_upto(n, order):
-        d = sum(alpha)
-        vec = np.asarray(M.derivative(pair.t, alpha), dtype=float)
-        if d == 0:
-            vec = refl_base - a
-        else:
-            vec = -(1 - lam) / lam * vec
-        w = Binv @ (vec / _factorial_multi(alpha))
-        for r in range(q):
-            if w[r] != 0.0:
-                xi_b[r][alpha] = float(w[r])
+    xi_b = _chart_series(M, pair.t, Binv, refl_base - a, -(1 - lam) / lam,
+                         n, order)
     indep_b = list(range(k)) + list(range(n + u_dim, q))
     dep_b = list(range(k, n)) + list(range(n, n + u_dim))
     eta_zeta = _graph_functions(xi_b, indep_b, dep_b, n, order)

@@ -7,6 +7,16 @@ the empty dict.  All products and compositions silently drop terms of
 total degree > N, so every operation stays inside the finite-dimensional
 jet space and every rank or membership decision is tolerance-free.
 
+The jet kernel (`p_add`, `p_scale`, `p_mul`, `p_compose`) is the one jet
+calculus of the package: the exact engines call it with Fraction
+coefficients and the float-to-exact bridge of `geometry_engine` with
+floats.  For floats the order of the terms in a dict is the order in
+which later sums round, so `p_mul` keeps an entry that cancels to zero in
+the place where it first appeared, and `p_compose` drops zeros once, at
+the end.  Over Q this changes no value.  `_row_reduce` is the one small
+dense elimination: ranks, the linear part of `rank0_reduce` and the
+Hessian kernel of the recognizer.
+
 Quotient dimensions (local algebras, contact tangent spaces) are computed
 by graded sparse Gaussian elimination at a truncation order D.  Leading
 terms are taken lowest-total-degree first; inside a degree, graded lex
@@ -65,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 try:
     from gmpy2 import mpq as _fastq
@@ -137,6 +147,7 @@ def p_scale(a: Poly, c: Fraction) -> Poly:
 
 
 def p_mul(a: Poly, b: Poly, order: int) -> Poly:
+    """Truncated product; an entry that cancels to zero keeps its place."""
     out: Poly = {}
     for ea, ca in a.items():
         da = sum(ea)
@@ -144,41 +155,34 @@ def p_mul(a: Poly, b: Poly, order: int) -> Poly:
             if da + sum(eb) > order:
                 continue
             exp = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(exp, 0) + ca * cb
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
+            out[exp] = out.get(exp, 0) + ca * cb
     return out
 
 
 def p_compose(p: Poly, args: Sequence[Poly], source_dim: int,
               order: int) -> Poly:
-    """Substitute args[i] for variable i of p; args live in source_dim vars."""
+    """Substitute args[i] for variable i of p; args live in source_dim vars.
+
+    Every partial sum is kept, in the order of p's terms, and zeros are
+    dropped only at the end; the module docstring says why floats need it.
+    """
     # Cache powers of each argument since exponents repeat across terms.
-    pows: List[Dict[int, Poly]] = [
-        {0: {(0,) * source_dim: Fraction(1)}} for _ in args
-    ]
-
-    def power(i: int, n: int) -> Poly:
-        table = pows[i]
-        if n not in table:
-            m = max(table)
-            cur = table[m]
-            while m < n:
-                cur = p_mul(cur, args[i], order)
-                m += 1
-                table[m] = cur
-        return table[n]
-
+    pows: List[Dict[int, Poly]] = [{1: a} for a in args]
     out: Poly = {}
     for exp, c in p.items():
         term: Poly = {(0,) * source_dim: c}
         for i, e in enumerate(exp):
-            if e and term:
-                term = p_mul(term, power(i, e), order)
-        out = p_add(out, term)
-    return out
+            if not e:
+                continue
+            table = pows[i]
+            for m in range(len(table) + 1, e + 1):
+                table[m] = p_mul(table[m - 1], args[i], order)
+            term = p_mul(term, table[e], order)
+            if not term:
+                break
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + v
+    return {m: v for m, v in out.items() if v}
 
 
 def p_diff(p: Poly, i: int) -> Poly:
@@ -223,6 +227,11 @@ def format_poly(p: Poly, names: Optional[Sequence[str]] = None) -> str:
     for piece in parts[1:]:
         out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
     return out
+
+
+def unit_exp(i: int, n: int) -> Exponent:
+    """The exponent of the i-th of n variables."""
+    return tuple(int(i == j) for j in range(n))
 
 
 def monomials_upto(source_dim: int, order: int) -> List[Exponent]:
@@ -311,11 +320,7 @@ class MapGerm:
     def identity(dim: int, order: Optional[int] = None) -> "MapGerm":
         if order is None:
             order = default_order(dim)
-        polys = []
-        for i in range(dim):
-            e = [0] * dim
-            e[i] = 1
-            polys.append({tuple(e): Fraction(1)})
+        polys = [{unit_exp(i, dim): Fraction(1)} for i in range(dim)]
         return MapGerm.from_polys(polys, dim, order)
 
     @staticmethod
@@ -380,27 +385,33 @@ def _rank_key(key: Key) -> Tuple[int, Tuple[int, ...], int]:
     return (sum(exp), tuple(-e for e in reversed(exp)), slot)
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by fraction Gaussian elimination (small dense matrices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+def _row_reduce(m: List[List[Fraction]], ncols: int) -> List[int]:
+    """Bring the small dense matrix m to reduced row echelon form in place,
+    choosing pivots among its first ncols columns only; returns the pivot
+    columns, the i-th leading row i."""
+    pivots: List[int] = []
+    for col in range(ncols):
+        if len(pivots) == len(m):
+            break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
-            col += 1
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [v * inv for v in m[r]]
         for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
+            if i != r and m[i][col] != 0:
                 c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+                m[i] = [a - c * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots
+
+
+def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank of a small dense matrix."""
+    m = [list(map(Fraction, r)) for r in rows]
+    return len(_row_reduce(m, len(m[0]) if m else 0))
 
 
 # The eight largest primes below 2^61, so residues fit an array('q') and
@@ -870,42 +881,25 @@ def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
     Returns a rank-0 germ (R^(s-r),0) -> (R^(t-r),0) with the same local
     algebra, where r is the rank of the linear part; REGULAR if r = t.
     """
-    A = f.linear_matrix()
     s, t, order = f.source_dim, f.target_dim, f.order
-    r = matrix_rank(A)
+    # Target side: row-reduce [A | I], A the linear part of f, so the first
+    # r new components have independent linear parts, the reduced rows of
+    # A, and the rest have none; the right block N is invertible.
+    m = [row + list(map(Fraction, unit_exp(i, t)))
+         for i, row in enumerate(f.linear_matrix())]
+    pivot_cols = _row_reduce(m, s)
+    r = len(pivot_cols)
     if r == t:
         return REGULAR
     if r == 0:
         return f
-    # Target side: row-reduce so the first r new components have independent
-    # linear parts and the rest have none.
-    m = [row[:] + [Fraction(1 if i == j else 0) for j in range(t)]
-         for i, row in enumerate(A)]
-    rank = 0
-    pivot_cols: List[int] = []
-    for col in range(s):
-        piv = next((i for i in range(rank, t) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(t):
-            if i != rank and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == t:
-            break
-    N = [row[s:] for row in m]  # t x t invertible, N*A echelonized
     polys = f.polys()
     new_comps: List[Poly] = []
-    for i in range(t):
+    for row in m:
         acc: Poly = {}
-        for j in range(t):
-            if N[i][j]:
-                acc = p_add(acc, p_scale(polys[j], N[i][j]))
+        for j, c in enumerate(row[s:]):
+            if c:
+                acc = p_add(acc, p_scale(polys[j], c))
         new_comps.append(acc)
     # Source side: the linear parts w_i of the first r components become new
     # coordinates alongside the non-pivot variables.  Row reduction left
@@ -914,45 +908,24 @@ def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
     relabel = {col: i for i, col in enumerate(pivot_cols)}
     for i, j in enumerate(nonpivot):
         relabel[j] = r + i
-    lin = [[Fraction(0)] * s for _ in range(r)]
-    for i in range(r):
-        for exp, c in new_comps[i].items():
-            if sum(exp) == 1:
-                lin[i][exp.index(1)] = c
     args_old_to_new: List[Poly] = []
     for j in range(s):
-        if j in pivot_cols:
-            i = relabel[j]
-            e_new = [0] * s
-            e_new[i] = 1
-            expr: Poly = {tuple(e_new): Fraction(1)}
+        i = relabel[j]
+        expr: Poly = {unit_exp(i, s): Fraction(1)}
+        if i < r:
             for jj in nonpivot:
-                c = lin[i][jj]
-                if c:
-                    e2 = [0] * s
-                    e2[relabel[jj]] = 1
-                    expr[tuple(e2)] = -c
-            args_old_to_new.append(expr)
-        else:
-            e_new = [0] * s
-            e_new[relabel[j]] = 1
-            args_old_to_new.append({tuple(e_new): Fraction(1)})
+                if m[i][jj]:
+                    expr[unit_exp(relabel[jj], s)] = -m[i][jj]
+        args_old_to_new.append(expr)
     relabeled = [
         p_compose(p, args_old_to_new, s, order) for p in new_comps
     ]
     # Now component i (i < r) reads w_i + P_i(w, x), P_i in m^2.
     # Solve w = W(x) by iteration; each pass gains one degree of accuracy.
-    zero_w: List[Poly] = []
-    for i in range(s):
-        if i < r:
-            zero_w.append({})
-        else:
-            e = [0] * s
-            e[i] = 1
-            zero_w.append({tuple(e): Fraction(1)})
+    x_block = [{unit_exp(i, s): Fraction(1)} for i in range(r, s)]
     W = [dict() for _ in range(r)]  # type: List[Poly]
     for _ in range(order + 1):
-        args = list(W) + zero_w[r:]
+        args = list(W) + x_block
         newW = []
         for i in range(r):
             val = p_compose(relabeled[i], args, s, order)
@@ -961,7 +934,7 @@ def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
         if newW == W:
             break
         W = newW
-    args = list(W) + zero_w[r:]
+    args = list(W) + x_block
     reduced = [p_compose(relabeled[i], args, s, order) for i in range(r, t)]
     # Drop the eliminated variables: remaining polys only involve x-block.
     out_polys: List[Poly] = []
@@ -984,7 +957,7 @@ def random_k_move(f: MapGerm, seed: int) -> MapGerm:
     s, t, order = f.source_dim, f.target_dim, f.order
 
     # Unimodular linear part from a few integer shears keeps coefficients tame.
-    L = [[Fraction(1 if i == j else 0) for j in range(s)] for i in range(s)]
+    L = [list(map(Fraction, unit_exp(i, s))) for i in range(s)]
     for _ in range(rng.randint(1, 3)):
         if s < 2:
             break
@@ -994,12 +967,7 @@ def random_k_move(f: MapGerm, seed: int) -> MapGerm:
             L[i][col] += c * L[j][col]
     phi: List[Poly] = []
     for i in range(s):
-        p: Poly = {}
-        for j in range(s):
-            if L[i][j]:
-                e = [0] * s
-                e[j] = 1
-                p[tuple(e)] = L[i][j]
+        p: Poly = {unit_exp(j, s): L[i][j] for j in range(s) if L[i][j]}
         for _ in range(rng.randint(0, 2)):
             exp = [0] * s
             for _ in range(2):
@@ -1011,7 +979,7 @@ def random_k_move(f: MapGerm, seed: int) -> MapGerm:
         p_compose(p, phi, s, order) for p in f.polys()
     ]
 
-    A = [[Fraction(1 if i == j else 0) for j in range(t)] for i in range(t)]
+    A = [list(map(Fraction, unit_exp(i, t))) for i in range(t)]
     if t >= 2:
         for _ in range(rng.randint(0, 2)):
             i, j = rng.sample(range(t), 2)
@@ -1027,11 +995,9 @@ def random_k_move(f: MapGerm, seed: int) -> MapGerm:
                 acc = p_add(acc, p_scale(composed[j], A[i][j] * scale))
         # Optional function-valued wobble: (1 + c*y_m) times one component.
         if rng.random() < 0.5:
-            m = rng.randrange(s)
-            e = [0] * s
-            e[m] = 1
+            e = unit_exp(rng.randrange(s), s)
             wob = {(0,) * s: Fraction(1),
-                   tuple(e): Fraction(rng.choice((-1, 1)), 2)}
+                   e: Fraction(rng.choice((-1, 1)), 2)}
             acc = p_mul(acc, wob, order)
         out.append(acc)
     return MapGerm.from_polys(out, s, order)
@@ -1061,6 +1027,29 @@ def mapgerm_to_dict(f: MapGerm) -> dict:
     }
 
 
+def polys_from_payload(payload, slots: int, name: str) -> List[Poly]:
+    """The polynomials of a JSON component list, each a list of terms
+    {"coeff": rational string or number, "exponents": [...]}; any other
+    shape is a ValueError that names `name`."""
+    if not isinstance(payload, list) or len(payload) != slots:
+        raise ValueError(f"{name} must list {slots} components")
+    polys: List[Poly] = []
+    for comp in payload:
+        if not isinstance(comp, list):
+            raise ValueError(f"{name} components must be lists of terms")
+        p: Poly = {}
+        for item in comp:
+            try:
+                exps = tuple(int(e) for e in item["exponents"])
+                c = Fraction(str(item["coeff"]))
+            except (KeyError, TypeError, ValueError,
+                    ZeroDivisionError) as err:
+                raise ValueError(f"bad term in {name}: {item!r}") from err
+            p[exps] = p.get(exps, Fraction(0)) + c
+        polys.append(p)
+    return polys
+
+
 def mapgerm_from_dict(data: Mapping) -> MapGerm:
     try:
         s = int(data["source_dim"])
@@ -1075,19 +1064,8 @@ def mapgerm_from_dict(data: Mapping) -> MapGerm:
         raise ValueError(
             f"map-germ dimensions must be >= 1, got source_dim={s}, "
             f"target_dim={t}")
-    if len(comps) != t:
-        raise ValueError("component count does not match target_dim")
-    polys: List[Poly] = []
-    for comp in comps:
-        p: Poly = {}
-        for term in comp:
-            c = Fraction(str(term["coeff"]))
-            exp = tuple(int(e) for e in term["exponents"])
-            if c:
-                p[exp] = p.get(exp, Fraction(0)) + c
-        polys.append(p)
-    comps_j = tuple(JetPoly(s, order, p) for p in polys)
-    return MapGerm(s, t, order, comps_j)
+    polys = polys_from_payload(comps, t, "map-germ")
+    return MapGerm(s, t, order, tuple(JetPoly(s, order, p) for p in polys))
 
 
 def mapgerm_to_json(f: MapGerm) -> str:

@@ -37,6 +37,7 @@ from .germ_algebra import (
     REGULAR,
     InfiniteCodimensionError,
     MapGerm,
+    _row_reduce,
     corank,
     hilbert_prefix,
     ke_codimension,
@@ -540,10 +541,6 @@ def _quadratic_matrix(poly: dict, s: int):
     return m
 
 
-def _mat_rank(m) -> int:
-    return matrix_rank([row[:] for row in m])
-
-
 def _det3(m) -> Fraction:
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -565,7 +562,7 @@ def _member(q1, q2, a: Fraction, b: Fraction):
 
 def _member_kind(m) -> str:
     """'r2ell', 'r2hyp', 'r1', 'r0' or 'r3' for a symmetric 3x3 member."""
-    r = _mat_rank(m)
+    r = matrix_rank(m)
     if r == 3:
         return "r3"
     if r == 0:
@@ -691,7 +688,7 @@ def _pencil_profile(f: MapGerm) -> str:
         if dim_w == 1:
             m = q1 if any(flat1) else q2
             det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            if _mat_rank(m) == 1:
+            if matrix_rank(m) == 1:
                 return "W1:rank1"
             return "W1:def" if det > 0 else "W1:indef"
         def det2(m):
@@ -773,34 +770,17 @@ def _restricted_cubic(f: MapGerm):
     """Binary cubic of the degree-3 part restricted to the Hessian kernel
     of a one-component germ with Hessian corank 2."""
     s = f.source_dim
-    h = _quadratic_matrix(f.components[0].coeffs, s)
-    # rational kernel basis by Gaussian elimination
-    rows = [row[:] for row in h]
-    pivots = {}
-    r = 0
-    for col in range(s):
-        piv = None
-        for i in range(r, s):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(s):
-            if i != r and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
-    free = [j for j in range(s) if j not in pivots]
+    rows = _quadratic_matrix(f.components[0].coeffs, s)
+    # rational kernel basis from the reduced rows
+    pivots = _row_reduce(rows, s)
     basis = []
-    for j in free:
+    for j in range(s):
+        if j in pivots:
+            continue
         v = [Fraction(0)] * s
         v[j] = Fraction(1)
-        for col, prow in pivots.items():
-            v[col] = -rows[prow][j]
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][j]
         basis.append(v)
     if len(basis) != 2:
         raise ArithmeticError("kernel is not two-dimensional")

@@ -10,6 +10,11 @@ engine reads values the other computed.
 ``full_eliminate_mod`` is the modular elimination without the cutoff at
 the first full degree: it works every row until its lead passes the last
 free column.
+
+``fmul`` and ``fcompose`` are the float jet product and composition that
+the Taylor bridge ran on before it shared ``germ_algebra``'s kernel; they
+fix the order in which float coefficients are summed, and so every
+rounding, that the bridge must keep.
 """
 
 from array import array
@@ -75,3 +80,35 @@ def full_eliminate_mod(rows, p):
             for k, v in zip(*piv):
                 row[k] = get(k, 0) - c * v
     return pivots
+
+
+def fmul(p, q, order):
+    """Truncated product of float jets; cancelled entries stay in place."""
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) > order:
+                continue
+            out[e] = out.get(e, 0.0) + ca * cb
+    return out
+
+
+def fcompose(f, subs, n, order):
+    """f with subs[j] substituted for variable j; zeros dropped at the end."""
+    pows = [{0: {(0,) * n: 1.0}, 1: dict(s)} for s in subs]
+    out = {}
+    for exps, c in f.items():
+        term = {(0,) * n: c}
+        for j, e in enumerate(exps):
+            if e == 0:
+                continue
+            while e not in pows[j]:
+                top = max(pows[j])
+                pows[j][top + 1] = fmul(pows[j][top], pows[j][1], order)
+            term = fmul(term, pows[j][e], order)
+            if not term:
+                break
+        for e, v in term.items():
+            out[e] = out.get(e, 0.0) + v
+    return {e: v for e, v in out.items() if v != 0.0}

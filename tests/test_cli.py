@@ -238,6 +238,23 @@ def test_germ_with_impossible_sizes_is_a_parse_error(tmp_path, command, field, v
     assert_one_line_failure(run_subprocess(command, "--germ", str(path)), 2, "INPUT_PARSE")
 
 
+@pytest.mark.parametrize("command", ["classify", "mu"])
+@pytest.mark.parametrize("components", [
+    [[{"exponents": [2]}]],                    # a term without a coefficient
+    [[{"coeff": "1/0", "exponents": [2]}]],    # a zero denominator
+    [[5]],                                     # a term that is a number
+    5,                                         # components that are a number
+    [[{"coeff": "1", "exponents": 2}]],        # exponents that are a number
+], ids=["no-coeff", "zero-denominator", "numeric-term",
+        "numeric-components", "numeric-exponents"])
+def test_malformed_germ_terms_are_parse_errors(tmp_path, command, components):
+    blob = json.loads(mapgerm_to_json(germ([{(2,): 1}], 1)))
+    blob["components"] = components
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    assert_one_line_failure(run_subprocess(command, "--germ", str(path)), 2, "INPUT_PARSE")
+
+
 def test_malformed_manifold_exits_2(capsys, tmp_path):
     path = tmp_path / "badcurve.json"
     path.write_text(json.dumps({"kind": "dodecahedron"}))

@@ -13,6 +13,7 @@ from equidistants.germ_algebra import (
     corank,
     hilbert_prefix,
     local_algebra,
+    mapgerm_from_dict,
     matrix_rank,
 )
 from equidistants.contact_lab import (
@@ -365,6 +366,8 @@ def test_graphpair_json_payload_shape():
     lambda d: d.update(phi=[]),
     lambda d: d.update(n="two"),
     lambda d: d.update({"lambda": "1"}),
+    # Python's json reads Infinity as a float, which has no exact ratio
+    lambda d: d["phi"][0].append({"coeff": float("inf"), "exponents": [2, 0]}),
 ])
 def test_graphpair_from_dict_rejects_malformed(mutate):
     payload = graphpair_to_dict(random_graph_pair(2, 4, 2, 17, lam=third))
@@ -376,6 +379,18 @@ def test_graphpair_from_dict_rejects_malformed(mutate):
 def test_graphpair_from_json_rejects_garbage():
     with pytest.raises(ValueError):
         graphpair_from_json("not json at all {")
+
+
+def test_graph_pair_and_germ_files_read_a_float_coefficient_alike():
+    # one term parser serves both formats: a float reads as the decimal
+    # it prints as, not as its binary expansion
+    term = {"coeff": 0.1, "exponents": [2, 0]}
+    payload = graphpair_to_dict(random_graph_pair(2, 4, 2, 17, lam=third))
+    payload["phi"][0] = [term]
+    assert graphpair_from_dict(payload).phi.polys()[0] == {(2, 0): Fraction(1, 10)}
+    germ = mapgerm_from_dict({"source_dim": 2, "target_dim": 1, "order": 4,
+                              "components": [[term]]})
+    assert germ.polys() == [{(2, 0): Fraction(1, 10)}]
 
 
 def test_random_pairs_are_deterministic():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from engine_oracle import fcompose
 from equidistants.contact_lab import contact_map
 from equidistants.normal_forms import DomainError
 from equidistants import geometry_engine as ge
@@ -898,6 +899,46 @@ def test_sampled_curve_pairs_classify_through_the_bridge():
     assert abs(coeff) == pytest.approx(1.0 / 3.0, abs=1e-6)
     with pytest.raises(ValueError):
         taylor_germ_at_pair(S, pp, "2/5", order=4)
+
+
+R4_GRAPH = [{(2, 0): 1.0, (0, 2): 1.0, (3, 0): 0.3, (1, 2): -0.2},
+            {(1, 1): 1.0, (0, 3): 0.25, (2, 1): 0.1}]
+
+
+@pytest.mark.parametrize("M", [oval(), torus(2.0, 0.5), graph_surface(R4_GRAPH)],
+                         ids=["oval", "torus", "r4_graph"])
+def test_graph_functions_match_the_float_reference_kernel(monkeypatch, M):
+    # the bridge's graph functions round exactly as the float jet kernel
+    # the bridge ran on before it shared germ_algebra's: same values, and
+    # the same key order, which is the summation order of later products
+    calls = []
+    real = ge._graph_functions
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ge, "_graph_functions", spy)
+    pairs = find_parallel_pairs(M)
+    for pair in pairs[::max(1, len(pairs) // 6)]:
+        for lam in ("1/2", "1/3"):
+            for order in (2, 3, 4):
+                try:
+                    taylor_germ_at_pair(M, pair, lam, order=order)
+                except FrameAlignmentError:
+                    pass
+    monkeypatch.undo()
+    assert len(calls) >= 24
+
+    def run(args):
+        try:
+            return [list(d.items()) for d in ge._graph_functions(*args)]
+        except FrameAlignmentError as exc:
+            return str(exc)
+
+    got = [run(args) for args in calls]
+    monkeypatch.setattr(ge, "p_compose", fcompose)
+    assert [run(args) for args in calls] == got
 
 
 def test_bridge_rejects_misaligned_pairs_and_bad_orders():

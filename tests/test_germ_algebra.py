@@ -14,7 +14,7 @@ import sympy
 
 import equidistants.germ_algebra as ga
 import oracle_tools as oracle
-from engine_oracle import both_engines, full_eliminate_mod
+from engine_oracle import both_engines, fcompose, full_eliminate_mod
 from equidistants.contact_lab import (
     lambda_contact_from_pair,
     local_ring_dims,
@@ -206,6 +206,26 @@ def test_corank_values():
     assert corank(MapGerm.zero(3, 2)) == 3
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_matrix_rank_equals_sympy_on_rank_deficient_rational_matrices(seed):
+    rng = random.Random(f"matrix_rank|{seed}")
+    for _ in range(8):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        inner = rng.randint(0, min(rows, cols))
+        left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                 for _ in range(inner)] for _ in range(rows)]
+        right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                  for _ in range(cols)] for _ in range(inner)]
+        m = [[sum((a[k] * right[k][j] for k in range(inner)), Fraction(0))
+              for j in range(cols)] for a in left]
+        if rows > 1 and rng.random() < 0.5:
+            m[-1] = [x + 2 * y for x, y in zip(m[0], m[-1])]
+        want = sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(
+            m[i][j].numerator, m[i][j].denominator)).rank()
+        assert ga.matrix_rank(m) == want
+        assert want <= inner
+
+
 # ---------------------------------------------------------------- rank0_reduce
 
 
@@ -291,6 +311,25 @@ def test_miniversal_rejects_infinite():
 
 
 # ---------------------------------------------------------------- jet_compose
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_p_compose_sums_float_jets_like_the_float_reference(seed):
+    # dyadic coefficients make sums cancel to exactly 0.0, which is where
+    # dropping an entry early would move its key, and so the order in
+    # which a later product rounds
+    rng = random.Random(f"fcompose|{seed}")
+    n, order = rng.randint(1, 3), rng.randint(2, 5)
+    monos = [m for m in ga.monomials_upto(n, order) if sum(m)]
+
+    def jet():
+        return {m: rng.choice((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
+                for m in rng.sample(monos, min(len(monos), 6))}
+
+    for _ in range(10):
+        f, args = jet(), [jet() for _ in range(n)]
+        want = fcompose(f, args, n, order)
+        assert list(ga.p_compose(f, args, n, order).items()) == list(want.items())
 
 
 def test_compose_pinned_value():
