@@ -16,12 +16,15 @@ DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED, REGULAR).
 
 Lambda values are exact rational strings ("1/2", "3") for the algebra
 commands; ``trace`` also accepts decimals since its engine is numerical,
-but not ``nan`` or ``inf`` (USAGE).  ``trace`` reports DOMAIN when lambda
-sends a traced point outside the finite floats, when no pair-location
-scheme exists for the manifold's (n, q), when the manifold is not
-immersed, or when the seed density is so low that the diagonal band
-covers every pair.  A germ file with a negative order or a dimension
-below 1 is INPUT_PARSE.  ``classify`` and ``contact`` report INFINITE only
+but not ``nan`` or ``inf`` (USAGE); its ``--step`` must be finite and
+positive and its ``--seed-density`` at least 1 (USAGE otherwise).
+``trace`` reports DOMAIN when lambda sends a traced point outside the
+finite floats, when no pair-location scheme exists for the manifold's
+(n, q) and domain (a surface in R^3 needs two 2pi-periodic parameters,
+one in R^4 must be a graph_surface), when the manifold is not immersed,
+or when the seed density is so low that the diagonal band covers every
+pair.  A graph_surface whose halfwidth is not positive, and a germ file
+with a negative order or a dimension below 1, are INPUT_PARSE.  ``classify`` and ``contact`` report INFINITE only
 for infinite Ke-codimension and any other arithmetic failure of the
 recognizer as UNRECOGNIZED.
 
@@ -168,6 +171,10 @@ def _cmd_trace(args) -> int:
         lam = _parse_lambda_numeric(args.lam)
     except ValueError as exc:
         return _fail("USAGE", str(exc), EXIT_USAGE)
+    if not (math.isfinite(args.step) and args.step > 0):
+        return _fail("USAGE", "--step must be finite and positive", EXIT_USAGE)
+    if args.seed_density < 1:
+        return _fail("USAGE", "--seed-density must be at least 1", EXIT_USAGE)
     try:
         payload = _read_text(args.input)
     except OSError as exc:

@@ -151,6 +151,9 @@ class _GraphSurface:
             for comp in components
         )
         self.halfwidth = float(halfwidth)
+        if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
+            raise ValueError("graph_surface halfwidth must be finite and "
+                             "positive")
 
     def derivative(self, params, alpha):
         y1, y2 = (np.asarray(p, dtype=float) for p in params)
@@ -530,7 +533,7 @@ def _rank_drops(frames):
 
 
 def _pair_points(M, S, T, residuals=None):
-    """PairPoints of M at the parameter lists S and T, built in one pass.
+    """PairPoints of M at the parameters S and T, built in one pass.
 
     Frames come from `M.derivative` at the unit multi-indices; immersion
     checks and the rank of each stacked 2n x q frame come from stacked
@@ -546,6 +549,8 @@ def _pair_points(M, S, T, residuals=None):
     Sa = np.array(S, dtype=float).reshape(len(S), n)
     Ta = np.array(T, dtype=float).reshape(len(T), n)
     Sp, Tp = tuple(Sa.T.copy()), tuple(Ta.T.copy())
+    S, T = ([p[0] if n == 1 else tuple(p) for p in A.tolist()]
+            for A in (Sa, Ta))
     units = [unit_exp(i, n) for i in range(n)]
     Fs = np.stack([M.derivative(Sp, e) for e in units], axis=1)
     Ft = np.stack([M.derivative(Tp, e) for e in units], axis=1)
@@ -580,6 +585,11 @@ def _first_of_each_key(keys, S, T):
 
 
 def _pairs_curve(M, density, tol, delta):
+    """Bisects the brackets of g along t only.  G is exactly antisymmetric
+    in IEEE arithmetic (products commute and a - b is -(b - a)), so each
+    bracket along s is the transpose of one along t, and its root is the
+    exact mirror (t, s).  The mirrors follow in the order a scan along s
+    meets their brackets, which decides the first hit of each key."""
     thetas = np.arange(density) * (TWO_PI / density)
     T = _curve_tangents(M, thetas)
     G = _cross2(T[:, None], T[None, :])
@@ -590,27 +600,16 @@ def _pairs_curve(M, density, tol, delta):
     didx = np.minimum(didx, density - didx)
     banned = didx * spacing < delta
 
-    # brackets along t at fixed s = thetas[i], then along s at fixed
-    # t = thetas[j]; G[i, j] is the value at the bracket's low end
+    # G[i, j] is the value at the bracket's low end t = thetas[j]
     Gr = np.roll(G, -1, axis=1)
     ti, tj = np.nonzero((G * Gr < 0) & ~banned & ~np.roll(banned, -1, axis=1))
-    Gc = np.roll(G, -1, axis=0)
-    si, sj = np.nonzero((G * Gc < 0) & ~banned & ~np.roll(banned, -1, axis=0))
-    if len(ti) + len(si) == 0:
-        return []
-    along_t = np.arange(len(ti) + len(si)) < len(ti)
-    fixed = thetas[np.concatenate([ti, sj])]
-    lo = thetas[np.concatenate([tj, si])]
-    flo = np.concatenate([G[ti, tj], G[si, sj]])
+    fixed, lo = thetas[ti], thetas[tj]
     Tf = _curve_tangents(M, fixed)
-
-    def g_at(x):
-        Tx = _curve_tangents(M, x)
-        return np.where(along_t, _cross2(Tf, Tx), _cross2(Tx, Tf))
-
-    root = _bisect_lockstep(g_at, lo, lo + spacing, flo, 80)
-    S = np.where(along_t, fixed, root)
-    T = np.where(along_t, root, fixed)
+    root = _bisect_lockstep(lambda x: _cross2(Tf, _curve_tangents(M, x)),
+                            lo, lo + spacing, G[ti, tj], 80)
+    mirror = np.lexsort((ti, tj))
+    S = np.concatenate([fixed, root[mirror]])
+    T = np.concatenate([root, fixed[mirror]])
     Ts, Tt = _curve_tangents(M, S), _curve_tangents(M, T)
     val = np.abs(_cross2(Ts, Tt))
     scale = _norm2(Ts) * _norm2(Tt)
@@ -618,11 +617,8 @@ def _pairs_curve(M, density, tol, delta):
     rows = np.nonzero(val <= tol * scale)[0]
     keys = np.round(np.column_stack([S[rows], T[rows]]) / (spacing / 2))
     keys = keys.astype(np.int64) % (2 * density)
-    S, T = S % TWO_PI, T % TWO_PI
-    rows = rows[_first_of_each_key(keys, S[rows], T[rows])]
-    pairs = _pair_points(M, list(S[rows]), list(T[rows]),
-                         val[rows] / scale[rows])
-    return [p for p in pairs if p.codim > 0]
+    return (S[rows] % TWO_PI, T[rows] % TWO_PI, val[rows] / scale[rows],
+            keys)
 
 
 def _pairs_torus(M, density, tol, delta):
@@ -665,8 +661,6 @@ def _pairs_torus(M, density, tol, delta):
         cand_rows.append(hits)
     cand = np.vstack(cand_rows) if cand_rows else np.empty((0, 2), dtype=int)
     cand = cand[cand[:, 0] < cand[:, 1]]
-    if not len(cand):
-        return []
 
     def normals(u, v):
         tu = M.derivative((u, v), (1, 0))
@@ -708,9 +702,7 @@ def _pairs_torus(M, density, tol, delta):
     ok = (rn <= tol) & ~(_toroidal_gaps(S, T, M.periods).max(axis=1) < delta)
     rows = np.nonzero(ok)[0]
     keys = np.round(Z[rows] / (spacing / 4)).astype(np.int64) % (4 * density)
-    rows = rows[_first_of_each_key(keys, S[rows], T[rows])]
-    return _pair_points(M, [tuple(z) for z in S[rows].tolist()],
-                        [tuple(z) for z in T[rows].tolist()], rn[rows])
+    return S[rows], T[rows], rn[rows], keys
 
 
 def _graph_jac_entries(M, y1, y2):
@@ -723,13 +715,11 @@ def _pairs_graph4(M, density, tol, delta):
     """The stacked frame rows are [I2 | A; I2 | B] with A, B the 2x2
     Jacobians of (f1, f2), so the 4x4 determinant collapses to det(B - A);
     its zero set is generically a 3-manifold in the 4 parameters, and this
-    samples it along grid lines with vectorized bisection."""
-    lo, hi = -M._ev.halfwidth, M._ev.halfwidth
-    axis = np.linspace(lo, hi, density)
+    samples it along grid lines with lockstep bisection."""
+    axis = np.linspace(-M._ev.halfwidth, M._ev.halfwidth, density)
     step = axis[1] - axis[0]
     X1, X2 = np.meshgrid(axis, axis, indexing="ij")
-    a11, a12, a21, a22 = _graph_jac_entries(M, X1, X2)
-    Jf = np.stack([x.ravel() for x in (a11, a12, a21, a22)], axis=1)
+    Jf = np.stack([x.ravel() for x in _graph_jac_entries(M, X1, X2)], axis=1)
     pts = np.stack([X1.ravel(), X2.ravel()], axis=1)
 
     # brackets: for fixed s and one fixed t-coordinate, det changes sign
@@ -741,10 +731,7 @@ def _pairs_graph4(M, density, tol, delta):
     G = np.stack([dets, dets.transpose(0, 2, 1)], axis=1)
     sign = np.signbit(G)
     si, fax, a, b = np.nonzero(sign[..., :-1] != sign[..., 1:])
-    if not len(si):
-        return []
-    fix, lo_a, hi_a = axis[a], axis[b], axis[b + 1]
-    flo = G[si, fax, a, b]
+    fix = axis[a]
     sj = Jf[si]
 
     def det_at(x):
@@ -754,13 +741,7 @@ def _pairs_graph4(M, density, tol, delta):
         return ((b11 - sj[:, 0]) * (b22 - sj[:, 3])
                 - (b12 - sj[:, 1]) * (b21 - sj[:, 2]))
 
-    for _ in range(60):
-        mid = 0.5 * (lo_a + hi_a)
-        fm = det_at(mid)
-        same = (fm > 0) == (flo > 0)
-        lo_a = np.where(same, mid, lo_a)
-        hi_a = np.where(same, hi_a, mid)
-    root = 0.5 * (lo_a + hi_a)
+    root = _bisect_lockstep(det_at, axis[b], axis[b + 1], G[si, fax, a, b], 60)
     res = np.abs(det_at(root))
     T1 = np.where(fax == 0, fix, root)
     T2 = np.where(fax == 0, root, fix)
@@ -770,15 +751,7 @@ def _pairs_graph4(M, density, tol, delta):
     rows = np.nonzero(ok)[0]
     keys = np.column_stack([si[rows],
                             np.round(T[rows] / (step / 2)).astype(np.int64)])
-    rows = rows[_first_of_each_key(keys, S[rows], T[rows])]
-    S, T, res = S[rows], T[rows], res[rows]
-    d = np.stack(_graph_jac_entries(M, T[:, 0], T[:, 1]), axis=1) \
-        - np.stack(_graph_jac_entries(M, S[:, 0], S[:, 1]), axis=1)
-    deg = np.where(_norm2(d) <= TAU_RANK, 2, 1)
-    A, B = M.position((S[:, 0], S[:, 1])), M.position((T[:, 0], T[:, 1]))
-    S, T = map(tuple, S.tolist()), map(tuple, T.tolist())
-    return [PairPoint(s, t, a, b, int(k), int(k), float(r))
-            for s, t, a, b, k, r in zip(S, T, A, B, deg, res)]
+    return S[rows], T[rows], res[rows], keys
 
 
 def find_parallel_pairs(M: ParametricManifold,
@@ -787,43 +760,59 @@ def find_parallel_pairs(M: ParametricManifold,
                         delta_diag: Optional[float] = None) -> List[PairPoint]:
     """Sample the weakly parallel pairs of M off the diagonal band.
 
-    Curves: sign changes of the stacked-tangent determinant on the grid,
-    refined by lockstep bisection, all brackets in one array pass per
-    step.  Torus: normal-alignment residual polished by Gauss-Newton, each
-    step taken only on the rows whose residual is still at or above tol;
-    a torus whose grid frames drop rank raises ImmersionError.  Graph
-    surfaces in R^4: sign changes of the reduced 2x2 determinant along grid
-    lines.  A torus with R <= r raises ImmersionError even when its
-    singular circle misses the grid, and on periodic manifolds a diagonal
-    band wider than half the period, which would leave no pair, raises
-    DomainError.  Duplicates merge by parameter distance, keeping the first
-    hit; output is ordered lexicographically.  PairPoints are built in one
-    stacked pass (frames, immersion checks and ranks from stacked SVDs), as
-    pair-by-pair construction would build them.  The default density is
-    256 for curves and 24 / 16 for the surface schemes, whose pair sets are
-    two- and three-dimensional, so their sample counts grow with a power of
-    the density instead of linearly.  Any other (n, q) raises
-    UnsupportedDimensionsError, a DomainError.
+    A scheme chosen by (n, q) and by the domain returns its refined
+    candidates as arrays (S, T, residuals, keys).  One tail then keeps the
+    first hit of each key, so duplicates merge by parameter distance,
+    orders the pairs lexicographically, builds their PairPoints in one
+    stacked pass (as pair-by-pair construction would build them) and drops
+    those that are not weakly parallel.  The schemes:
+
+    * closed curves in R^2: sign changes of the stacked-tangent determinant
+      along t on the grid, refined by lockstep bisection; the brackets
+      along s take the exact mirrors (t, s) of those roots.
+    * surfaces in R^3 with two 2pi-periodic parameters (the torus, sampled
+      surfaces): the normal-alignment residual polished by Gauss-Newton on
+      the rows whose residual is still at or above tol.  Grid frames that
+      drop rank, and a torus with R <= r even when its singular circle
+      misses the grid, raise ImmersionError.
+    * graph surfaces in R^4: sign changes of the reduced 2x2 determinant
+      along grid lines of [-halfwidth, halfwidth]^2, refined by the same
+      lockstep bisection.
+
+    Any other manifold raises UnsupportedDimensionsError, a DomainError.
+    On periodic manifolds a diagonal band wider than half the period, which
+    would leave no pair, raises DomainError.  The default density is 256
+    for curves and 24 / 16 for the surface schemes, whose pair sets are
+    two- and three-dimensional, so their sample counts grow with a power
+    of the density instead of linearly.
     """
+    shape = (M.n, M.q)
+    if shape == (1, 2):
+        scheme, density = _pairs_curve, 256
+    elif shape == (2, 3) and M.periods == (TWO_PI, TWO_PI):
+        scheme, density = _pairs_torus, 24
+    elif shape == (2, 4) and M.kind == "graph_surface":
+        scheme, density = _pairs_graph4, 16
+    else:
+        need = {(2, 3): "two 2pi-periodic parameters",
+                (2, 4): "a graph_surface"}.get(shape)
+        raise UnsupportedDimensionsError(
+            f"no pair-location scheme for (n, q) = {shape}"
+            + (f" and kind {M.kind!r}; it needs {need}" if need else ""))
     if grid_density is None:
-        grid_density = {(1, 2): 256, (2, 3): 24, (2, 4): 16}.get(
-            (M.n, M.q), 16)
+        grid_density = density
     if delta_diag is None:
-        span = TWO_PI if M.periods[0] else 2 * getattr(M._ev, "halfwidth", 1.0)
+        span = TWO_PI if M.periods[0] else 2 * M._ev.halfwidth
         delta_diag = 10.0 * span / grid_density
     if M.periods[0] and delta_diag > M.periods[0] / 2:
         raise DomainError(
             f"diagonal band {delta_diag:.6g} at density {grid_density} "
             f"exceeds half the period {M.periods[0] / 2:.6g} and covers "
             f"every pair")
-    if M.n == 1 and M.q == 2:
-        return _pairs_curve(M, grid_density, tol, delta_diag)
-    if M.n == 2 and M.q == 3:
-        return _pairs_torus(M, grid_density, tol, delta_diag)
-    if M.n == 2 and M.q == 4:
-        return _pairs_graph4(M, grid_density, tol, delta_diag)
-    raise UnsupportedDimensionsError(
-        f"no pair-location scheme for (n, q) = ({M.n}, {M.q})")
+    S, T, residuals, keys = scheme(M, grid_density, tol, delta_diag)
+    first = _first_of_each_key(keys, S, T)
+    pairs = _pair_points(M, S[first], T[first], residuals[first])
+    return [p for p in pairs if p.codim > 0]
 
 
 # --------------------------------------------------------------------------

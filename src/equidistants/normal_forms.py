@@ -745,25 +745,14 @@ def _signatures_match(sig_a, sig_b) -> bool:
 
 @lru_cache(maxsize=None)
 def _candidate_signatures(family: str, params: Tuple[int, ...], sign: str):
-    """Signatures of every concrete sign variant of one catalogue entry."""
-    cls = GermClass(family, params, sign)
-    variants = [sign]
-    if sign == UNDETERMINED:
-        variants = [PLUS, MINUS]
-    elif family not in _SIGNED_FAMILIES:
-        # a +/- inside the formula does not split the symbol, but both
-        # real forms must be matchable
-        variants = [NOT_APPLICABLE, "_formula_minus"]
-    sigs = []
-    for v in variants:
-        concrete = MINUS if v == "_formula_minus" else (
-            PLUS if v == NOT_APPLICABLE and family not in _SIGNED_FAMILIES
-            else v)
-        polys = _table_polys(family, params,
-                             MINUS if concrete == MINUS else PLUS)
-        g = MapGerm.from_polys(polys, cls.intrinsic_source)
-        sigs.append(_signature(g))
-    return tuple(sigs)
+    """Signatures of every concrete sign variant of one catalogue entry.  A
+    +/- inside an unsigned family's formula does not split the symbol, but
+    both real forms must be matchable."""
+    signs = (sign,) if sign in (PLUS, MINUS) else (PLUS, MINUS)
+    return tuple(
+        _signature(MapGerm.from_polys(_table_polys(family, params, s),
+                                      _INTRINSIC[family]))
+        for s in signs)
 
 
 def _restricted_cubic(f: MapGerm):

@@ -6,6 +6,7 @@ codes, JSON round-trips, file products, and byte-determinism across reruns.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -458,6 +459,53 @@ def test_trace_without_a_pair_scheme_is_a_domain_error(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert err == "DOMAIN no pair-location scheme for (n, q) = (2, 5)\n"
+
+
+def clifford_payload(m=8):
+    th = [2 * math.pi * i / m for i in range(m)]
+    grid = [[[math.cos(u), math.sin(u), math.cos(v), math.sin(v)] for v in th]
+            for u in th]
+    return {"kind": "samples", "n": 2, "q": 4, "grid": grid}
+
+
+@pytest.mark.parametrize("payload", [
+    graph_surface([{(3, 0): 1.0, (0, 2): 0.1}]).to_dict(), clifford_payload(),
+], ids=["graph-in-R3", "samples-in-R4"])
+def test_trace_of_a_surface_outside_its_schemes_domain_is_a_domain_error(tmp_path, payload):
+    # a graph in R^3 is not doubly periodic, and only graphs have an R^4 scheme
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(payload))
+    proc = run_subprocess("trace", "--input", str(path), "--lambda", "1/2",
+                          "--out", str(tmp_path / "o"))
+    assert_one_line_failure(proc, 3, "DOMAIN")
+    assert "no pair-location scheme" in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("option, code, prefix", [
+    ("--step=0", 1, "USAGE"), ("--step=inf", 1, "USAGE"),
+    ("--step=-0.02", 1, "USAGE"), ("--step=nan", 1, "USAGE"),
+    ("--seed-density=0", 1, "USAGE"), ("--seed-density=-4", 1, "USAGE"),
+    # the diagonal band 10 * 2pi / density covers every pair below 20
+    ("--seed-density=1", 3, "DOMAIN"), ("--seed-density=19", 3, "DOMAIN"),
+])
+def test_trace_numeric_options_fail_on_one_line(tmp_path, ellipse_path, option, code, prefix):
+    proc = run_subprocess("trace", "--input", ellipse_path, "--lambda", "0.3",
+                          "--out", str(tmp_path / "x"), option)
+    assert_one_line_failure(proc, code, prefix)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("halfwidth", [0, -1, math.nan, math.inf])
+def test_trace_of_a_graph_without_a_finite_positive_halfwidth_is_a_parse_error(tmp_path, halfwidth):
+    # json writes and reads NaN and Infinity
+    payload = graph_surface([{(2, 0): 1.0}, {(1, 1): 1.0}]).to_dict()
+    payload["halfwidth"] = halfwidth
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    proc = run_subprocess("trace", "--input", str(path), "--lambda", "1/2",
+                          "--out", str(tmp_path / "o"))
+    assert_one_line_failure(proc, 2, "INPUT_PARSE")
 
 
 @pytest.mark.parametrize("lam, golden", [("1/2", "oval_lambda_0_5.csv"),

@@ -19,6 +19,7 @@ from equidistants.geometry_engine import (
     FrameAlignmentError,
     ImmersionError,
     PairPoint,
+    UnsupportedDimensionsError,
     classify_pair,
     densify_branch,
     detect_singularities,
@@ -258,6 +259,12 @@ def test_sampled_grids_reject_tiny_inputs():
         sampled_curve(np.zeros((5, 2)))
     with pytest.raises(ValueError):
         sampled_surface(np.zeros((4, 9, 3)))
+
+
+@pytest.mark.parametrize("halfwidth", [0, -1.0, math.nan, math.inf])
+def test_graph_surface_rejects_a_halfwidth_that_is_not_finite_and_positive(halfwidth):
+    with pytest.raises(ValueError, match="halfwidth must be finite and positive"):
+        graph_surface([{(2, 0): 1.0}, {(1, 1): 1.0}], halfwidth)
 
 
 # ----------------------------------------------------------- serialization
@@ -593,8 +600,9 @@ def scalar_torus_pairs(M, density, delta, tol=1e-10):
 
 def scalar_graph4_pairs(M, density, delta, tol=1e-10):
     """The R^4 graph scheme with its brackets collected grid point by grid
-    point, a dict dedupe and pair-by-pair Jacobians: the reference for the
-    array passes."""
+    point, a bisection that runs every step and keeps each bracket's first
+    exact zero, as `_bisect_root` does, a dict dedupe and pair-by-pair
+    `parallelism`: the reference for the array passes."""
     axis = np.linspace(-M._ev.halfwidth, M._ev.halfwidth, density)
     step = axis[1] - axis[0]
     X1, X2 = np.meshgrid(axis, axis, indexing="ij")
@@ -618,11 +626,15 @@ def scalar_graph4_pairs(M, density, delta, tol=1e-10):
         return ((b11 - sj[:, 0]) * (b22 - sj[:, 3])
                 - (b12 - sj[:, 1]) * (b21 - sj[:, 2]))
 
+    zero = np.full(len(lo), np.nan)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        same = (det_at(mid) > 0) == (flo > 0)
+        fm = det_at(mid)
+        first = (fm == 0.0) & np.isnan(zero)
+        zero[first] = mid[first]
+        same = (fm > 0) == (flo > 0)
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    root = 0.5 * (lo + hi)
+    root = np.where(np.isnan(zero), 0.5 * (lo + hi), zero)
     res = np.abs(det_at(root))
     T1, T2 = np.where(fax == 0, fix, root), np.where(fax == 0, root, fix)
     found = {}
@@ -635,10 +647,9 @@ def scalar_graph4_pairs(M, density, delta, tol=1e-10):
             found[key] = ((float(s[0]), float(s[1])), t, float(res[m]))
     out = []
     for s, t, r in sorted(found.values(), key=lambda item: item[:2]):
-        d = np.array(ge._graph_jac_entries(M, *t)) \
-            - np.array(ge._graph_jac_entries(M, *s))
-        deg = 2 if np.linalg.norm(d) <= TAU_RANK else 1
-        out.append(PairPoint(s, t, M.position(s), M.position(t), deg, deg, r))
+        deg, cod = parallelism(M, s, t)
+        if cod > 0:
+            out.append(PairPoint(s, t, M.position(s), M.position(t), deg, cod, r))
     return out
 
 
@@ -663,6 +674,24 @@ def test_pair_location_rejects_unsupported_shapes():
     helix = np.stack([np.cos(th), np.sin(th), np.sin(2 * th)], axis=1)
     with pytest.raises(ValueError):
         find_parallel_pairs(sampled_curve(helix))
+
+
+def clifford_samples(m=8):
+    th = np.arange(m) * (TWO_PI / m)
+    U, V = np.meshgrid(th, th, indexing="ij")
+    return np.stack([np.cos(U), np.sin(U), np.cos(V), np.sin(V)], axis=-1)
+
+
+@pytest.mark.parametrize("M, density, need", [
+    (graph_surface([{(3, 0): 1.0, (0, 2): 0.1}]), None,
+     "two 2pi-periodic parameters"),
+    (sampled_surface(clifford_samples()), 48, "a graph_surface"),
+], ids=["graph-in-R3", "samples-in-R4"])
+def test_a_surface_outside_its_schemes_domain_is_unsupported(M, density, need):
+    # the (2, 3) scheme grids two 2pi-periodic parameters, and the (2, 4)
+    # scheme reads a graph's halfwidth and its [I | J] frame
+    with pytest.raises(UnsupportedDimensionsError, match=need):
+        find_parallel_pairs(M, density)
 
 
 # ----------------------------------------------------------------- tracing
