@@ -17,16 +17,20 @@ DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED, REGULAR).
 Lambda values are exact rational strings ("1/2", "3") for the algebra
 commands; ``trace`` also accepts decimals since its engine is numerical,
 but not ``nan`` or ``inf`` (USAGE); its ``--step`` must be finite and
-positive and its ``--seed-density`` at least 1 (USAGE otherwise).
+positive and its ``--seed-density`` at least 1 (USAGE otherwise).  The
+seed density defaults to 128 for curves and to the pair scheme's own
+density for surfaces; an explicit one applies to both.
 ``trace`` reports DOMAIN when lambda sends a traced point outside the
 finite floats, when no pair-location scheme exists for the manifold's
 (n, q) and domain (a surface in R^3 needs two 2pi-periodic parameters,
 one in R^4 must be a graph_surface), when the manifold is not immersed,
 or when the seed density is so low that the diagonal band covers every
-pair.  A graph_surface whose halfwidth is not positive, and a germ file
-with a negative order or a dimension below 1, are INPUT_PARSE.  ``classify`` and ``contact`` report INFINITE only
-for infinite Ke-codimension and any other arithmetic failure of the
-recognizer as UNRECOGNIZED.
+pair (below 20 on a curve or a torus, below 10 on a graph_surface).  A manifold with a NaN or
+infinite parameter, coefficient or grid value, a graph_surface whose
+halfwidth is not positive, and a germ file with a negative order or a
+dimension below 1, are INPUT_PARSE.  ``classify`` and ``contact`` report
+INFINITE only for infinite Ke-codimension and any other arithmetic
+failure of the recognizer as UNRECOGNIZED.
 
 ``ringdims --order`` is the truncation cap of the three local rings and
 must be at least 1 (USAGE otherwise).  A ring whose ideal has fewer
@@ -173,7 +177,7 @@ def _cmd_trace(args) -> int:
         return _fail("USAGE", str(exc), EXIT_USAGE)
     if not (math.isfinite(args.step) and args.step > 0):
         return _fail("USAGE", "--step must be finite and positive", EXIT_USAGE)
-    if args.seed_density < 1:
+    if args.seed_density is not None and args.seed_density < 1:
         return _fail("USAGE", "--seed-density must be at least 1", EXIT_USAGE)
     try:
         payload = _read_text(args.input)
@@ -367,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True, help="ratio along each chord")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--step", type=float, default=0.02, help="arclength step")
-    p.add_argument("--seed-density", type=int, default=128, help="seed grid density")
+    p.add_argument("--seed-density", type=int, default=None,
+                   help="pair-search grid density (default 128 for curves, "
+                        "the scheme's own for surfaces)")
     p.add_argument("--json", action="store_true", help="emit branch summaries as JSON")
     p.set_defaults(func=_cmd_trace)
 

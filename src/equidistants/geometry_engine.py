@@ -62,8 +62,8 @@ def _shifted_sin(theta, m):
 
 class _Ellipse:
     def __init__(self, a: float, b: float):
-        if a <= 0 or b <= 0:
-            raise ValueError("ellipse axes must be positive")
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise ValueError("ellipse axes must be finite and positive")
         self.a, self.b = float(a), float(b)
 
     def derivative(self, params, alpha):
@@ -84,6 +84,8 @@ class _FourierOval:
     def __init__(self, a: Sequence[float], b: Sequence[float]):
         self.a = tuple(float(c) for c in a)
         self.b = tuple(float(c) for c in b)
+        if not all(map(math.isfinite, self.a + self.b)):
+            raise ValueError("fourier_oval coefficients must be finite")
 
     def _r_deriv(self, th, m):
         out = np.ones_like(np.asarray(th, dtype=float)) if m == 0 else \
@@ -115,8 +117,8 @@ class _FourierOval:
 
 class _Torus:
     def __init__(self, R: float, r: float):
-        if R <= 0 or r <= 0:
-            raise ValueError("torus radii must be positive")
+        if not (0 < R < math.inf and 0 < r < math.inf):
+            raise ValueError("torus radii must be finite and positive")
         self.R, self.r = float(R), float(r)
 
     def derivative(self, params, alpha):
@@ -150,6 +152,9 @@ class _GraphSurface:
             {tuple(int(x) for x in e): float(c) for e, c in comp.items()}
             for comp in components
         )
+        if not all(math.isfinite(c) for comp in self.components
+                   for c in comp.values()):
+            raise ValueError("graph_surface coefficients must be finite")
         self.halfwidth = float(halfwidth)
         if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
             raise ValueError("graph_surface halfwidth must be finite and "
@@ -212,6 +217,8 @@ class _SampledCurve:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 2 or grid.shape[0] < 7:
             raise ValueError("sampled curve needs at least 7 grid points")
+        if not np.isfinite(grid).all():
+            raise ValueError("sampled grid values must be finite")
         self.grid = grid
         self.period = float(period)
         self.h = self.period / grid.shape[0]
@@ -241,6 +248,8 @@ class _SampledSurface:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 3 or grid.shape[0] < 7 or grid.shape[1] < 7:
             raise ValueError("sampled surface needs a 7x7 grid at least")
+        if not np.isfinite(grid).all():
+            raise ValueError("sampled grid values must be finite")
         self.grid = grid
         self.periods = tuple(float(p) for p in periods)
         self.h = (self.periods[0] / grid.shape[0],
@@ -780,11 +789,12 @@ def find_parallel_pairs(M: ParametricManifold,
       lockstep bisection.
 
     Any other manifold raises UnsupportedDimensionsError, a DomainError.
-    On periodic manifolds a diagonal band wider than half the period, which
-    would leave no pair, raises DomainError.  The default density is 256
-    for curves and 24 / 16 for the surface schemes, whose pair sets are
-    two- and three-dimensional, so their sample counts grow with a power
-    of the density instead of linearly.
+    A grid density below 2, which leaves no grid interval, raises
+    DomainError, and so does a diagonal band wider than half the period
+    (or than the box, for graphs), which would leave no pair.  The default
+    density is 256 for curves and 24 / 16 for the surface schemes, whose pair sets
+    are two- and three-dimensional, so their sample counts grow with a
+    power of the density instead of linearly.
     """
     shape = (M.n, M.q)
     if shape == (1, 2):
@@ -801,14 +811,21 @@ def find_parallel_pairs(M: ParametricManifold,
             + (f" and kind {M.kind!r}; it needs {need}" if need else ""))
     if grid_density is None:
         grid_density = density
+    if grid_density < 2:
+        raise DomainError(f"grid density {grid_density} leaves no grid "
+                          f"interval to bracket a pair")
+    span = TWO_PI if M.periods[0] else 2 * M._ev.halfwidth
     if delta_diag is None:
-        span = TWO_PI if M.periods[0] else 2 * M._ev.halfwidth
         delta_diag = 10.0 * span / grid_density
-    if M.periods[0] and delta_diag > M.periods[0] / 2:
+    # the largest distance from the diagonal
+    if M.periods[0]:
+        reach, what = span / 2, "half the period"
+    else:
+        reach, what = span, "the box width"
+    if delta_diag > reach:
         raise DomainError(
             f"diagonal band {delta_diag:.6g} at density {grid_density} "
-            f"exceeds half the period {M.periods[0] / 2:.6g} and covers "
-            f"every pair")
+            f"exceeds {what} {reach:.6g} and covers every pair")
     S, T, residuals, keys = scheme(M, grid_density, tol, delta_diag)
     first = _first_of_each_key(keys, S, T)
     pairs = _pair_points(M, S[first], T[first], residuals[first])
@@ -980,7 +997,8 @@ def _branch_from_path(M, lam, path, status):
 
 def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
                       delta_diag: Optional[float] = None,
-                      seed_density: int = 128, tol: float = 1e-12,
+                      seed_density: Optional[int] = None,
+                      tol: float = 1e-12,
                       max_steps: int = 40000) -> List[EquidistantBranch]:
     """Trace the affine lambda-equidistant of M.
 
@@ -989,6 +1007,8 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     mapping each solution through x = lam*a + (1-lam)*b.  Branches either
     close up or terminate at the band.  Non-curve inputs fall back to a
     grid-sampled point cloud (status "cloud") with no branch structure.
+    `seed_density` is the pair-search grid density: 128 for curves when
+    None, and the surface scheme's own default otherwise.
     A lambda that sends a traced point outside the finite floats raises
     NonFiniteEquidistantError, a DomainError.
     """
@@ -996,7 +1016,8 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     if lam in (0.0, 1.0):
         raise ValueError("lambda must avoid 0 and 1; those reproduce M")
     if M.n != 1:
-        pairs = find_parallel_pairs(M, tol=1e-10, delta_diag=delta_diag)
+        pairs = find_parallel_pairs(M, seed_density, tol=1e-10,
+                                    delta_diag=delta_diag)
         with np.errstate(over="ignore", invalid="ignore"):
             samples = [(p, p.lambda_point(lam)) for p in pairs]
         branches = [EquidistantBranch(
@@ -1004,6 +1025,8 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
             sigmas=np.zeros(len(samples)), status="cloud")]
         _check_finite(branches)
         return branches
+    if seed_density is None:
+        seed_density = 128
     if delta_diag is None:
         delta_diag = 10.0 * TWO_PI / seed_density
     seeds = find_parallel_pairs(M, seed_density, tol=1e-10,

@@ -351,9 +351,6 @@ class MapGerm:
             rows.append(row)
         return rows
 
-    def with_order(self, order: int) -> "MapGerm":
-        return MapGerm.from_polys(self.polys(), self.source_dim, order)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 

@@ -2,16 +2,22 @@
 
 The catalogue holds fourteen families (A, D, E for one target dimension;
 C, Ctilde, F, Gstar, H for plane pairs; S, T, Ttilde, U, W, Z for space
-pairs).  Class labels follow a compact grammar: "A3", "D4+", "C2,3-",
-"Ctilde6", "Gstar10", "Ttilde7".  Every mu value is computed from the
-stored normal form by the local algebra engine; subscripts are never
-trusted as codimensions.
+pairs).  One table, `_TABLE`, holds each family's shape: its intrinsic
+variables, its target components, whether the symbol splits into +/-
+variants, its admissible subscripts and whether a row pairs two of them.
+Validation, the label grammar, suspension and the catalogue rows for each
+(k, l) are all read from it.  Class labels follow a compact grammar: "A3",
+"D4+", "C2,3-", "Ctilde6", "Gstar10", "Ttilde7".  Every mu value is
+computed from the stored normal form by the local algebra engine;
+subscripts are never trusted as codimensions.
 
 Recognition matches a rank-0 germ against the catalogue using computed
 invariants only: contact codimension, the Hilbert functions of the ideal
 quotient and of the contact tangent quotient, and the real classification
 of the pencil of quadratic parts (for two-component germs) or of the
-cubic part restricted to the Hessian kernel (for functions).
+cubic part restricted to the Hessian kernel (for functions).  In three
+variables the repeated roots of the pencil's determinant cubic are read
+off its Hessian covariant.
 
 Two normal forms are carried in corrected shape because the printed
 variants fail the catalogue's own finiteness invariant; each carries a
@@ -27,10 +33,11 @@ variants fail the catalogue's own finiteness invariant; each carries a
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .germ_algebra import (
     INFINITE,
@@ -47,9 +54,6 @@ from .germ_algebra import (
     rank0_reduce,
 )
 
-FAMILIES = ("A", "D", "E", "C", "Ctilde", "F", "Gstar", "H",
-            "S", "T", "Ttilde", "U", "W", "Z")
-
 PLUS = "plus"
 MINUS = "minus"
 UNDETERMINED = "undetermined"
@@ -58,16 +62,67 @@ NOT_APPLICABLE = "not_applicable"
 NOT_IN_TABLES = "NOT_IN_TABLES"
 MU_EXCEEDS_Q = "MU_EXCEEDS_Q"
 
-# families whose symbol itself carries a +/- variant in the tables;
-# elsewhere a +/- inside the formula does not split the symbol
-_SIGNED_FAMILIES = {"D", "C", "H"}
 
-# families with a one-component target
-_FUNCTION_FAMILIES = {"A", "D", "E"}
+@dataclass(frozen=True)
+class _Family:
+    """The shape of one catalogue family.  `subscripts` lists the admissible
+    (first) subscripts in increasing order; a `paired` family's rows carry
+    a second subscript l >= k.  A `signed` symbol has +/- variants in the
+    tables; elsewhere a +/- inside the formula does not split the symbol."""
 
-_INTRINSIC = {"A": 1, "D": 2, "E": 2,
-              "C": 2, "Ctilde": 2, "F": 2, "Gstar": 2, "H": 2,
-              "S": 3, "T": 3, "Ttilde": 3, "U": 3, "W": 3, "Z": 3}
+    intrinsic: int
+    components: int
+    subscripts: Sequence[int]
+    signed: bool = False
+    paired: bool = False
+
+    def admits(self, k: int) -> bool:
+        """Whether the normal form lives in k variables: function germs
+        suspend by adding squares, pair germs do not."""
+        return k == self.intrinsic or (self.components == 1
+                                       and k > self.intrinsic)
+
+    def has(self, params: Tuple[int, ...]) -> bool:
+        """Whether params name a row of this family."""
+        if self.paired:
+            return (len(params) == 2 and params[0] in self.subscripts
+                    and params[1] >= params[0])
+        return len(params) == 1 and params[0] in self.subscripts
+
+    def rows(self, bound: int) -> List[Tuple[int, ...]]:
+        """Parameter tuples in table order whose subscripts sum to at most
+        bound."""
+        out = []
+        for k in self.subscripts:
+            if k > bound:
+                break
+            if self.paired:
+                out.extend((k, l) for l in range(k, bound - k + 1))
+            else:
+                out.append((k,))
+        return out
+
+
+# open-ended subscripts are ranges, so a membership test stays O(1)
+_OPEN = sys.maxsize
+_TABLE = {
+    "A": _Family(1, 1, range(1, _OPEN)),
+    "D": _Family(2, 1, range(4, _OPEN), signed=True),
+    "E": _Family(2, 1, (6, 7, 8)),
+    "C": _Family(2, 2, range(2, _OPEN), signed=True, paired=True),
+    "Ctilde": _Family(2, 2, range(6, _OPEN, 2)),
+    "F": _Family(2, 2, range(7, _OPEN)),
+    "Gstar": _Family(2, 2, (10,)),
+    "H": _Family(2, 2, range(9, _OPEN), signed=True),
+    "S": _Family(3, 2, range(5, _OPEN)),
+    "T": _Family(3, 2, (7, 8, 9)),
+    "Ttilde": _Family(3, 2, (7,)),
+    "U": _Family(3, 2, (7, 8, 9)),
+    "W": _Family(3, 2, (8, 9)),
+    "Z": _Family(3, 2, (9, 10)),
+}
+
+FAMILIES = tuple(_TABLE)
 
 # printed symbols that the enumeration lists differently from the grammar
 PRINTED_AS = {"Ctilde6": "C6", "Ctilde8": "C8", "Ctilde10": "C10", "Ctilde12": "C12"}
@@ -101,41 +156,6 @@ class UnrecognizedGermError(ValueError):
     code = "UNRECOGNIZED"
 
 
-def _validate_params(family: str, params: Tuple[int, ...]) -> None:
-    if family == "A":
-        ok = len(params) == 1 and params[0] >= 1
-    elif family == "D":
-        ok = len(params) == 1 and params[0] >= 4
-    elif family == "E":
-        ok = len(params) == 1 and params[0] in (6, 7, 8)
-    elif family == "C":
-        ok = len(params) == 2 and params[1] >= params[0] >= 2
-    elif family == "Ctilde":
-        ok = len(params) == 1 and params[0] >= 6 and params[0] % 2 == 0
-    elif family == "F":
-        ok = len(params) == 1 and params[0] >= 7
-    elif family == "Gstar":
-        ok = params == (10,)
-    elif family == "H":
-        ok = len(params) == 1 and params[0] >= 9
-    elif family == "S":
-        ok = len(params) == 1 and params[0] >= 5
-    elif family == "T":
-        ok = len(params) == 1 and params[0] in (7, 8, 9)
-    elif family == "Ttilde":
-        ok = params == (7,)
-    elif family == "U":
-        ok = len(params) == 1 and params[0] in (7, 8, 9)
-    elif family == "W":
-        ok = len(params) == 1 and params[0] in (8, 9)
-    elif family == "Z":
-        ok = len(params) == 1 and params[0] in (9, 10)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    if not ok:
-        raise ValueError(f"no catalogue row {family}{params}")
-
-
 @dataclass(frozen=True)
 class GermClass:
     """One row of the catalogue, identified by (family, params, sign)."""
@@ -146,8 +166,12 @@ class GermClass:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        _validate_params(self.family, self.params)
-        if self.family in _SIGNED_FAMILIES:
+        fam = _TABLE.get(self.family)
+        if fam is None:
+            raise ValueError(f"unknown family {self.family!r}")
+        if not fam.has(self.params):
+            raise ValueError(f"no catalogue row {self.family}{self.params}")
+        if fam.signed:
             allowed = (PLUS, MINUS, UNDETERMINED)
         else:
             allowed = (NOT_APPLICABLE,)
@@ -158,11 +182,11 @@ class GermClass:
 
     @property
     def intrinsic_source(self) -> int:
-        return _INTRINSIC[self.family]
+        return _TABLE[self.family].intrinsic
 
     @property
     def target_dim(self) -> int:
-        return 1 if self.family in _FUNCTION_FAMILIES else 2
+        return _TABLE[self.family].components
 
     @property
     def mu(self) -> Union[int, str]:
@@ -181,8 +205,14 @@ class GermClass:
         return self.label
 
 
+def _symbol(family: str, params: Tuple[int, ...]) -> GermClass:
+    """The class of a symbol whose +/- variant is left open."""
+    sign = UNDETERMINED if _TABLE[family].signed else NOT_APPLICABLE
+    return GermClass(family, params, sign)
+
+
 _LABEL_RE = re.compile(
-    r"^(A|D|E|Ctilde|C|F|Gstar|H|S|Ttilde|T|U|W|Z)(\d+)(?:,(\d+))?([+-])?$"
+    "^(" + "|".join(FAMILIES) + r")(\d+)(?:,(\d+))?([+-])?$"
 )
 
 
@@ -194,10 +224,8 @@ def parse_label(text: str) -> GermClass:
     family, p1, p2, signmark = m.groups()
     params = (int(p1),) if p2 is None else (int(p1), int(p2))
     if signmark is None:
-        sign = UNDETERMINED if family in _SIGNED_FAMILIES else NOT_APPLICABLE
-    else:
-        sign = PLUS if signmark == "+" else MINUS
-    return GermClass(family, params, sign)
+        return _symbol(family, params)
+    return GermClass(family, params, PLUS if signmark == "+" else MINUS)
 
 
 # ------------------------------------------------------------- normal forms
@@ -285,12 +313,10 @@ def normal_form(cls: GermClass, k: int) -> MapGerm:
     """The table polynomial in k source variables, quadratically padded
     in the extra variables when the target is one-dimensional."""
     i = cls.intrinsic_source
-    if k < i:
-        raise ValueError(f"{cls.label} needs at least {i} variables, got {k}")
-    if cls.target_dim == 2 and k != i:
+    if not _TABLE[cls.family].admits(k):
         raise ValueError(
-            f"{cls.label} admits no suspension: rank-0 pair germs exist "
-            f"only in {i} variables, got {k}"
+            f"{cls.label} has no rank-0 normal form in {k} variables: it "
+            f"needs {i}, and only function germs suspend to more"
         )
     polys = _table_polys(cls.family, cls.params, cls.sign)
     if k == i:
@@ -303,20 +329,15 @@ def normal_form(cls: GermClass, k: int) -> MapGerm:
     return MapGerm.from_polys([padded], k)
 
 
-_MU_CACHE: Dict[Tuple[str, Tuple[int, ...], str], Union[int, str]] = {}
-
-
+@lru_cache(maxsize=None)
 def _computed_mu(family: str, params: Tuple[int, ...], sign: str):
-    key = (family, params, sign)
-    if key not in _MU_CACHE:
-        cls = GermClass(family, params, sign)
-        _MU_CACHE[key] = ke_codimension(normal_form(cls, cls.intrinsic_source))
-    return _MU_CACHE[key]
+    cls = GermClass(family, params, sign)
+    return ke_codimension(normal_form(cls, cls.intrinsic_source))
 
 
 def clear_mu_cache() -> None:
     """Drop all memoized codimensions; they recompute on demand."""
-    _MU_CACHE.clear()
+    _computed_mu.cache_clear()
 
 
 # --------------------------------------------------------------- catalogue
@@ -330,56 +351,19 @@ class CatalogueRow(list):
         self.reason = reason
 
 
-def _signed_pair(family, params):
-    return [GermClass(family, params, PLUS), GermClass(family, params, MINUS)]
-
-
 def catalogue(k: int, l: int, mu_max: int) -> CatalogueRow:
     """All catalogue classes realizable as rank-0 germs of k variables
     into l, with computed codimension at most mu_max."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be positive")
-    entries: List[GermClass] = []
-    if l == 1:
-        for mu in range(1, mu_max + 1):
-            entries.append(GermClass("A", (mu,)))
-        if k >= 2:
-            for mu in range(4, mu_max + 1):
-                entries.extend(_signed_pair("D", (mu,)))
-            for mu in (6, 7, 8):
-                if mu <= mu_max:
-                    entries.append(GermClass("E", (mu,)))
-    elif l == 2 and k == 2:
-        for ksub in range(2, mu_max + 1):
-            for lsub in range(ksub, mu_max - ksub + 1):
-                entries.extend(_signed_pair("C", (ksub, lsub)))
-        for mu in range(6, mu_max + 1, 2):
-            entries.append(GermClass("Ctilde", (mu,)))
-        for mu in range(7, mu_max + 1):
-            entries.append(GermClass("F", (mu,)))
-        if mu_max >= 10:
-            entries.append(GermClass("Gstar", (10,)))
-        for mu in range(9, mu_max + 1):
-            entries.extend(_signed_pair("H", (mu,)))
-    elif l == 2 and k == 3:
-        for mu in range(5, mu_max + 1):
-            entries.append(GermClass("S", (mu,)))
-        for mu in (7, 8, 9):
-            if mu <= mu_max:
-                entries.append(GermClass("T", (mu,)))
-        if mu_max >= 7:
-            entries.append(GermClass("Ttilde", (7,)))
-        for mu in (7, 8, 9):
-            if mu <= mu_max:
-                entries.append(GermClass("U", (mu,)))
-        for mu in (8, 9):
-            if mu <= mu_max:
-                entries.append(GermClass("W", (mu,)))
-        for mu in (9, 10):
-            if mu <= mu_max:
-                entries.append(GermClass("Z", (mu,)))
-    else:
+    families = [(name, fam) for name, fam in _TABLE.items()
+                if fam.components == l and fam.admits(k)]
+    if not families:
         return CatalogueRow((), NOT_IN_TABLES)
+    entries = [GermClass(name, params, sign)
+               for name, fam in families
+               for params in fam.rows(mu_max)
+               for sign in ((PLUS, MINUS) if fam.signed else (NOT_APPLICABLE,))]
     kept = [c for c in entries if c.mu != INFINITE and c.mu <= mu_max]
     if not kept:
         return CatalogueRow((), MU_EXCEEDS_Q)
@@ -594,84 +578,28 @@ def _binary_cubic_discriminant(c):
             + 18 * a0 * a1 * a2 * a3 - 27 * a0 * a0 * a3 * a3)
 
 
-def _poly_gcd(p, q):
-    """Monic gcd of two univariate Fraction coefficient lists (low-first)."""
-    def deg(u):
-        d = len(u) - 1
-        while d >= 0 and u[d] == 0:
-            d -= 1
-        return d
-
-    def rem(u, v):
-        u = u[:]
-        du, dv = deg(u), deg(v)
-        while du >= dv >= 0:
-            f = u[du] / v[dv]
-            for i in range(dv + 1):
-                u[du - dv + i] -= f * v[i]
-            du = deg(u)
-        return u
-
-    a, b = p[:], q[:]
-    while deg(b) >= 0:
-        a, b = b, rem(a, b)
-    d = deg(a)
-    if d < 0:
-        return [Fraction(0)]
-    lead = a[d]
-    return [x / lead for x in a[: d + 1]]
-
-
 def _cubic_root_structure(c):
-    """('simple',) | ('double', root_dir, other_dir) | ('triple', root_dir)
-    for a nonzero binary cubic; directions are (a, b) Fraction pairs."""
+    """('simple', None, None) | ('double', root_dir, other_dir) |
+    ('triple', root_dir, None) for a nonzero binary cubic with coefficients
+    c of a^3..b^3; directions are (a, b) pairs.
+
+    Repeated roots are read off the Hessian covariant H/4 = A a^2 + B ab
+    + C b^2: it vanishes identically exactly at a triple root, and at a
+    double root it is a multiple of the square of that root's linear form."""
     if _binary_cubic_discriminant(c) != 0:
         return ("simple", None, None)
-    # shear b -> b + t*a until the a^3 coefficient is nonzero, so every
-    # root is finite in the dehomogenized variable
-    for t in (0, 1, -1, 2, -2, 3):
-        lead = c[0] + c[1] * t + c[2] * t * t + c[3] * t ** 3
-        if lead != 0:
-            break
-    else:
-        raise ArithmeticError("degenerate cubic")
-    t = Fraction(t)
-    # coefficients of g(x) = det cubic at (a,b) = (x, 1+t*x), low-first
-    def ev(x):
-        a, b = x, 1 + t * x
-        return (c[0] * a ** 3 + c[1] * a * a * b + c[2] * a * b * b
-                + c[3] * b ** 3)
-    g0 = ev(Fraction(0))
-    g1 = ev(Fraction(1))
-    gm1 = ev(Fraction(-1))
-    g2 = ev(Fraction(2))
-    # interpolate g(x) = a0 + a1*x + a2*x^2 + a3*x^3 from four values
-    a0 = g0
-    a2 = (g1 + gm1) / 2 - a0
-    a3 = (g2 - a0 - 2 * ((g1 - gm1) / 2) - 4 * a2) / 6
-    a1 = (g1 - gm1) / 2 - a3
-    coeffs = [a0, a1, a2, a3]
-    deriv = [a1, 2 * a2, 3 * a3]
-    gcd = _poly_gcd(coeffs, deriv)
-    if len(gcd) == 3:
-        x0 = -gcd[1] / (2 * gcd[2])
-        return ("triple", (x0, 1 + t * x0), None)
-    if len(gcd) == 2:
-        x0 = -gcd[0] / gcd[1]
-        # deflate twice by (x - x0) to find the remaining simple root
-        rest = coeffs[:]
-        for _ in range(2):
-            out = [Fraction(0)] * (len(rest) - 1)
-            acc = Fraction(0)
-            for i in range(len(rest) - 1, 0, -1):
-                acc = rest[i] + acc * x0
-                out[i - 1] = acc
-            rest = out
-        if len(rest) == 2 and rest[1] != 0:
-            x1 = -rest[0] / rest[1]
-            return ("double", (x0, 1 + t * x0), (x1, 1 + t * x1))
-        return ("double", (x0, 1 + t * x0), None)
-    return ("simple", None, None)
+    c0, c1, c2, c3 = c
+    A = 3 * c0 * c2 - c1 * c1
+    B = 9 * c0 * c3 - c1 * c2
+    C = 3 * c1 * c3 - c2 * c2
+    if A == B == C == 0:
+        return ("triple", (-c1, 3 * c0) if c0 else (1, 0), None)
+    if A == 0:
+        return ("double", (1, 0), (-c3, c2))
+    x0 = Fraction(-B, 2 * A)
+    # the roots a/b sum to -c1/c0 when (1, 0) is not one of them
+    other = (Fraction(-c1, c0) - 2 * x0, 1) if c0 else (1, 0)
+    return ("double", (x0, 1), other)
 
 
 def _pencil_profile(f: MapGerm) -> str:
@@ -713,10 +641,8 @@ def _pencil_profile(f: MapGerm) -> str:
         member = _member_kind(_member(q1, q2, root[0], root[1]))
         if kind == "triple":
             return f"cub:triple:{member}"
-        tag = f"cub:dbl:{member}"
-        if other is not None:
-            tag += ":" + _member_kind(_member(q1, q2, other[0], other[1]))
-        return tag
+        return (f"cub:dbl:{member}:"
+                + _member_kind(_member(q1, q2, other[0], other[1])))
     return f"s{s}"
 
 
@@ -751,7 +677,7 @@ def _candidate_signatures(family: str, params: Tuple[int, ...], sign: str):
     signs = (sign,) if sign in (PLUS, MINUS) else (PLUS, MINUS)
     return tuple(
         _signature(MapGerm.from_polys(_table_polys(family, params, s),
-                                      _INTRINSIC[family]))
+                                      _TABLE[family].intrinsic))
         for s in signs)
 
 
@@ -812,7 +738,8 @@ def recognize(f: MapGerm) -> GermClass:
                 "outside the catalogue"
             )
         for cls in catalogue(2, 1, mu):
-            if cls.family == "A" or cls.mu != mu:
+            # a function normal form's Hessian corank is its variable count
+            if cls.intrinsic_source != hessian_corank or cls.mu != mu:
                 continue
             for sig in _candidate_signatures(cls.family, cls.params, cls.sign):
                 if sig[0] == keh:
@@ -820,9 +747,7 @@ def recognize(f: MapGerm) -> GermClass:
                         disc = _binary_cubic_discriminant(_restricted_cubic(f))
                         sign = MINUS if disc > 0 else PLUS
                         return GermClass("D", (4,), sign)
-                    if cls.family in _SIGNED_FAMILIES:
-                        return GermClass(cls.family, cls.params, UNDETERMINED)
-                    return GermClass(cls.family, cls.params)
+                    return _symbol(cls.family, cls.params)
         raise UnrecognizedGermError(
             f"no one-component catalogue signature matches (mu={mu})"
         )
@@ -853,9 +778,7 @@ def recognize(f: MapGerm) -> GermClass:
             )
         if len(matches) == 1:
             return matches[0]
-        family, params = matches[0].family, matches[0].params
-        sign = UNDETERMINED if family in _SIGNED_FAMILIES else NOT_APPLICABLE
-        return GermClass(family, params, sign)
+        return _symbol(matches[0].family, matches[0].params)
     raise UnrecognizedGermError(
         f"rank-0 germs with {t} components are outside the catalogue"
     )

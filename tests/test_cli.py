@@ -508,6 +508,58 @@ def test_trace_of_a_graph_without_a_finite_positive_halfwidth_is_a_parse_error(t
     assert_one_line_failure(proc, 2, "INPUT_PARSE")
 
 
+def _sampled_circle_with_a_nan(m=16):
+    grid = [[math.cos(2 * math.pi * i / m), math.sin(2 * math.pi * i / m)]
+            for i in range(m)]
+    grid[3][1] = math.nan
+    return {"kind": "samples", "n": 1, "q": 2, "grid": grid}
+
+
+def _graph_with_coeff(value):
+    payload = graph_surface([{(2, 0): 1.0}, {(1, 1): 1.0}]).to_dict()
+    payload["components"][0][0]["coeff"] = value
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "ellipse", "a": math.nan, "b": 1.0},
+    {"kind": "ellipse", "a": math.inf, "b": 1.0},
+    {"kind": "fourier_oval", "a": [0.0, 0.0, math.nan], "b": []},
+    {"kind": "fourier_oval", "a": [0.0, 0.0, math.inf], "b": []},
+    _sampled_circle_with_a_nan(),
+    {"kind": "torus", "R": math.inf, "r": 0.5},
+    {"kind": "torus", "R": math.nan, "r": 0.5},
+    _graph_with_coeff(math.nan),
+], ids=["ellipse-nan", "ellipse-inf", "oval-nan", "oval-inf", "samples-nan",
+        "torus-inf", "torus-nan", "graph-nan"])
+def test_trace_of_a_manifold_with_a_non_finite_value_is_a_parse_error(tmp_path, payload):
+    # json writes and reads NaN and Infinity
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps(payload))
+    proc = run_subprocess("trace", "--input", str(path), "--lambda", "1/2",
+                          "--out", str(tmp_path / "o"))
+    assert_one_line_failure(proc, 2, "INPUT_PARSE")
+    assert "finite" in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("payload, density", [
+    ({"kind": "torus", "R": 2.0, "r": 0.5}, "1"),
+    (graph_surface([{(2, 0): 1.0}, {(1, 1): 1.0}]).to_dict(), "1"),
+    (graph_surface([{(2, 0): 1.0}, {(1, 1): 1.0}]).to_dict(), "5"),
+], ids=["torus-1", "graph-1", "graph-5"])
+def test_trace_seed_density_reaches_the_surface_pair_search(tmp_path, payload, density):
+    # the torus band 10 * 2pi / 1 covers every pair, a graph grid of one
+    # node has no interval to bracket a root, and the graph band
+    # 10 * 2 / 5 is wider than the box [-1, 1]^2
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(payload))
+    proc = run_subprocess("trace", "--input", str(path), "--lambda", "1/2",
+                          "--out", str(tmp_path / "o"), "--seed-density", density)
+    assert_one_line_failure(proc, 3, "DOMAIN")
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("lam, golden", [("1/2", "oval_lambda_0_5.csv"),
                                          ("3/10", "oval_lambda_0_3.csv")])
 def test_trace_reproduces_the_golden_oval_csv(capsys, tmp_path, lam, golden):

@@ -357,6 +357,22 @@ def test_a_diagonal_band_covering_every_pair_is_a_domain_error(M, density):
         find_parallel_pairs(M, 64, delta_diag=3.2)
 
 
+@pytest.mark.parametrize("density", [1, 0])
+def test_a_graph_grid_without_an_interval_is_a_domain_error(density):
+    M = graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}])
+    with pytest.raises(DomainError, match=f"grid density {density}"):
+        find_parallel_pairs(M, density)
+
+
+def test_a_graph_band_wider_than_the_box_is_a_domain_error():
+    # the default band 10 * 2 * halfwidth / density is wider than the box
+    # below density 10, so no pair could survive it
+    M = graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}])
+    with pytest.raises(DomainError, match="at density 9 exceeds the box"):
+        find_parallel_pairs(M, 9)
+    assert find_parallel_pairs(M, 10)
+
+
 def test_parallelism_degrees_on_circle():
     C = ellipse(1.0, 1.0)
     assert parallelism(C, 0.4, 0.4 + math.pi) == (1, 1)

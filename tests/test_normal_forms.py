@@ -7,9 +7,12 @@ codimension exactly 7 yet is absent from every published result row).
 """
 
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import equidistants.normal_forms as nf
 from engine_oracle import both_engines
@@ -252,6 +255,42 @@ def test_catalogue_respects_bound_and_source():
     for cls in row:
         assert cls.mu <= 8
         assert cls.intrinsic_source <= 2
+
+
+def _c_rows(bound):
+    return [f"C{k},{l}{sign}" for k in range(2, bound + 1)
+            for l in range(k, bound - k + 1) for sign in "+-"]
+
+
+FUNCTION_ROW_14 = ([f"A{mu}" for mu in range(1, 15)]
+                   + [f"D{mu}{sign}" for mu in range(4, 15) for sign in "+-"]
+                   + ["E6", "E7", "E8"])
+
+
+@pytest.mark.parametrize("k, l, expected", [
+    (1, 1, [f"A{mu}" for mu in range(1, 15)]),
+    (2, 1, FUNCTION_ROW_14),
+    (3, 1, FUNCTION_ROW_14),
+    (2, 2, _c_rows(14) + ["Ctilde6", "Ctilde8", "Ctilde10", "Ctilde12",
+                          "Ctilde14"]
+     + [f"F{mu}" for mu in range(7, 15)] + ["Gstar10"]
+     + [f"H{mu}{sign}" for mu in range(9, 15) for sign in "+-"]),
+    (3, 2, [f"S{mu}" for mu in range(5, 15)]
+     + ["T7", "T8", "T9", "Ttilde7", "U7", "U8", "U9", "W8", "W9", "Z9",
+        "Z10"]),
+])
+def test_catalogue_rows_in_table_order(k, l, expected):
+    # order matters: recognize returns the first one-component match
+    row = catalogue(k, l, 14)
+    assert labels(row) == expected and row.reason is None
+
+
+def test_huge_subscripts_validate_without_enumerating_rows():
+    start = time.perf_counter()
+    assert GermClass("A", (10**9,)).label == "A1000000000"
+    assert parse_label("A1000000000") == GermClass("A", (10**9,))
+    assert parse_label("C1000000000,1000000001-").sign == MINUS
+    assert time.perf_counter() - start < 1.0
 
 
 # --------------------------------------------------------- nice dimensions
@@ -596,3 +635,47 @@ def test_eih_depth_is_the_least_depth_separating_the_catalogue():
     labels = {tuple(sorted(family + str(params[0])
                            for family, params in pair)) for pair in needed}
     assert labels == {("F9", "H9"), ("F10", "H10")}
+
+
+SYM_A, SYM_B = sympy.symbols("a b")
+
+
+def _linear_form_product(rng, multiplicity):
+    """sympy Poly of a product of three integer linear forms in a, b whose
+    first form is repeated `multiplicity` times."""
+    def form():
+        while True:
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            if p or q:
+                return sympy.Poly(p * SYM_A + q * SYM_B, SYM_A, SYM_B)
+
+    first = form()
+    return sympy.prod([first] * multiplicity
+                      + [form() for _ in range(3 - multiplicity)])
+
+
+def test_cubic_root_structure_matches_sympy_factorization():
+    # square-free decomposition gives the largest multiplicity of a linear
+    # factor, the same as factor_list for a product of linear forms
+    def at(g, direction):
+        return g.eval({SYM_A: direction[0], SYM_B: direction[1]})
+
+    rng = random.Random(20131)
+    for n in range(3000):
+        f = _linear_form_product(rng, (1, 2, 3)[n % 3])
+        c = [Fraction(int(f.coeff_monomial(SYM_A ** (3 - i) * SYM_B ** i)))
+             for i in range(4)]
+        multiplicity = max(m for _, m in f.sqf_list()[1])
+        kind, root, other = nf._cubic_root_structure(c)
+        assert kind == {1: "simple", 2: "double", 3: "triple"}[multiplicity]
+        if kind == "simple":
+            assert root is None and other is None
+            continue
+        grad = [f.diff(SYM_A), f.diff(SYM_B)]
+        if kind == "double":
+            assert at(f, root) == 0 and all(at(g, root) == 0 for g in grad)
+            assert at(f, other) == 0 and any(at(g, other) != 0 for g in grad)
+        else:
+            assert other is None and any(root)
+            assert all(at(g.diff(x), root) == 0
+                       for g in grad for x in (SYM_A, SYM_B))
