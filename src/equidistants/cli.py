@@ -12,31 +12,36 @@ Subcommands bind the exact and numerical engines to files and stdout:
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 mathematical
 error.  Every non-zero exit writes one machine-readable line to stderr whose
 first token names the failure (USAGE, INPUT_PARSE, NOT_NICE_DIMENSIONS,
-DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED, REGULAR).
+DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED, REGULAR).  Each engine
+error carries its own code, the CLI raises USAGE and INPUT_PARSE itself, and
+``main`` alone writes the line, so any other exception is a bug.
 
 Lambda values are exact rational strings ("1/2", "3") for the algebra
-commands; ``trace`` also accepts decimals since its engine is numerical,
-but not ``nan`` or ``inf`` (USAGE); its ``--step`` must be finite and
-positive and its ``--seed-density`` at least 1 (USAGE otherwise).  The
-seed density defaults to 128 for curves and to the pair scheme's own
-density for surfaces; an explicit one applies to both.
-``trace`` reports DOMAIN when lambda sends a traced point outside the
-finite floats, when no pair-location scheme exists for the manifold's
-(n, q) and domain (a surface in R^3 needs two 2pi-periodic parameters,
-one in R^4 must be a graph_surface), when the manifold is not immersed,
-or when the seed density is so low that the diagonal band covers every
-pair (below 20 on a curve or a torus, below 10 on a graph_surface).  A manifold with a NaN or
-infinite parameter, coefficient or grid value, a graph_surface whose
-halfwidth is not positive, and a germ file with a negative order or a
-dimension below 1, are INPUT_PARSE.  ``classify`` and ``contact`` report
-INFINITE only for infinite Ke-codimension and any other arithmetic
-failure of the recognizer as UNRECOGNIZED.
+commands; ``trace`` also accepts decimals, but not ``nan`` or ``inf``
+(USAGE); its ``--step`` must be finite and positive and its
+``--seed-density`` at least 1 (USAGE otherwise).  The seed density defaults
+to 128 for curves and to the pair scheme's own density for surfaces; an
+explicit one applies to both.  Lambda 0 or 1 is DEGENERATE_LAMBDA.
+``trace`` reports DOMAIN, and writes no file, when lambda sends a traced
+point outside the finite floats, when no pair-location scheme exists for the
+manifold's (n, q) and domain (a surface in R^3 needs two 2pi-periodic
+parameters, one in R^4 must be a graph_surface), when the manifold is not
+immersed, when the seed density is so low that the diagonal band covers
+every pair (below 20 on a curve or a torus, below 10 on a graph_surface),
+when no pair off the band is left to draw, or on a floating-point overflow,
+division by zero or invalid operation.  A NaN or infinite manifold
+parameter, coefficient or grid value, a number that overflows to infinity
+anywhere in an input file, a graph_surface whose exponent is not two
+non-negative integers or whose halfwidth is not positive, and a germ with a
+negative order or a dimension below 1 are INPUT_PARSE.  ``classify``,
+``contact`` and ``mu`` report INFINITE only for infinite Ke-codimension and
+any other arithmetic failure as UNRECOGNIZED.
 
 ``ringdims --order`` is the truncation cap of the three local rings and
 must be at least 1 (USAGE otherwise).  A ring whose ideal has fewer
 nonzero generators than variables is INFINITE by Krull's height theorem;
 its Hilbert function is listed through the cap.  Any other INFINITE ring
-lists it through the cap + 2, where the truncation ladder ends.
+lists it through the cap + 2.
 """
 
 from __future__ import annotations
@@ -48,8 +53,11 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+import numpy as np
+
 from .contact_lab import (
-    GraphPair,
+    DegenerateLambdaError,
+    TransversalContactError,
     graphpair_from_json,
     lambda_contact_from_pair,
     local_ring_dims,
@@ -94,25 +102,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fail(code: str, detail: str, exit_code: int) -> int:
-    sys.stderr.write("{} {}\n".format(code, detail))
-    return exit_code
+class _Failure(Exception):
+    """A failure the CLI detects itself: its code, detail and exit status."""
+
+    def __init__(self, code: str, detail: str, status: int):
+        super().__init__(detail)
+        self.code, self.status = code, status
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _usage(ok: bool, detail: str) -> None:
+    if not ok:
+        raise _Failure("USAGE", detail, EXIT_USAGE)
+
+
+def _read(path: str, parse):
+    """parse(text of the file at path); unreadable or invalid is INPUT_PARSE."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise _Failure("INPUT_PARSE", "cannot read {}: {}".format(path, exc), EXIT_INPUT)
+    except ValueError as exc:
+        raise _Failure("INPUT_PARSE", str(exc), EXIT_INPUT)
 
 
 def _parse_lambda_exact(text: str) -> Fraction:
     """Parse an exact rational lambda ("1/2", "-3/4", "2")."""
     body = text.strip()
-    if "." in body or "e" in body.lower():
-        raise ValueError("lambda must be an exact rational such as 1/2")
     try:
         lam = Fraction(body)
     except (ValueError, ZeroDivisionError):
-        raise ValueError("lambda must be an exact rational such as 1/2")
+        lam = None
+    _usage(lam is not None and "." not in body and "e" not in body.lower(),
+           "lambda must be an exact rational such as 1/2")
     return lam
 
 
@@ -120,14 +142,10 @@ def _parse_lambda_numeric(text: str) -> float:
     """Parse a finite lambda as a rational string or a decimal (trace only)."""
     body = text.strip()
     try:
-        lam = float(Fraction(body))
+        lam = float(Fraction(body)) if "/" in body else float(body)
     except (ValueError, ZeroDivisionError, OverflowError):
-        try:
-            lam = float(body)
-        except ValueError:
-            raise ValueError("lambda must be a rational or decimal number")
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
+        raise _Failure("USAGE", "lambda must be a rational or decimal number", EXIT_USAGE)
+    _usage(math.isfinite(lam), "lambda must be finite")
     return lam
 
 
@@ -153,12 +171,7 @@ def _class_dict(cls) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        listing = stable_singularities(args.n, args.q)
-    except NotNiceDimensionsError as exc:
-        return _fail("NOT_NICE_DIMENSIONS", str(exc), EXIT_MATH)
-    except DomainError as exc:
-        return _fail("DOMAIN", str(exc), EXIT_MATH)
+    listing = stable_singularities(args.n, args.q)
     if args.json:
         print(listing.to_json())
         return EXIT_OK
@@ -171,31 +184,19 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    try:
-        lam = _parse_lambda_numeric(args.lam)
-    except ValueError as exc:
-        return _fail("USAGE", str(exc), EXIT_USAGE)
-    if not (math.isfinite(args.step) and args.step > 0):
-        return _fail("USAGE", "--step must be finite and positive", EXIT_USAGE)
-    if args.seed_density is not None and args.seed_density < 1:
-        return _fail("USAGE", "--seed-density must be at least 1", EXIT_USAGE)
-    try:
-        payload = _read_text(args.input)
-    except OSError as exc:
-        return _fail("INPUT_PARSE", "cannot read {}: {}".format(args.input, exc), EXIT_INPUT)
-    try:
-        manifold = manifold_from_json(payload)
-    except ValueError as exc:
-        return _fail("INPUT_PARSE", str(exc), EXIT_INPUT)
-    try:
+    lam = _parse_lambda_numeric(args.lam)
+    _usage(math.isfinite(args.step) and args.step > 0, "--step must be finite and positive")
+    _usage(args.seed_density is None or args.seed_density >= 1,
+           "--seed-density must be at least 1")
+    manifold = _read(args.input, manifold_from_json)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         branches = trace_equidistant(
             manifold, lam, step=args.step, seed_density=args.seed_density
         )
-    except DomainError as exc:
-        return _fail("DOMAIN", str(exc), EXIT_MATH)
-    except ValueError as exc:
-        return _fail("DEGENERATE_LAMBDA", str(exc), EXIT_MATH)
-    branches = [detect_singularities(b) for b in branches]
+        if not any(len(b) for b in branches):
+            raise _Failure("DOMAIN", "no weakly parallel pair off the diagonal band "
+                           "to trace", EXIT_MATH)
+        branches = [detect_singularities(b) for b in branches]
     csv_path = args.out + ".csv"
     svg_path = args.out + ".svg"
     write_branches_csv(branches, csv_path)
@@ -232,27 +233,8 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _load_germ(path: str):
-    try:
-        payload = _read_text(path)
-    except OSError as exc:
-        return None, _fail("INPUT_PARSE", "cannot read {}: {}".format(path, exc), EXIT_INPUT)
-    try:
-        return mapgerm_from_json(payload), None
-    except ValueError as exc:
-        return None, _fail("INPUT_PARSE", str(exc), EXIT_INPUT)
-
-
 def _cmd_classify(args) -> int:
-    germ, err = _load_germ(args.germ)
-    if err is not None:
-        return err
-    try:
-        cls = recognize(germ)
-    except InfiniteCodimensionError:
-        return _fail(INFINITE, "germ has infinite Ke-codimension", EXIT_MATH)
-    except (ArithmeticError, UnrecognizedGermError) as exc:
-        return _fail("UNRECOGNIZED", str(exc), EXIT_MATH)
+    cls = recognize(_read(args.germ, mapgerm_from_json))
     if args.json:
         print(json.dumps(_class_dict(cls), indent=2, sort_keys=True))
     else:
@@ -261,45 +243,19 @@ def _cmd_classify(args) -> int:
 
 
 def _load_pair(args):
-    try:
-        payload = _read_text(args.input)
-    except OSError as exc:
-        return None, None, _fail(
-            "INPUT_PARSE", "cannot read {}: {}".format(args.input, exc), EXIT_INPUT
-        )
-    try:
-        pair = graphpair_from_json(payload)
-    except ValueError as exc:
-        return None, None, _fail("INPUT_PARSE", str(exc), EXIT_INPUT)
-    lam = None
-    if args.lam is not None:
-        try:
-            lam = _parse_lambda_exact(args.lam)
-        except ValueError as exc:
-            return None, None, _fail("USAGE", str(exc), EXIT_USAGE)
-    if lam is None and pair.lam is None:
-        return None, None, _fail(
-            "USAGE", "no lambda: pass --lambda or store one in the pair", EXIT_USAGE
-        )
-    if lam in (0, 1) or (lam is None and pair.lam in (0, 1)):
-        return None, None, _fail(
-            "DEGENERATE_LAMBDA", "lambda 0 and 1 have no reflection", EXIT_MATH
-        )
-    return pair, lam, None
+    """The graph pair and the --lambda that overrides its own, if given."""
+    pair = _read(args.input, graphpair_from_json)
+    lam = None if args.lam is None else _parse_lambda_exact(args.lam)
+    _usage(lam is not None or pair.lam is not None,
+           "no lambda: pass --lambda or store one in the pair")
+    return pair, lam
 
 
 def _cmd_contact(args) -> int:
-    pair, lam, err = _load_pair(args)
-    if err is not None:
-        return err
+    pair, lam = _load_pair(args)
     kappa = lambda_contact_from_pair(pair, lam)
     theta = reduce_to_theta(kappa, pair.n, pair.q)
-    try:
-        cls = recognize(kappa)
-    except InfiniteCodimensionError:
-        return _fail(INFINITE, "contact germ has infinite Ke-codimension", EXIT_MATH)
-    except (ArithmeticError, UnrecognizedGermError) as exc:
-        return _fail("UNRECOGNIZED", str(exc), EXIT_MATH)
+    cls = recognize(kappa)
     if args.json:
         blob = {
             "kappa": mapgerm_to_dict(kappa),
@@ -318,15 +274,10 @@ def _cmd_contact(args) -> int:
 
 
 def _cmd_ringdims(args) -> int:
-    pair, lam, err = _load_pair(args)
-    if err is not None:
-        return err
-    try:
-        dims = local_ring_dims(pair, lam, order=args.order)
-    except ValueError as exc:
-        if "transversal" in str(exc):
-            return _fail(REGULAR, str(exc), EXIT_MATH)
-        return _fail("USAGE", str(exc), EXIT_USAGE)
+    pair, lam = _load_pair(args)
+    _usage(args.order is None or args.order >= 1,
+           "truncation order must be >= 1, got {}".format(args.order))
+    dims = local_ring_dims(pair, lam, order=args.order)
     d_pi, d_kappa, d_theta = dims.dimensions
     if args.json:
         blob = {
@@ -341,12 +292,9 @@ def _cmd_ringdims(args) -> int:
 
 
 def _cmd_mu(args) -> int:
-    germ, err = _load_germ(args.germ)
-    if err is not None:
-        return err
-    value = ke_codimension(germ)
+    value = ke_codimension(_read(args.germ, mapgerm_from_json))
     if value == INFINITE:
-        return _fail(INFINITE, "germ has infinite Ke-codimension", EXIT_MATH)
+        raise InfiniteCodimensionError()
     if args.json:
         print(json.dumps({"mu": value}))
     else:
@@ -404,13 +352,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.  Every failure ends here
+    as one stderr line, its code first."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as exc:
+        code, detail, status = exc.code, str(exc), exc.status
+    except InfiniteCodimensionError as exc:
+        code, detail, status = exc.code, "germ has infinite Ke-codimension", EXIT_MATH
+    except (DomainError, NotNiceDimensionsError, UnrecognizedGermError,
+            DegenerateLambdaError, TransversalContactError) as exc:
+        code, detail, status = exc.code, str(exc), EXIT_MATH
+    except FloatingPointError as exc:
+        code, detail, status = "DOMAIN", str(exc), EXIT_MATH
+    except ArithmeticError as exc:
+        code, detail, status = "UNRECOGNIZED", str(exc), EXIT_MATH
+    sys.stderr.write("{} {}\n".format(code, detail))
+    return status
 
 
 if __name__ == "__main__":

@@ -46,16 +46,28 @@ from .germ_algebra import (
 )
 
 
+class DegenerateLambdaError(ValueError):
+    """lambda is 0 or 1, where the lambda-reflection collapses."""
+
+    code = "DEGENERATE_LAMBDA"
+
+
+class TransversalContactError(ValueError):
+    """The contact is transversal, so no reduced germ exists."""
+
+    code = REGULAR
+
+
 def _check_lambda(lam) -> Fraction:
     if lam is None:
         raise ValueError("no lambda given and the pair stores none")
     try:
         lam = Fraction(lam)
-    except (TypeError, ValueError, ZeroDivisionError) as err:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as err:
         raise ValueError(f"cannot read lambda from {lam!r}") from err
     if lam == 0 or lam == 1:
-        raise ValueError("lambda must avoid 0 and 1; those collapse the "
-                         "reflection")
+        raise DegenerateLambdaError("lambda must avoid 0 and 1; those "
+                                    "collapse the reflection")
     return lam
 
 
@@ -288,7 +300,7 @@ def local_ring_dims(gp: GraphPair, lam=None,
     kap = lambda_contact_from_pair(gp, lam)
     theta = rank0_reduce(kap)
     if theta is REGULAR:
-        raise ValueError(
+        raise TransversalContactError(
             "contact is transversal; no reduced germ exists for this pair"
         )
     return RingDims(
@@ -315,7 +327,7 @@ def graphpair_to_dict(gp: GraphPair) -> dict:
 def graphpair_from_dict(payload: dict) -> GraphPair:
     try:
         n, q, k = (int(payload[key]) for key in ("n", "q", "k"))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValueError("payload must carry integer n, q, k") from err
     u_dim, z_dim = q + k - 2 * n, n - k
     germs = {}

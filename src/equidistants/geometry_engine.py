@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .contact_lab import GraphPair, contact_map
+from .contact_lab import DegenerateLambdaError, GraphPair, contact_map
 from .germ_algebra import MapGerm, monomials_upto, p_compose, unit_exp
 from .normal_forms import DomainError, GermClass, recognize
 
@@ -148,6 +148,10 @@ class _GraphSurface:
 
     def __init__(self, components: Sequence[Dict[Tuple[int, int], float]],
                  halfwidth: float = 1.0):
+        if not all(len(e) == 2 and all(x == int(x) >= 0 for x in e)
+                   for comp in components for e in comp):
+            raise ValueError("graph_surface exponents must be two "
+                             "non-negative integers")
         self.components = tuple(
             {tuple(int(x) for x in e): float(c) for e, c in comp.items()}
             for comp in components
@@ -386,7 +390,7 @@ def manifold_from_dict(payload: dict) -> ParametricManifold:
             if int(payload.get("n", 1)) == 1:
                 return sampled_curve(grid)
             return sampled_surface(grid)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed manifold payload: {exc}") from exc
     raise ValueError(f"unknown manifold kind {kind!r}")
 
@@ -1014,7 +1018,8 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     """
     lam = float(lam)
     if lam in (0.0, 1.0):
-        raise ValueError("lambda must avoid 0 and 1; those reproduce M")
+        raise DegenerateLambdaError("lambda must avoid 0 and 1; those "
+                                    "reproduce M")
     if M.n != 1:
         pairs = find_parallel_pairs(M, seed_density, tol=1e-10,
                                     delta_diag=delta_diag)
@@ -1505,7 +1510,7 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
     """
     lam_f = _as_lambda_fraction(lam)
     if lam_f in (0, 1):
-        raise ValueError("lambda must avoid 0 and 1")
+        raise DegenerateLambdaError("lambda must avoid 0 and 1")
     lam = float(lam_f)
     n, q, k = M.n, M.q, pair.deg_k
     if k < 1:

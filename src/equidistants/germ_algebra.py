@@ -89,6 +89,8 @@ REGULAR = "REGULAR"
 class InfiniteCodimensionError(ArithmeticError):
     """The quotient is infinite-dimensional; the message is INFINITE."""
 
+    code = INFINITE
+
     def __init__(self) -> None:
         super().__init__(INFINITE)
 
@@ -268,16 +270,6 @@ class JetPoly:
         object.__setattr__(
             self, "coeffs", canonical(self.coeffs, self.source_dim, self.order)
         )
-
-    def __call__(self, point: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for exp, c in self.coeffs.items():
-            v = c
-            for x, e in zip(point, exp):
-                for _ in range(e):
-                    v *= x
-            total += v
-        return total
 
     def constant_term(self) -> Fraction:
         return self.coeffs.get((0,) * self.source_dim, Fraction(0))
@@ -1039,7 +1031,7 @@ def polys_from_payload(payload, slots: int, name: str) -> List[Poly]:
             try:
                 exps = tuple(int(e) for e in item["exponents"])
                 c = Fraction(str(item["coeff"]))
-            except (KeyError, TypeError, ValueError,
+            except (KeyError, TypeError, ValueError, OverflowError,
                     ZeroDivisionError) as err:
                 raise ValueError(f"bad term in {name}: {item!r}") from err
             p[exps] = p.get(exps, Fraction(0)) + c
@@ -1053,7 +1045,7 @@ def mapgerm_from_dict(data: Mapping) -> MapGerm:
         t = int(data["target_dim"])
         order = int(data["order"])
         comps = data["components"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad map-germ object: {exc}") from exc
     if order < 0:
         raise ValueError(f"map-germ order must be >= 0, got {order}")
