@@ -53,8 +53,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-import numpy as np
-
 from .contact_lab import (
     DegenerateLambdaError,
     TransversalContactError,
@@ -62,13 +60,6 @@ from .contact_lab import (
     lambda_contact_from_pair,
     local_ring_dims,
     reduce_to_theta,
-)
-from .geometry_engine import (
-    detect_singularities,
-    manifold_from_json,
-    trace_equidistant,
-    write_branches_csv,
-    write_branches_svg,
 )
 from .germ_algebra import (
     INFINITE,
@@ -184,23 +175,27 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    import numpy as np
+
+    from . import geometry_engine as ge
+
     lam = _parse_lambda_numeric(args.lam)
     _usage(math.isfinite(args.step) and args.step > 0, "--step must be finite and positive")
     _usage(args.seed_density is None or args.seed_density >= 1,
            "--seed-density must be at least 1")
-    manifold = _read(args.input, manifold_from_json)
+    manifold = _read(args.input, ge.manifold_from_json)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        branches = trace_equidistant(
+        branches = ge.trace_equidistant(
             manifold, lam, step=args.step, seed_density=args.seed_density
         )
         if not any(len(b) for b in branches):
             raise _Failure("DOMAIN", "no weakly parallel pair off the diagonal band "
                            "to trace", EXIT_MATH)
-        branches = [detect_singularities(b) for b in branches]
+        branches = [ge.detect_singularities(b) for b in branches]
     csv_path = args.out + ".csv"
     svg_path = args.out + ".svg"
-    write_branches_csv(branches, csv_path)
-    write_branches_svg(branches, svg_path)
+    ge.write_branches_csv(branches, csv_path)
+    ge.write_branches_svg(branches, svg_path)
     summaries = []
     for i, branch in enumerate(branches):
         labels = [a.label for a in branch.annotations]
@@ -255,7 +250,7 @@ def _cmd_contact(args) -> int:
     pair, lam = _load_pair(args)
     kappa = lambda_contact_from_pair(pair, lam)
     theta = reduce_to_theta(kappa, pair.n, pair.q)
-    cls = recognize(kappa)
+    cls = recognize(kappa if theta == REGULAR else theta)
     if args.json:
         blob = {
             "kappa": mapgerm_to_dict(kappa),

@@ -131,17 +131,6 @@ class GraphPair:
         return self.n - self.k
 
 
-def swap_pair(gp: GraphPair) -> GraphPair:
-    """Exchange the two germs' roles.  The z and v blocks trade places, so
-    the graph data swaps as (phi, psi, eta, zeta) -> (zeta, eta, psi, phi);
-    the stored lambda flips to 1-lambda, the matching parameter value."""
-    return GraphPair(
-        gp.n, gp.q, gp.k,
-        phi=gp.zeta, psi=gp.eta, eta=gp.psi, zeta=gp.phi,
-        lam=None if gp.lam is None else 1 - gp.lam,
-    )
-
-
 # ------------------------------------------------------- polynomial helpers
 
 
@@ -160,20 +149,6 @@ def _work_order(gp: GraphPair, source_dim: int) -> int:
     top = max(g.max_degree()
               for g in (gp.phi, gp.psi, gp.eta, gp.zeta))
     return max(default_order(source_dim), top)
-
-
-# ------------------------------------------------------------- reflections
-
-
-def lambda_reflection(a: Sequence, lam, x: Sequence) -> tuple:
-    """Image of x under the affine reflection through a with ratio lambda:
-    (1/lambda) a - ((1-lambda)/lambda) x."""
-    lam = _check_lambda(lam)
-    if len(a) != len(x):
-        raise ValueError("a and x must have the same length")
-    inv = 1 / lam
-    w = (1 - lam) / lam
-    return tuple(inv * ai - w * xi for ai, xi in zip(a, x))
 
 
 # ------------------------------------------------------------ contact maps

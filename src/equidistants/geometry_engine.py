@@ -873,8 +873,9 @@ class EquidistantBranch:
         return len(self.samples)
 
 
-def _step_direction(M, z, prev):
-    _, gs, gt, _ = _g_grad(M, z[0], z[1])
+def _step_direction(gs, gt, prev):
+    """Unit tangent of {g = 0} from the gradient (gs, gt), oriented along
+    prev when given; None where the gradient vanishes."""
     d = np.array([-gt, gs])
     nrm = np.linalg.norm(d)
     if nrm == 0:
@@ -916,12 +917,15 @@ def _project_to_zero(M, z, tol):
 
 
 def _corrector(M, z, base, d, tol, iters=12):
+    """Newton-correct z onto {g = 0} within the hyperplane through base
+    normal to d; returns the accepted point with the gradient (gs, gt) there,
+    or None."""
     z = np.array(z, dtype=float)
     for _ in range(iters):
         g, gs, gt, scale = _g_grad(M, z[0], z[1])
         r2 = float((z - base) @ d)
         if abs(g) <= tol * scale and abs(r2) < 1e-13:
-            return z
+            return z, gs, gt
         J = np.array([[gs, gt], [d[0], d[1]]])
         try:
             delta = np.linalg.solve(J, np.array([g, r2]))
@@ -936,22 +940,23 @@ def _corrector(M, z, base, d, tol, iters=12):
 def _march(M, z0, direction, step, delta, tol, max_steps):
     """March along {g = 0} from z0; returns (points, closed, failed)."""
     pts = [np.array(z0, dtype=float)]
-    d = _step_direction(M, z0, None)
+    _, gs, gt, _ = _g_grad(M, z0[0], z0[1])
+    d = _step_direction(gs, gt, None)
     if d is None:
         return pts, False, True
     d = d * direction
     z = np.array(z0, dtype=float)
     for _ in range(max_steps):
         h = step
-        nxt = None
         for _ in range(5):
             base = z + h * d
-            nxt = _corrector(M, base, base, d, tol)
-            if nxt is not None:
+            hit = _corrector(M, base, base, d, tol)
+            if hit is not None:
                 break
             h = h / 2
-        if nxt is None:
+        if hit is None:
             return pts, False, True
+        nxt, gs, gt = hit
         if _toroidal_dist(nxt[0], nxt[1], TWO_PI) < delta:
             # land exactly on the exclusion-band edge so termination points
             # do not depend on the step phase
@@ -973,7 +978,7 @@ def _march(M, z0, direction, step, delta, tol, max_steps):
                 _toroidal_dist(nxt[1], z0[1], TWO_PI) < 1.2 * step:
             pts.append(np.array(z0, dtype=float))
             return pts, True, False
-        nd = _step_direction(M, nxt, d)
+        nd = _step_direction(gs, gt, d)
         if nd is None:
             return pts, False, True
         z, d = nxt, nd
@@ -1088,87 +1093,8 @@ def _check_finite(branches):
                 f"lambda = {br.lam} sends traced points outside the floats")
 
 
-def densify_branch(branch: EquidistantBranch,
-                   target_spacing: Optional[float] = None,
-                   max_sigma_gap: Optional[float] = None) -> EquidistantBranch:
-    """Resample a traced branch.  `target_spacing` caps the distance between
-    consecutive lambda-points; `max_sigma_gap` caps the parameter-arclength
-    gap, which bounds the polyline's deviation from the underlying curve by
-    gap^2 * max|x''(sigma)| / 8 even across cusps, where the point spacing
-    degenerates.  Inserted parameters interpolate the polyline and are
-    projected back onto the parallel-pair equation; degree data is copied
-    from the bracketing coarse samples, annotations are dropped.
-    """
-    if branch.status == "cloud" or len(branch) < 2:
-        return branch
-    if target_spacing is None and max_sigma_gap is None:
-        raise ValueError("give target_spacing or max_sigma_gap")
-    M = branch.manifold
-    lam = branch.lam
-    Z = np.array([[pp.s, pp.t] for pp, _ in branch.samples])
-    # unwrap so linear interpolation never crosses the period seam
-    Zu = Z.copy()
-    for col in range(2):
-        Zu[:, col] = Z[0, col] + np.concatenate(
-            [[0.0], np.cumsum(_wrap_pi(np.diff(Z[:, col])))])
-    X = branch.points()
-    counts = np.ones(len(Zu) - 1, dtype=int)
-    if target_spacing is not None:
-        gaps = np.linalg.norm(np.diff(X, axis=0), axis=1)
-        counts = np.maximum(counts,
-                            np.ceil(gaps / target_spacing).astype(int))
-    if max_sigma_gap is not None:
-        sgaps = np.linalg.norm(np.diff(Zu, axis=0), axis=1)
-        counts = np.maximum(counts,
-                            np.ceil(sgaps / max_sigma_gap).astype(int))
-    S_new, T_new = [], []
-    for i in range(len(Zu) - 1):
-        fr = np.arange(counts[i]) / counts[i]
-        S_new.append(Zu[i, 0] + fr * (Zu[i + 1, 0] - Zu[i, 0]))
-        T_new.append(Zu[i, 1] + fr * (Zu[i + 1, 1] - Zu[i, 1]))
-    S = np.concatenate(S_new + [[Zu[-1, 0]]])
-    T = np.concatenate(T_new + [[Zu[-1, 1]]])
-    for _ in range(3):
-        g, gs, gt, _ = _g_grad(M, S, T)
-        n2 = gs * gs + gt * gt
-        n2[n2 == 0] = 1.0
-        S = S - g * gs / n2
-        T = T - g * gt / n2
-    A = M.position((S,))
-    B = M.position((T,))
-    X = lam * A + (1 - lam) * B
-    Ts = M.derivative((S,), (1,))
-    Tt = M.derivative((T,), (1,))
-    res = np.abs(_cross2(Ts, Tt)) / (
-        np.linalg.norm(Ts, axis=1) * np.linalg.norm(Tt, axis=1))
-    deg0, cod0 = branch.samples[0][0].deg_k, branch.samples[0][0].codim
-    samples = [
-        (PairPoint(float(S[i] % TWO_PI), float(T[i] % TWO_PI), A[i], B[i],
-                   deg0, cod0, float(res[i])), X[i])
-        for i in range(len(S))
-    ]
-    steps = np.hypot(np.diff(S), np.diff(T))
-    sigmas = np.concatenate([[0.0], np.cumsum(steps)])
-    return EquidistantBranch(
-        lam=lam, manifold=M, samples=samples, sigmas=sigmas,
-        status=branch.status, degenerate=branch.degenerate)
-
-
 def _wrap_pi(d):
     return (d + math.pi) % TWO_PI - math.pi
-
-
-def projection_rank_residuals(branch: EquidistantBranch) -> np.ndarray:
-    """Smallest-over-largest singular value of the lambda-point map Jacobian
-    [lam*T(s); (1-lam)*T(t)] at every sample of the branch."""
-    M, lam = branch.manifold, branch.lam
-    out = np.empty(len(branch))
-    for i, (pp, _) in enumerate(branch.samples):
-        J = np.vstack([lam * tangent_frame(M, pp.s),
-                       (1 - lam) * tangent_frame(M, pp.t)])
-        sv = np.linalg.svd(J, compute_uv=False)
-        out[i] = sv[-1] / sv[0]
-    return out
 
 
 # --------------------------------------------------------------------------

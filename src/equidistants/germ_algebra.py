@@ -197,10 +197,6 @@ def p_diff(p: Poly, i: int) -> Poly:
     return out
 
 
-def p_trunc(p: Poly, order: int) -> Poly:
-    return {exp: c for exp, c in p.items() if sum(exp) <= order}
-
-
 _SUBS = "₀₁₂₃₄₅₆₇₈₉"
 
 
@@ -345,22 +341,6 @@ class MapGerm:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
-
-
-def jet_compose(f: MapGerm, g: MapGerm) -> MapGerm:
-    """Truncated composition f(g(y)) at order min(f.order, g.order)."""
-    if g.target_dim != f.source_dim:
-        raise ValueError(
-            f"cannot compose: inner target {g.target_dim} != outer source "
-            f"{f.source_dim}"
-        )
-    order = min(f.order, g.order)
-    args = [p_trunc(p, order) for p in g.polys()]
-    comps = [
-        p_compose(p_trunc(p, order), args, g.source_dim, order)
-        for p in f.polys()
-    ]
-    return MapGerm.from_polys(comps, g.source_dim, order)
 
 
 # ---------------------------------------------------------------------------
@@ -829,39 +809,6 @@ def ke_quotient_hilbert(f: MapGerm,
         _tangent_gens(f), f.source_dim, f.target_dim, cap
     )
     return INFINITE if dim == INFINITE else tuple(h)
-
-
-def _raw_mapgerm(source_dim: int, target_dim: int, order: int,
-                 comps: Tuple[JetPoly, ...]) -> MapGerm:
-    # Deformation directions may carry constant terms, which the MapGerm
-    # origin check rejects; build those tuples without running validation.
-    germ = object.__new__(MapGerm)
-    object.__setattr__(germ, "source_dim", source_dim)
-    object.__setattr__(germ, "target_dim", target_dim)
-    object.__setattr__(germ, "order", order)
-    object.__setattr__(germ, "components", comps)
-    return germ
-
-
-def miniversal_basis(f: MapGerm,
-                     order: Optional[int] = None) -> List[MapGerm]:
-    """Monomial t-tuples spanning a complement of the contact tangent space."""
-    cap = _analysis_cap(f, order)
-    dim, h, _, pivots, used = _module_dimension(
-        _tangent_gens(f), f.source_dim, f.target_dim, cap
-    )
-    if dim == INFINITE:
-        raise InfiniteCodimensionError()
-    out: List[MapGerm] = []
-    for m in monomials_upto(f.source_dim, max(len(h) - 1, 0)):
-        for slot in range(f.target_dim):
-            if (slot, m) not in pivots:
-                polys: List[Poly] = [dict() for _ in range(f.target_dim)]
-                polys[slot][m] = Fraction(1)
-                comps = tuple(JetPoly(f.source_dim, f.order, p) for p in polys)
-                out.append(_raw_mapgerm(f.source_dim, f.target_dim,
-                                        f.order, comps))
-    return out
 
 
 def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:

@@ -335,11 +335,6 @@ def _computed_mu(family: str, params: Tuple[int, ...], sign: str):
     return ke_codimension(normal_form(cls, cls.intrinsic_source))
 
 
-def clear_mu_cache() -> None:
-    """Drop all memoized codimensions; they recompute on demand."""
-    _computed_mu.cache_clear()
-
-
 # --------------------------------------------------------------- catalogue
 
 

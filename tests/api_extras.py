@@ -1,0 +1,195 @@
+"""Functions on the package's types that the package itself never calls.
+
+Tests use them to state properties of the engines: contact-group
+composition and miniversal bases of map-germs, the swap and the
+lambda-reflection of graph pairs, a resampled branch and the rank of the
+lambda-point map along it, and a reset of the memoized codimensions.
+"""
+
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from equidistants.contact_lab import GraphPair, _check_lambda
+from equidistants.geometry_engine import (
+    TWO_PI,
+    EquidistantBranch,
+    PairPoint,
+    _cross2,
+    _g_grad,
+    _wrap_pi,
+    tangent_frame,
+)
+from equidistants.germ_algebra import (
+    INFINITE,
+    InfiniteCodimensionError,
+    JetPoly,
+    MapGerm,
+    Poly,
+    _analysis_cap,
+    _module_dimension,
+    _tangent_gens,
+    monomials_upto,
+    p_compose,
+)
+from equidistants.normal_forms import _computed_mu
+
+
+def p_trunc(p: Poly, order: int) -> Poly:
+    return {exp: c for exp, c in p.items() if sum(exp) <= order}
+
+
+def jet_compose(f: MapGerm, g: MapGerm) -> MapGerm:
+    """Truncated composition f(g(y)) at order min(f.order, g.order)."""
+    if g.target_dim != f.source_dim:
+        raise ValueError(
+            f"cannot compose: inner target {g.target_dim} != outer source "
+            f"{f.source_dim}"
+        )
+    order = min(f.order, g.order)
+    args = [p_trunc(p, order) for p in g.polys()]
+    comps = [
+        p_compose(p_trunc(p, order), args, g.source_dim, order)
+        for p in f.polys()
+    ]
+    return MapGerm.from_polys(comps, g.source_dim, order)
+
+
+def _raw_mapgerm(source_dim: int, target_dim: int, order: int,
+                 comps: Tuple[JetPoly, ...]) -> MapGerm:
+    # Deformation directions may carry constant terms, which the MapGerm
+    # origin check rejects; build those tuples without running validation.
+    germ = object.__new__(MapGerm)
+    object.__setattr__(germ, "source_dim", source_dim)
+    object.__setattr__(germ, "target_dim", target_dim)
+    object.__setattr__(germ, "order", order)
+    object.__setattr__(germ, "components", comps)
+    return germ
+
+
+def miniversal_basis(f: MapGerm,
+                     order: Optional[int] = None) -> List[MapGerm]:
+    """Monomial t-tuples spanning a complement of the contact tangent space."""
+    cap = _analysis_cap(f, order)
+    dim, h, _, pivots, used = _module_dimension(
+        _tangent_gens(f), f.source_dim, f.target_dim, cap
+    )
+    if dim == INFINITE:
+        raise InfiniteCodimensionError()
+    out: List[MapGerm] = []
+    for m in monomials_upto(f.source_dim, max(len(h) - 1, 0)):
+        for slot in range(f.target_dim):
+            if (slot, m) not in pivots:
+                polys: List[Poly] = [dict() for _ in range(f.target_dim)]
+                polys[slot][m] = Fraction(1)
+                comps = tuple(JetPoly(f.source_dim, f.order, p) for p in polys)
+                out.append(_raw_mapgerm(f.source_dim, f.target_dim,
+                                        f.order, comps))
+    return out
+
+
+def swap_pair(gp: GraphPair) -> GraphPair:
+    """Exchange the two germs' roles.  The z and v blocks trade places, so
+    the graph data swaps as (phi, psi, eta, zeta) -> (zeta, eta, psi, phi);
+    the stored lambda flips to 1-lambda, the matching parameter value."""
+    return GraphPair(
+        gp.n, gp.q, gp.k,
+        phi=gp.zeta, psi=gp.eta, eta=gp.psi, zeta=gp.phi,
+        lam=None if gp.lam is None else 1 - gp.lam,
+    )
+
+
+def lambda_reflection(a: Sequence, lam, x: Sequence) -> tuple:
+    """Image of x under the affine reflection through a with ratio lambda:
+    (1/lambda) a - ((1-lambda)/lambda) x."""
+    lam = _check_lambda(lam)
+    if len(a) != len(x):
+        raise ValueError("a and x must have the same length")
+    inv = 1 / lam
+    w = (1 - lam) / lam
+    return tuple(inv * ai - w * xi for ai, xi in zip(a, x))
+
+
+def densify_branch(branch: EquidistantBranch,
+                   target_spacing: Optional[float] = None,
+                   max_sigma_gap: Optional[float] = None) -> EquidistantBranch:
+    """Resample a traced branch.  `target_spacing` caps the distance between
+    consecutive lambda-points; `max_sigma_gap` caps the parameter-arclength
+    gap, which bounds the polyline's deviation from the underlying curve by
+    gap^2 * max|x''(sigma)| / 8 even across cusps, where the point spacing
+    degenerates.  Inserted parameters interpolate the polyline and are
+    projected back onto the parallel-pair equation; degree data is copied
+    from the bracketing coarse samples, annotations are dropped.
+    """
+    if branch.status == "cloud" or len(branch) < 2:
+        return branch
+    if target_spacing is None and max_sigma_gap is None:
+        raise ValueError("give target_spacing or max_sigma_gap")
+    M = branch.manifold
+    lam = branch.lam
+    Z = np.array([[pp.s, pp.t] for pp, _ in branch.samples])
+    # unwrap so linear interpolation never crosses the period seam
+    Zu = Z.copy()
+    for col in range(2):
+        Zu[:, col] = Z[0, col] + np.concatenate(
+            [[0.0], np.cumsum(_wrap_pi(np.diff(Z[:, col])))])
+    X = branch.points()
+    counts = np.ones(len(Zu) - 1, dtype=int)
+    if target_spacing is not None:
+        gaps = np.linalg.norm(np.diff(X, axis=0), axis=1)
+        counts = np.maximum(counts,
+                            np.ceil(gaps / target_spacing).astype(int))
+    if max_sigma_gap is not None:
+        sgaps = np.linalg.norm(np.diff(Zu, axis=0), axis=1)
+        counts = np.maximum(counts,
+                            np.ceil(sgaps / max_sigma_gap).astype(int))
+    S_new, T_new = [], []
+    for i in range(len(Zu) - 1):
+        fr = np.arange(counts[i]) / counts[i]
+        S_new.append(Zu[i, 0] + fr * (Zu[i + 1, 0] - Zu[i, 0]))
+        T_new.append(Zu[i, 1] + fr * (Zu[i + 1, 1] - Zu[i, 1]))
+    S = np.concatenate(S_new + [[Zu[-1, 0]]])
+    T = np.concatenate(T_new + [[Zu[-1, 1]]])
+    for _ in range(3):
+        g, gs, gt, _ = _g_grad(M, S, T)
+        n2 = gs * gs + gt * gt
+        n2[n2 == 0] = 1.0
+        S = S - g * gs / n2
+        T = T - g * gt / n2
+    A = M.position((S,))
+    B = M.position((T,))
+    X = lam * A + (1 - lam) * B
+    Ts = M.derivative((S,), (1,))
+    Tt = M.derivative((T,), (1,))
+    res = np.abs(_cross2(Ts, Tt)) / (
+        np.linalg.norm(Ts, axis=1) * np.linalg.norm(Tt, axis=1))
+    deg0, cod0 = branch.samples[0][0].deg_k, branch.samples[0][0].codim
+    samples = [
+        (PairPoint(float(S[i] % TWO_PI), float(T[i] % TWO_PI), A[i], B[i],
+                   deg0, cod0, float(res[i])), X[i])
+        for i in range(len(S))
+    ]
+    steps = np.hypot(np.diff(S), np.diff(T))
+    sigmas = np.concatenate([[0.0], np.cumsum(steps)])
+    return EquidistantBranch(
+        lam=lam, manifold=M, samples=samples, sigmas=sigmas,
+        status=branch.status, degenerate=branch.degenerate)
+
+
+def projection_rank_residuals(branch: EquidistantBranch) -> np.ndarray:
+    """Smallest-over-largest singular value of the lambda-point map Jacobian
+    [lam*T(s); (1-lam)*T(t)] at every sample of the branch."""
+    M, lam = branch.manifold, branch.lam
+    out = np.empty(len(branch))
+    for i, (pp, _) in enumerate(branch.samples):
+        J = np.vstack([lam * tangent_frame(M, pp.s),
+                       (1 - lam) * tangent_frame(M, pp.t)])
+        sv = np.linalg.svd(J, compute_uv=False)
+        out[i] = sv[-1] / sv[0]
+    return out
+
+
+def clear_mu_cache() -> None:
+    """Drop all memoized codimensions; they recompute on demand."""
+    _computed_mu.cache_clear()

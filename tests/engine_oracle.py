@@ -22,10 +22,11 @@ from contextlib import contextmanager
 
 import equidistants.germ_algebra as ga
 import equidistants.normal_forms as nf
+from api_extras import clear_mu_cache
 
 
 def _drop_memos():
-    nf.clear_mu_cache()
+    clear_mu_cache()
     nf._candidate_signatures.cache_clear()
 
 

@@ -16,13 +16,17 @@ import sympy
 from scipy.spatial import cKDTree
 
 import oracle_tools as oracle
+from api_extras import (
+    clear_mu_cache,
+    densify_branch,
+    projection_rank_residuals,
+)
 from engine_oracle import both_engines
 from equidistants import (
     INFINITE,
     NotNiceDimensionsError,
     contact_map,
     corank,
-    densify_branch,
     detect_singularities,
     ellipse,
     fourier_oval,
@@ -33,7 +37,6 @@ from equidistants import (
     local_ring_dims,
     normal_form,
     parse_label,
-    projection_rank_residuals,
     random_graph_pair,
     random_k_move,
     recognize,
@@ -41,7 +44,7 @@ from equidistants import (
     trace_equidistant,
 )
 from equidistants.geometry_engine import TAU_RANK
-from equidistants.normal_forms import _EIH_DEPTH, clear_mu_cache
+from equidistants.normal_forms import _EIH_DEPTH
 
 NICE_PAIRS = [
     (1, 2), (2, 3), (2, 4), (3, 4), (3, 5),

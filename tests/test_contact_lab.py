@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from api_extras import lambda_reflection, swap_pair
 from equidistants.germ_algebra import (
     INFINITE,
     REGULAR,
@@ -24,12 +25,10 @@ from equidistants.contact_lab import (
     graphpair_to_dict,
     graphpair_to_json,
     lambda_contact_from_pair,
-    lambda_reflection,
     local_ring_dims,
     pi_tilde_local,
     random_graph_pair,
     reduce_to_theta,
-    swap_pair,
 )
 from equidistants.normal_forms import recognize
 

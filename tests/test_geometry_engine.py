@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from api_extras import densify_branch, projection_rank_residuals
 from engine_oracle import fcompose
 from equidistants.contact_lab import contact_map
 from equidistants.normal_forms import DomainError
@@ -21,7 +22,6 @@ from equidistants.geometry_engine import (
     PairPoint,
     UnsupportedDimensionsError,
     classify_pair,
-    densify_branch,
     detect_singularities,
     ellipse,
     find_parallel_pairs,
@@ -30,7 +30,6 @@ from equidistants.geometry_engine import (
     manifold_from_dict,
     manifold_from_json,
     parallelism,
-    projection_rank_residuals,
     sampled_curve,
     sampled_surface,
     tangent_frame,

@@ -14,6 +14,7 @@ import sympy
 
 import equidistants.germ_algebra as ga
 import oracle_tools as oracle
+from api_extras import jet_compose, miniversal_basis
 from engine_oracle import both_engines, fcompose, full_eliminate_mod
 from equidistants.contact_lab import (
     lambda_contact_from_pair,
@@ -27,7 +28,6 @@ from equidistants.germ_algebra import (
     MapGerm,
     corank,
     hilbert_prefix,
-    jet_compose,
     ke_codimension,
     ke_quotient_hilbert,
     local_algebra,
@@ -35,7 +35,6 @@ from equidistants.germ_algebra import (
     mapgerm_from_json,
     mapgerm_to_dict,
     mapgerm_to_json,
-    miniversal_basis,
     random_k_move,
     rank0_reduce,
 )

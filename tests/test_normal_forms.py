@@ -15,6 +15,7 @@ import pytest
 import sympy
 
 import equidistants.normal_forms as nf
+from api_extras import clear_mu_cache
 from engine_oracle import both_engines
 from equidistants.germ_algebra import (
     INFINITE,
@@ -38,7 +39,6 @@ from equidistants.normal_forms import (
     NotNiceDimensionsError,
     UnrecognizedGermError,
     catalogue,
-    clear_mu_cache,
     format_stable_table,
     is_nice_dimensions,
     normal_form,
