@@ -32,10 +32,11 @@ when no pair off the band is left to draw, or on a floating-point overflow,
 division by zero or invalid operation.  A NaN or infinite manifold
 parameter, coefficient or grid value, a number that overflows to infinity
 anywhere in an input file, a graph_surface whose exponent is not two
-non-negative integers or whose halfwidth is not positive, and a germ with a
-negative order or a dimension below 1 are INPUT_PARSE.  ``classify``,
-``contact`` and ``mu`` report INFINITE only for infinite Ke-codimension and
-any other arithmetic failure as UNRECOGNIZED.
+non-negative integers or whose halfwidth is not positive, a germ with a
+negative order or a dimension below 1, and a graph-pair term of total
+degree above ``contact_lab.MAX_TERM_DEGREE`` (64) are INPUT_PARSE.
+``classify``, ``contact`` and ``mu`` report INFINITE only for infinite
+Ke-codimension and any other arithmetic failure as UNRECOGNIZED.
 
 ``ringdims --order`` is the truncation cap of the three local rings and
 must be at least 1 (USAGE otherwise).  A ring whose ideal has fewer
@@ -47,6 +48,7 @@ lists it through the cap + 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -346,12 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: its prog is fixed, and parsing keeps no state
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code.  Every failure ends here
     as one stderr line, its code first."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

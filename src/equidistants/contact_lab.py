@@ -299,7 +299,17 @@ def graphpair_to_dict(gp: GraphPair) -> dict:
     return out
 
 
+# The highest total degree a graph-pair term may have.  A term above the
+# default truncation order raises its germ's order to the term's degree, and
+# the exact engine's cost grows with that order: a degree of 10**30 exhausts
+# memory in exact rational powers.  64 is far above every degree the
+# shipped inputs use (3) and the default orders (at most 12).
+MAX_TERM_DEGREE = 64
+
+
 def graphpair_from_dict(payload: dict) -> GraphPair:
+    """The GraphPair of a JSON payload; a malformed payload, or a term of
+    total degree above MAX_TERM_DEGREE, is a ValueError."""
     try:
         n, q, k = (int(payload[key]) for key in ("n", "q", "k"))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
@@ -310,9 +320,12 @@ def graphpair_from_dict(payload: dict) -> GraphPair:
                         ("eta", z_dim), ("zeta", u_dim)):
         if name not in payload:
             raise ValueError(f"payload lacks {name}")
-        germs[name] = MapGerm.from_polys(
-            polys_from_payload(payload[name], slots, name), n
-        )
+        polys = polys_from_payload(payload[name], slots, name)
+        top = max((sum(e) for p in polys for e in p), default=0)
+        if top > MAX_TERM_DEGREE:
+            raise ValueError(f"{name} has a term of degree {top}, above the "
+                             f"budget of {MAX_TERM_DEGREE}")
+        germs[name] = MapGerm.from_polys(polys, n)
     lam = payload.get("lambda")
     return GraphPair(n, q, k, lam=lam, **germs)
 

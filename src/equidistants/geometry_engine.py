@@ -13,6 +13,7 @@ relative clip, so tangency-forced zeros survive roundoff.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -60,19 +61,43 @@ def _shifted_sin(theta, m):
     return np.sin(theta + m * (math.pi / 2.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _orders(top):
+    """The orders m = 0..top as a column, their phases m*pi/2, and for each
+    i the binomials C(k, i) of the orders k = i..top, shaped to scale
+    (order, point, coordinate) arrays."""
+    m = np.arange(top + 1)[:, None]
+    binoms = tuple(
+        np.array([math.comb(k, i) for k in range(i, top + 1)],
+                 dtype=float)[:, None, None]
+        for i in range(top + 1))
+    phase = m * (math.pi / 2.0)
+    for arr in (m, phase) + binoms:
+        arr.flags.writeable = False     # every caller shares the cached table
+    return m, phase, binoms
+
+
+def _circle_jet(flat, top):
+    """(cos, sin) of flat + m*pi/2 for m = 0..top: the derivatives of the
+    unit circle, shape (top + 1, len(flat), 2)."""
+    _, phase, _ = _orders(top)
+    ang = flat + phase
+    out = np.empty(ang.shape + (2,))
+    out[..., 0] = np.cos(ang)
+    out[..., 1] = np.sin(ang)
+    return out
+
+
 class _Ellipse:
     def __init__(self, a: float, b: float):
         if not (0 < a < math.inf and 0 < b < math.inf):
             raise ValueError("ellipse axes must be finite and positive")
         self.a, self.b = float(a), float(b)
 
-    def derivative(self, params, alpha):
-        (th,) = params
-        (m,) = alpha
-        return np.stack(
-            [self.a * _shifted_cos(th, m), self.b * _shifted_sin(th, m)],
-            axis=-1,
-        )
+    def jet(self, th, top):
+        th = np.asarray(th, dtype=float)
+        out = np.array([self.a, self.b]) * _circle_jet(th.ravel(), top)
+        return out.reshape((top + 1,) + th.shape + (2,))
 
     def payload(self):
         return {"kind": "ellipse", "a": self.a, "b": self.b}
@@ -87,29 +112,27 @@ class _FourierOval:
         if not all(map(math.isfinite, self.a + self.b)):
             raise ValueError("fourier_oval coefficients must be finite")
 
-    def _r_deriv(self, th, m):
-        out = np.ones_like(np.asarray(th, dtype=float)) if m == 0 else \
-            np.zeros_like(np.asarray(th, dtype=float))
+    def jet(self, th, top):
+        # r^(i) for every order i at once, with each harmonic's shifted
+        # cos/sin evaluated once; then the Leibniz sums of r (cos, sin).
+        # Every sum runs in the order of the scalar formulas: harmonics as
+        # listed, then ascending i from 0.0.
+        th = np.asarray(th, dtype=float)
+        flat = th.ravel()
+        m, phase, binoms = _orders(top)
+        r = np.zeros((top + 1, flat.size))
+        r[0] = 1.0
         for j, c in enumerate(self.a, start=1):
             if c:
-                out = out + c * (j ** m) * _shifted_cos(j * th, m)
+                r = r + c * j ** m * np.cos(j * flat + phase)
         for j, c in enumerate(self.b, start=1):
             if c:
-                out = out + c * (j ** m) * _shifted_sin(j * th, m)
-        return out
-
-    def derivative(self, params, alpha):
-        (th,) = params
-        (m,) = alpha
-        x = 0.0
-        y = 0.0
-        for i in range(m + 1):
-            binom = math.comb(m, i)
-            ri = self._r_deriv(th, i)
-            x = x + binom * ri * _shifted_cos(th, m - i)
-            y = y + binom * ri * _shifted_sin(th, m - i)
-        return np.stack([np.asarray(x, dtype=float),
-                         np.asarray(y, dtype=float)], axis=-1)
+                r = r + c * j ** m * np.sin(j * flat + phase)
+        trig = _circle_jet(flat, top)
+        out = np.zeros(trig.shape)
+        for i, binom in enumerate(binoms):
+            out[i:] = out[i:] + binom * r[i, :, None] * trig[:top + 1 - i]
+        return out.reshape((top + 1,) + th.shape + (2,))
 
     def payload(self):
         return {"kind": "fourier_oval", "a": list(self.a), "b": list(self.b)}
@@ -227,9 +250,7 @@ class _SampledCurve:
         self.period = float(period)
         self.h = self.period / grid.shape[0]
 
-    def derivative(self, params, alpha):
-        (th,) = params
-        (m,) = alpha
+    def jet(self, th, top):
         th = np.asarray(th, dtype=float)
         scalar = th.ndim == 0
         th = np.atleast_1d(th)
@@ -239,8 +260,9 @@ class _SampledCurve:
         rows = (idx[:, None] + np.arange(-3, 4)[None, :]) % n
         window = self.grid[rows]                # (N, 7, q)
         coeffs = np.einsum("pk,nkq->pnq", _LAGRANGE_INV, window)
-        out = _poly_eval_deriv(coeffs, tau[:, None], m) / self.h ** m
-        return out[0] if scalar else out
+        out = np.stack([_poly_eval_deriv(coeffs, tau[:, None], m) / self.h ** m
+                        for m in range(top + 1)])
+        return out[:, 0] if scalar else out
 
     def payload(self):
         return {"kind": "samples", "n": 1, "q": self.grid.shape[1],
@@ -299,7 +321,10 @@ class ParametricManifold:
     `periods[i]` is the period of parameter i, or None on a box domain.
     `derivative(params, alpha)` returns the mixed partial of multi-index
     alpha; alpha = (0,..,0) is the position.  Components of `params` may be
-    floats or broadcastable arrays.
+    floats or broadcastable arrays.  A curve's evaluator has one routine,
+    `jet(theta, top)`: it returns the derivatives of orders 0..top in one
+    pass, with the order as the leading array axis, and `derivative` on a
+    curve is `jet(theta, m)[m]`.
     """
 
     n: int
@@ -316,7 +341,19 @@ class ParametricManifold:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.n or any(a < 0 for a in alpha):
             raise ValueError(f"bad derivative multi-index {alpha}")
+        if self.n == 1:
+            return self._ev.jet(params[0], alpha[0])[alpha[0]]
         return self._ev.derivative(params, alpha)
+
+    def jet(self, params, top: int):
+        """Derivatives of orders 0..top of a curve in one evaluator pass:
+        axis 0 is the order, then the shape of the parameter, then q."""
+        if self.n != 1:
+            raise ValueError("jet needs a curve")
+        top = int(top)
+        if top < 0:
+            raise ValueError(f"bad jet order {top}")
+        return self._ev.jet(_as_params(params, 1)[0], top)
 
     def to_dict(self) -> dict:
         return self._ev.payload()
@@ -494,9 +531,16 @@ def _norm2(v):
     return np.sqrt(np.vecdot(v, v))
 
 
+def _pair_jets(M, s, t):
+    """Tangents and accelerations (Ts, Tt, As, At) at the parameters s and
+    t of a curve, from one jet pass on the stacked parameters."""
+    J = M.jet(np.concatenate([np.ravel(s), np.ravel(t)]), 2)
+    J = J.reshape((3, 2) + np.shape(s) + J.shape[-1:])
+    return J[1, 0], J[1, 1], J[2, 0], J[2, 1]
+
+
 def _g_grad(M, s, t):
-    Ts, Tt = M.derivative(s, (1,)), M.derivative(t, (1,))
-    As, At = M.derivative(s, (2,)), M.derivative(t, (2,))
+    Ts, Tt, As, At = _pair_jets(M, s, t)
     g = _cross2(Ts, Tt)
     return g, _cross2(As, Tt), _cross2(Ts, At), _norm2(Ts) * _norm2(Tt)
 
@@ -959,15 +1003,20 @@ def _march(M, z0, direction, step, delta, tol, max_steps):
         nxt, gs, gt = hit
         if _toroidal_dist(nxt[0], nxt[1], TWO_PI) < delta:
             # land exactly on the exclusion-band edge so termination points
-            # do not depend on the step phase
+            # do not depend on the step phase; once (lo, hi) repeats, every
+            # later step would project the same midpoint again
             lo, hi = z, nxt
             for _ in range(50):
                 mid = _project_to_zero(M, 0.5 * (lo + hi), tol)
                 if mid is None:
                     break
                 if _toroidal_dist(mid[0], mid[1], TWO_PI) >= delta:
+                    if np.array_equal(mid, lo):
+                        break
                     lo = mid
                 else:
+                    if np.array_equal(mid, hi):
+                        break
                     hi = mid
             if np.linalg.norm(lo - pts[-1]) > 1e-9:
                 pts.append(lo)
@@ -1105,9 +1154,7 @@ def _cusp_velocity(M, lam, Z, refs):
     """Velocity scalar of the lambda-point along {g = 0} at each row of Z,
     with the branch tangent oriented along the matching row of refs; 0.0
     where the tangent vanishes."""
-    S, T = Z[:, 0], Z[:, 1]
-    Ts, Tt = _curve_tangents(M, S), _curve_tangents(M, T)
-    As, At = M.derivative((S,), (2,)), M.derivative((T,), (2,))
+    Ts, Tt, As, At = _pair_jets(M, Z[:, 0], Z[:, 1])
     tau = np.stack([-_cross2(Ts, At), _cross2(As, Tt)], axis=1)
     nrm = _norm2(tau)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -9,10 +9,9 @@ Each example takes a valid base input (a map-germ, a graph pair, or one
 manifold of each kind), replaces one JSON field or term with a value from
 a fixed pool, or deletes it, and draws the flags from pools that mix valid
 and invalid values.  No flag value makes a run costlier than its default.
-The pools hold no integer above 7: nothing yet bounds the exact engine's
-cost.  A degree of 10**30 in a graph pair's zeta makes `contact` and
-`ringdims` raise the reflection's scale to that power in exact rationals,
-which exhausts memory instead of failing on one line.
+The pools hold no integer above 7.  A graph pair's degree is bounded by
+`contact_lab.MAX_TERM_DEGREE`: a term above it, such as a degree of 10**30
+that would exhaust memory in exact rational powers, is one INPUT_PARSE line.
 """
 
 import contextlib
@@ -28,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from equidistants.cli import main
+from equidistants.contact_lab import MAX_TERM_DEGREE
 
 EXIT_OF = {
     "USAGE": 1,
@@ -156,13 +156,14 @@ def run_contract(argv, out_prefix=None):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert err == ""
-        return
+        return code, err
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1, err
     assert EXIT_OF.get(err.split(" ", 1)[0]) == code, err
     if out_prefix is not None:
         assert not os.path.exists(out_prefix + ".csv")
         assert not os.path.exists(out_prefix + ".svg")
+    return code, err
 
 
 def write_input(workdir, text):
@@ -216,6 +217,21 @@ def test_pair_commands_keep_the_contract(workdir, command, case, lam, order):
     if command == "ringdims":
         argv += flag("--order", order)
     run_contract(argv)
+
+
+@pytest.mark.parametrize("command", ["contact", "ringdims"])
+@pytest.mark.parametrize("germ", ["phi", "zeta"])
+def test_a_graph_pair_degree_above_the_budget_is_input_parse(
+        workdir, command, germ):
+    # 10**30 in zeta used to exhaust memory, and in phi to end `contact` in
+    # an OverflowError filed under UNRECOGNIZED
+    term = (germ, 0, 0, "exponents", 0)
+    for degree in (10 ** 30, MAX_TERM_DEGREE + 1):
+        path = write_input(workdir, mutated("curve_pair", term, degree))
+        code, err = run_contract([command, "--input", path, "--lambda=1/3"])
+        assert code == 2 and err.startswith("INPUT_PARSE "), err
+    path = write_input(workdir, mutated("curve_pair", term, MAX_TERM_DEGREE))
+    assert run_contract([command, "--input", path, "--lambda=1/3"]) == (0, "")
 
 
 @contract_settings(300)

@@ -3,6 +3,7 @@ location against hand-derived families, tracing against closed-form
 equidistants, singularity detection against frozen brute-force goldens, and
 the float-to-rational bridge against exact contact classes."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -157,6 +158,57 @@ def test_derivative_rejects_bad_multi_index():
         M.derivative(0.3, (-1,))
     with pytest.raises(ValueError):
         torus().derivative((0.1,), (1, 0))
+
+
+def oval_closed_form(a, b, th, m):
+    """m-th derivative of (r cos th, r sin th) for r = 1 + sum_j a_j cos(j th)
+    + b_j sin(j th), from x + i y = sum_k c_k exp(i k th)."""
+    coef = {1: 1.0 + 0j}
+    for j, c in enumerate(a, start=1):
+        coef[j + 1] = coef.get(j + 1, 0) + c / 2
+        coef[1 - j] = coef.get(1 - j, 0) + c / 2
+    for j, c in enumerate(b, start=1):
+        coef[j + 1] = coef.get(j + 1, 0) + c / 2j
+        coef[1 - j] = coef.get(1 - j, 0) - c / 2j
+    z = sum(c * (1j * k) ** m * np.exp(1j * k * th) for k, c in coef.items())
+    return np.stack([z.real, z.imag], axis=-1)
+
+
+def sampled_polynomial_curve():
+    """A 16-node grid on a degree-6 polynomial in theta: the 7-point
+    interpolant reproduces it wherever its window does not wrap."""
+    x = np.polynomial.Polynomial([1.0, -0.5, 0.3, 0.2, -0.1, 0.03, -0.004])
+    y = np.polynomial.Polynomial([0.0, 0.8, -0.2, 0.05, 0.01, -0.02, 0.002])
+    th = np.arange(16) * (TWO_PI / 16)
+    return sampled_curve(np.stack([x(th), y(th)], axis=-1)), x, y
+
+
+def test_curve_jets_match_closed_forms():
+    th = np.array([1.3, 2.0, 2.9, 4.4])    # windows of 16 nodes stay inside
+    a, b = (0.1, 0.0, 0.15), (0.0, 0.05)
+    E, F = ellipse(2.0, 1.0), fourier_oval(a=a, b=b)
+    S, px, py = sampled_polynomial_curve()
+    want = {
+        "ellipse": lambda m: np.stack([2.0 * np.cos(th + m * math.pi / 2),
+                                       np.sin(th + m * math.pi / 2)], -1),
+        "fourier_oval": lambda m: oval_closed_form(a, b, th, m),
+        "samples": lambda m: np.stack([px.deriv(m)(th), py.deriv(m)(th)],
+                                      -1),
+    }
+    for M in (E, F, S):
+        jet = M.jet((th,), 3)
+        assert jet.shape == (4, len(th), 2)
+        for m in range(4):
+            assert np.max(np.abs(jet[m] - want[M.kind](m))) <= 1e-12, \
+                (M.kind, m)
+            assert M.derivative((th,), (m,)).tobytes() == jet[m].tobytes()
+        one = M.jet(float(th[1]), 3)
+        assert one.shape == (4, 2)
+        assert one.tobytes() == jet[:, 1].tobytes()
+    with pytest.raises(ValueError):
+        torus().jet((0.1, 0.2), 2)
+    with pytest.raises(ValueError):
+        E.jet(0.1, -1)
 
 
 # ----------------------------------------------------------- sampled grids
@@ -759,6 +811,85 @@ def test_trace_is_deterministic():
     assert len(one) == len(two)
     for a, b in zip(one, two):
         assert np.array_equal(a.points(), b.points())
+
+
+def sampled_oval():
+    th = np.arange(64) * (TWO_PI / 64)
+    r = 1.0 + 0.15 * np.cos(3 * th) + 0.05 * np.sin(2 * th)
+    return sampled_curve(np.stack([r * np.cos(th), r * np.sin(th)], axis=-1))
+
+
+TRACED_CURVES = {
+    "oval": oval,
+    "ellipse": lambda: ellipse(2.0, 1.0),
+    "skew_oval": lambda: fourier_oval(a=[0.1, 0.0, 0.15], b=[0.0, 0.05]),
+    "sampled_oval": sampled_oval,
+}
+
+# sha256 of every traced and annotated number, frozen from the scalar
+# per-order evaluators: a faster evaluation path must keep every bit
+TRACE_FINGERPRINTS = {
+    ("oval", 0.3): "e1ecede16549c8d70ca51c7c2ea5ca0f2729e7ade050880c638a59ce8e1c837c",
+    ("oval", 0.41): "b6d924493a2c9def61933d2ce47461de4b20058d7f2907e535977912e8fa62e8",
+    ("oval", 0.5): "e3897f61ec8feb0e2bb42a23ed24566594d27d74747940d273c8b13d58e9cb51",
+    ("oval", 0.7): "2f7b3a546d4e54ad36a6a929183c12bee4ceddd195c9e96d0496b791569c9491",
+    ("ellipse", 0.3): "758f3be91a750da1d2d2e05b2ea7e7b36938490afdc4f0f70b105b7d32a760a0",
+    ("ellipse", 0.41): "e4c5f72b08e0085d0ce86f69795efa894a2fba1665c08cdf786074cee166cde7",
+    ("ellipse", 0.5): "41c026fc73fdedb2f67dc08e41c3afe2269423e17bf0aef32e7f7aaf22cee5af",
+    ("ellipse", 0.7): "c58c871d77a74f734173120ba9f91c4f3bd8135c478f5b88c8b0d1c852fc90bf",
+    ("skew_oval", 0.3): "a4cff58c80e7c7c0f11261ce3d0c8127ff58d9c3a3b7f0b22df565e8538ad900",
+    ("skew_oval", 0.41): "9ef468bc133757e242f0fc43e7d23a7aa96c7e01ddef1c4e34575832509113f3",
+    ("skew_oval", 0.5): "7f95c42bb8bf6c9871d1706345e9741e32696da4bf596fc4922fbc922b19f43e",
+    ("skew_oval", 0.7): "b9f85e6cc9ad9f455f783f60e5ec423a40b9f1e448bd2a1d80bcc0a8eab4bcd0",
+    ("sampled_oval", 0.3): "3d46b6ba88a46e240b0f0da85b7430c3b905dec62a4579b00cea6cb829671d99",
+    ("sampled_oval", 0.41): "ac452d4d0c9da467d5f942867b9444b65dfc2c4c67eb240194e0c8d689b6f8af",
+    ("sampled_oval", 0.5): "de32124ef3e425127aa4a071e2e46032af1ba268262929156b7a1eac64e31d5b",
+    ("sampled_oval", 0.7): "d120240a41549321048c3bff8c515d643c9e72b9035307c23dbc68d33757331e",
+}
+
+
+def trace_fingerprint(M, lam):
+    """sha256 over s, t, a, b and x of every sample, the sigmas and status
+    of every branch, and index, label, pair and x of every annotation."""
+    h = hashlib.sha256()
+
+    def put(*vals):
+        for v in vals:
+            h.update(np.asarray(v, dtype=float).tobytes())
+
+    for br in trace_equidistant(M, lam):
+        br = detect_singularities(br)
+        h.update(br.status.encode())
+        put(br.sigmas)
+        for pp, x in br.samples:
+            put(pp.s, pp.t, pp.a, pp.b, x)
+        for ann in br.annotations:
+            h.update(f"{ann.index}:{ann.label}".encode())
+            if ann.pair is not None:
+                put(ann.pair.s, ann.pair.t, ann.pair.a, ann.pair.b, ann.x)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("curve, lam", sorted(TRACE_FINGERPRINTS))
+def test_traces_keep_their_frozen_fingerprints(curve, lam):
+    got = trace_fingerprint(TRACED_CURVES[curve](), lam)
+    assert got == TRACE_FINGERPRINTS[curve, lam]
+
+
+def test_oval_trace_and_detection_stay_within_6000_evaluator_passes(
+        monkeypatch):
+    # one pass is one call into the curve evaluator, of any order range
+    calls = []
+    for name in ("jet", "derivative"):
+        fn = getattr(ge._FourierOval, name, None)
+        if fn is not None:
+            def spy(self, *args, _fn=fn):
+                calls.append(1)
+                return _fn(self, *args)
+            monkeypatch.setattr(ge._FourierOval, name, spy)
+    for br in trace_equidistant(oval(), 0.5):
+        detect_singularities(br)
+    assert len(calls) <= 6000, len(calls)
 
 
 def test_torus_trace_returns_a_midpoint_cloud():
