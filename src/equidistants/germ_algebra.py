@@ -44,19 +44,35 @@ infinite quotient by Krull's height theorem, dim E_s/I >= s - t > 0, so
 cap from one certified elimination.  Tangent modules get no such
 shortcut: an ICIS has finite Ke-codimension with t < s.
 
-The elimination runs over F_p for 61-bit primes p and every result is
+The elimination runs over F_p for a 61-bit prime p and every result is
 proved over Q.  Each generator is scaled to integer coefficients, and a
 prime dividing a denominator is skipped.  The rank of the integer rows
 mod p is at most their rank over Q.  From the echelon form mod p, each
-free column j gives a kernel vector that is 1 at j and 0 above j; the
-vectors of one or more primes are combined by the Chinese remainder
-theorem and lifted to Q by Wang's rational reconstruction.  The lift is
-accepted only when every integer row annihilates every lifted vector in
-exact integer arithmetic.  A vector of the row space led by column j
-has a nonzero product with a vector whose last nonzero entry is at j, so
-no free column mod p is a pivot over Q; with the rank bound the two pivot
-sets, and h, are equal.  A failed lift or check adds a prime, and the
-Fraction elimination runs once every prime is spent.
+free column j gives a kernel vector that is 1 at j and 0 above j.  Those
+vectors are lifted p-adically (Dixon's method).  The elimination
+records, for each pivot it works, its source row, the inverse it was
+normalised by and the multipliers that reduced it; so mod p the worked
+source rows are the record's lower triangle times the unit upper
+triangular pivot rows.  Digit k >= 1 takes the residual of the worked
+source rows on the vector so far, divided by p^k, forward-substitutes it
+through the multipliers and back-substitutes it through the pivot tails;
+the vector gains that correction times p^k, and no further elimination
+is made.  At each modulus p^(k+1) the vectors are lifted to Q by Wang's
+rational reconstruction, and the lift is accepted only when every
+integer row annihilates every lifted vector in exact integer arithmetic.
+A vector of the row space led by column j has a nonzero product with a
+vector whose last nonzero entry is at j, so no free column mod p is a
+pivot over Q; with the rank bound the two pivot sets, and h, are equal.
+
+That proof needs every lifted vector to be 0 above its free column.  The
+p-adic kernel of the worked rows need not be, when p is unlucky: a
+correction can land on a pivot above j.  Such a digit refuses the prime,
+and the next prime is eliminated.  If the pivot sets mod p and over Q
+agree, the vector over Q led by j solves the worked rows, which are
+invertible mod p on the pivot columns, so it is the p-adic solution and
+no digit is refused.  A lift that runs out of its `_DIGITS` = 8 digits,
+about the modulus that eight primes reach together, refuses the prime
+too.  The Fraction elimination runs once every prime is refused.
 
 Since h_d does not depend on D >= d, a truncation ladder climbs on
 uncertified eliminations mod one prime and certifies only the rung where
@@ -387,6 +403,10 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 # the product of two stays a small Python int.
 _PRIMES = tuple(2 ** 61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391))
 
+# The most p-adic digits one prime lifts: p^8 is about the modulus that
+# the eight primes reach together.
+_DIGITS = len(_PRIMES)
+
 # The tail of a pivot that the cutoff of `_eliminate_mod` enters unworked.
 _NO_TAIL = (array("q"), array("q"))
 
@@ -482,30 +502,58 @@ class _Rows:
         return True
 
 
-def _eliminate_mod(rows: _Rows, p: int) -> Dict[int, Tuple[array, array]]:
+class _Echelon(dict):
     """Echelon form mod p: {lead column: (columns, values)} of each pivot
     row past its lead, whose value is 1; columns ascend.
+
+    It also records the elimination for the p-adic lift.  `worked` lists
+    each worked pivot in the order it was made, as (column, source row of
+    `_Rows.rows`, the inverse that normalised it, end of its multipliers).
+    The multipliers are pairs (lead, c) kept in `leads` and `mults`: the
+    row was reduced by c times the pivot row of lead, in that order.  So
+    mod p the source row is inverse^-1 times its pivot row plus the sum of
+    c times those rows.
+    """
+
+    __slots__ = ("p", "worked", "leads", "mults")
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+        self.worked: List[Tuple[int, Tuple[int, array], int, int]] = []
+        self.leads = array("q")
+        self.mults = array("q")
+
+
+def _eliminate_mod(rows: _Rows, p: int) -> _Echelon:
+    """Echelon form mod p of the rows, with its record (see `_Echelon`).
 
     A row is a dict only while it is reduced; entries grow unreduced and
     are taken mod p when they lead or when the row becomes a pivot.  Once
     the pivots fill every column of a degree d, every column of degree
     >= d is a pivot (see the module docstring): those columns enter with
-    an empty tail and `top` drops below them, so a row whose lead passes
-    `top` is spent.  Only the tails of the columns above `top` differ from
-    the full elimination, and no free column lies past them.
+    an empty tail and no record, and `top` drops below them, so a row
+    whose lead passes `top` is spent.  Only the tails of the columns above
+    `top` differ from the full elimination, and no free column lies past
+    them.  A spent row or a row reduced to zero drops its multipliers.
     """
-    pivots: Dict[int, Tuple[array, array]] = {}
+    pivots = _Echelon(p)
+    worked, leads, mults = pivots.worked, pivots.leads, pivots.mults
+    note_lead, note_mult = leads.append, mults.append
     unfilled = rows.hilbert(())
     first = list(accumulate(unfilled, initial=0))
     top = len(rows.keys) - 1
-    for gi, cols in rows.rows:
+    for src in rows.rows:
+        gi, cols = src
         if cols[0] > top:
             break
         row = dict(zip(cols, rows.coeffs[gi]))
         get = row.get
+        mark = len(leads)
         while row:
             lead = min(row)
             if lead > top:
+                del leads[mark:], mults[mark:]
                 break
             c = row[lead] % p
             if not c:
@@ -519,6 +567,7 @@ def _eliminate_mod(rows: _Rows, p: int) -> Dict[int, Tuple[array, array]]:
                 kept = [kv for kv in kept if kv[1]]
                 pivots[lead] = (array("q", [k for k, _ in kept]),
                                 array("q", [v for _, v in kept]))
+                worked.append((lead, src, inv, len(leads)))
                 d = rows.degree[lead]
                 unfilled[d] -= 1
                 if not unfilled[d]:
@@ -527,8 +576,12 @@ def _eliminate_mod(rows: _Rows, p: int) -> Dict[int, Tuple[array, array]]:
                     top = first[d] - 1
                 break
             del row[lead]
+            note_lead(lead)
+            note_mult(c)
             for k, v in zip(*piv):
                 row[k] = get(k, 0) - c * v
+        else:
+            del leads[mark:], mults[mark:]
     return pivots
 
 
@@ -554,28 +607,80 @@ def _eliminate_exact(rows: _Rows) -> set:
     return set(pivots)
 
 
+def _back_substitute(pivots: Dict[int, Tuple[array, array]],
+                     rhs: Dict[int, Dict[int, int]], p: int,
+                     free=()) -> Dict[int, Dict[int, int]]:
+    """{pivot c: {free j: u}} with u at c plus the tail of c times u equal
+    to the right-hand side at c, mod p, for every free j: the pivot rows
+    are unit upper triangular on the pivot columns.  The right-hand side
+    at c is rhs[c] plus the entries of c's tail at the columns in `free`;
+    entries that vanish are left out."""
+    out: Dict[int, Dict[int, int]] = {}
+    for c in sorted(pivots, reverse=True):
+        cols, vals = pivots[c]
+        acc = dict(rhs.get(c, ()))
+        for k, v in zip(cols, vals):
+            u = out.get(k)
+            if u:
+                for j, w in u.items():
+                    acc[j] = acc.get(j, 0) - v * w
+            elif k in free:
+                acc[k] = acc.get(k, 0) + v
+        acc = {j: v % p for j, v in acc.items() if v % p}
+        if acc:
+            out[c] = acc
+    return out
+
+
 def _free_entries(pivots: Dict[int, Tuple[array, array]], free: set,
-                  p: int) -> Dict[Tuple[int, int], int]:
-    """{(pivot c, free j): entry} of the reduced echelon form mod p.
+                  p: int) -> Dict[int, Dict[int, int]]:
+    """{pivot c: {free j: entry}} of the reduced echelon form mod p.
 
     The kernel vector of free column j is 1 at j, minus these entries at
     the pivots c < j, and 0 at every other column: above j in particular.
     """
-    reduced: Dict[int, Dict[int, int]] = {}
-    out: Dict[Tuple[int, int], int] = {}
-    for c in sorted(pivots, reverse=True):
-        cols, vals = pivots[c]
-        acc: Dict[int, int] = {}
-        for k, v in zip(cols, vals):
-            if k in free:
-                acc[k] = acc.get(k, 0) + v
-            else:
-                for j, w in reduced[k].items():
-                    acc[j] = acc.get(j, 0) - v * w
-        acc = {j: v % p for j, v in acc.items() if v % p}
-        reduced[c] = acc
-        for j, v in acc.items():
-            out[(c, j)] = v
+    return _back_substitute(pivots, {}, p, free)
+
+
+def _forward(ech: _Echelon, rho: Dict[int, Dict[int, int]]
+             ) -> Dict[int, Dict[int, int]]:
+    """Replay the recorded elimination on right-hand sides rho, given per
+    worked pivot for its source row: {pivot c: {free j: z}} with the pivot
+    rows times u equal to z whenever the source rows times u equal rho."""
+    p, leads, mults = ech.p, ech.leads, ech.mults
+    z: Dict[int, Dict[int, int]] = {}
+    lo = 0
+    for c, _, inv, hi in ech.worked:
+        acc = dict(rho.get(c, ()))
+        for i in range(lo, hi):
+            u = z.get(leads[i])
+            if u:
+                m = mults[i]
+                for j, w in u.items():
+                    acc[j] = acc.get(j, 0) - m * w
+        lo = hi
+        acc = {j: v * inv % p for j, v in acc.items() if v % p}
+        if acc:
+            z[c] = acc
+    return z
+
+
+def _residual(rows: _Rows, ech: _Echelon, rho: Dict[int, Dict[int, int]],
+              digit: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """(rho - source row times digit) / p on every worked source row; the
+    division is exact because the digit solves the rows mod p."""
+    p = ech.p
+    out: Dict[int, Dict[int, int]] = {}
+    for c, (gi, cols), _, _ in ech.worked:
+        acc = dict(rho.get(c, ()))
+        for k, a in zip(cols, rows.coeffs[gi]):
+            u = digit.get(k)
+            if u:
+                for j, w in u.items():
+                    acc[j] = acc.get(j, 0) - a * w
+        acc = {j: v // p for j, v in acc.items() if v}
+        if acc:
+            out[c] = acc
     return out
 
 
@@ -593,16 +698,17 @@ def _rational(a: int, m: int) -> Optional[Tuple[int, int]]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _lift(residues: Dict[Tuple[int, int], int], modulus: int,
+def _lift(residues: Dict[int, Dict[int, int]], modulus: int,
           free: set) -> Optional[Dict[int, List[Tuple[int, int]]]]:
     """The kernel vectors over Q as integer columns for `_Rows.annihilate`,
     or None when some entry has no rational reconstruction."""
     fracs = {}
-    for pos, a in residues.items():
-        nd = _rational(a, modulus)
-        if nd is None:
-            return None
-        fracs[pos] = nd
+    for c, entries in residues.items():
+        for j, a in entries.items():
+            nd = _rational(a, modulus)
+            if nd is None:
+                return None
+            fracs[(c, j)] = nd
     den = dict.fromkeys(free, 1)
     for (_, j), (_, d) in fracs.items():
         den[j] = math.lcm(den[j], d)
@@ -612,38 +718,52 @@ def _lift(residues: Dict[Tuple[int, int], int], modulus: int,
     return kernel
 
 
-def _certified_pivots(rows: _Rows, first=None) -> set:
-    """Pivot columns of the rows over Q, proved from eliminations mod p.
+def _kernel_lifts(rows: _Rows, ech: _Echelon) -> bool:
+    """Whether the kernel of the echelon form mod p lifts p-adically to
+    vectors over Q that every integer row annihilates, each led by its
+    free column (see the module docstring).
 
-    `first` is the elimination already made mod the first usable prime.
-    See the module docstring for the certificate; primes whose pivots fall
-    behind the best seen are dropped, and the Fraction elimination runs
-    when every prime is spent.
+    Digit 0 is the reduced echelon form.  Each further digit forward- and
+    back-substitutes the residual of the worked source rows, divided by the
+    modulus, through the record.  A digit at a pivot above its free column
+    refuses the prime, and so does running out of digits.
     """
-    best = None
-    for n, p in enumerate(rows.primes()):
-        if n == 0 and first is not None:
-            piv = first
-        else:
-            piv = _eliminate_mod(rows, p)
-        # Over Q the rank is largest and the sorted leads least, entrywise.
-        key = (-len(piv), sorted(piv))
-        if best is not None and key > best:
-            continue
-        free = set(range(len(rows.keys))).difference(piv)
-        entries = _free_entries(piv, free, p)
-        if best is None or key < best:
-            best, residues, modulus = key, entries, p
-        elif key == best:
-            inv = pow(modulus, -1, p)
-            for pos in residues.keys() | entries.keys():
-                a = residues.get(pos, 0)
-                t = (entries.get(pos, 0) - a) * inv % p
-                residues[pos] = a + modulus * t
+    p = ech.p
+    free = set(range(len(rows.keys))).difference(ech)
+    residues = _free_entries(ech, free, p)
+    # The vector of j is 1 at j minus the residues; the first residual
+    # takes that 1 as an entry -1 of digit 0.
+    digit = {**residues, **{j: {j: -1} for j in free}}
+    rho, modulus = {}, p
+    for n in range(_DIGITS):
+        if n:
+            rho = _residual(rows, ech, rho, digit)
+            digit = _back_substitute(ech, _forward(ech, rho), p)
+            if any(c > j for c, u in digit.items() for j in u):
+                return False
+            for c, u in digit.items():
+                entries = residues[c] = dict(residues.get(c, ()))
+                for j, v in u.items():
+                    entries[j] = entries.get(j, 0) + modulus * v
             modulus *= p
         kernel = _lift(residues, modulus, free)
         if kernel is not None and rows.annihilate(kernel):
-            return set(best[1])
+            return True
+    return False
+
+
+def _certified_pivots(rows: _Rows, first: Optional[_Echelon] = None) -> set:
+    """Pivot columns of the rows over Q, proved from one elimination mod p.
+
+    `first` is the elimination already made mod the first usable prime.
+    See the module docstring for the certificate; a prime whose lift is
+    refused is dropped for the next, and the Fraction elimination runs
+    when every prime is spent.
+    """
+    for n, p in enumerate(rows.primes()):
+        ech = first if n == 0 and first is not None else _eliminate_mod(rows, p)
+        if _kernel_lifts(rows, ech):
+            return set(ech)
     return _eliminate_exact(rows)
 
 

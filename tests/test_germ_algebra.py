@@ -7,6 +7,7 @@ monomial enumeration, different rank routine).
 """
 
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -607,11 +608,13 @@ def test_ladder_replay_climbs_past_the_rung_where_mod_p_stopped():
     assert _local_report(f)[:2] == (7, (1,) * 7)
 
 
-def test_tall_coefficients_need_more_than_one_prime(monkeypatch):
-    # the kernel vector of the free monomial y1^2 holds c, past the
-    # one-prime reconstruction bound of about 2^30
-    c = 2 ** 40 + 15
-    f = germ([{(0, 1): 1, (2, 0): -c}, {(3, 0): 1}], 2)
+def test_tall_coefficients_need_more_than_one_digit(monkeypatch):
+    # the kernel vector of the free monomial y1^2 holds c: 2^40 + 15 is
+    # past the one-digit reconstruction bound of about 2^30, and 2^600 + 1
+    # past the bound of about 2^243 at the cap of eight 61-bit digits
+    def tall(c):
+        return germ([{(0, 1): 1, (2, 0): -c}, {(3, 0): 1}], 2)
+
     fallbacks = []
     exact = ga._eliminate_exact
 
@@ -620,11 +623,36 @@ def test_tall_coefficients_need_more_than_one_prime(monkeypatch):
         return exact(rows)
 
     monkeypatch.setattr(ga, "_eliminate_exact", spy)
-    assert _local_report(f) == (3, (1, 1, 1), ((0, 0), (1, 0), (2, 0)), True)
+    report = (3, (1, 1, 1), ((0, 0), (1, 0), (2, 0)), True)
+    assert _local_report(tall(2 ** 40 + 15)) == report
     assert fallbacks == []
     monkeypatch.setattr(ga, "_PRIMES", ga._PRIMES[:1])
-    assert _local_report(f) == (3, (1, 1, 1), ((0, 0), (1, 0), (2, 0)), True)
+    assert _local_report(tall(2 ** 40 + 15)) == report
+    assert fallbacks == []
+    assert _local_report(tall(2 ** 600 + 1)) == report
     assert fallbacks == [4]
+
+
+def test_the_lead_rule_refuses_the_lift_of_an_unlucky_prime(monkeypatch):
+    # mod P1 the ideal is (y1^2, y2^2) and y2 is free with kernel vector
+    # e_y2; over Q the row y1^2 + P1*y2 asks for a correction at y1^2, a
+    # pivot above y2, so the lift mod P1 is refused and the next prime
+    # certifies the pivots of the Fraction oracle
+    f = germ([{(2, 0): 1, (0, 1): P1}, {(0, 2): 1}], 2)
+    rows = ga._Rows(ga._ideal_gens(f), 2, 1, 4)
+    assert not ga._kernel_lifts(rows, ga._eliminate_mod(rows, P1))
+    oracle_pivots = ga._eliminate_exact(rows)
+    used, fallbacks = [], []
+    eliminate = ga._eliminate_mod
+
+    def spy(rows, p):
+        used.append(p)
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(ga, "_eliminate_mod", spy)
+    monkeypatch.setattr(ga, "_eliminate_exact", fallbacks.append)
+    assert ga._certified_pivots(rows) == oracle_pivots
+    assert used == [P1, ga._PRIMES[1]] and fallbacks == []
 
 
 # ------------------------------------------- cutoff at the first full degree
@@ -692,6 +720,30 @@ def test_ring_dims_of_the_slowest_bench_pair():
     dims = local_ring_dims(random_graph_pair(3, 6, 3, seed=0), Fraction(1, 3))
     assert dims.dimensions == (12, 12, 12)
     assert dims.hilberts == ((1, 3, 4, 3, 1),) * 3
+
+
+def test_no_certificate_runs_a_second_elimination(monkeypatch):
+    # every elimination of the bench rings is mod the first usable prime,
+    # once per set of rows: each certificate lifts the ladder's echelon
+    eliminated = weakref.WeakSet()
+    second = []
+    eliminate = ga._eliminate_mod
+
+    def spy(rows, p):
+        if rows in eliminated or p != rows.primes()[0]:
+            second.append((len(rows.keys), p))
+        eliminated.add(rows)
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(ga, "_eliminate_mod", spy)
+    for combo in RING_COMBOS:
+        for seed in range(4):
+            dims = local_ring_dims(random_graph_pair(*combo, seed=seed),
+                                   Fraction(1, 3))
+            if (combo, seed) == ((3, 6, 3), 0):
+                assert dims.dimensions == (12, 12, 12)
+                assert dims.hilberts == ((1, 3, 4, 3, 1),) * 3
+    assert second == []
 
 
 def test_fewer_generators_than_variables_is_infinite_at_the_cap():
