@@ -28,6 +28,7 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 
 from .germ_algebra import (
     INFINITE,
+    MAX_TERM_DEGREE,
     REGULAR,
     LocalAlgebraReport,
     MapGerm,
@@ -297,14 +298,6 @@ def graphpair_to_dict(gp: GraphPair) -> dict:
     for name in ("phi", "psi", "eta", "zeta"):
         out[name] = mapgerm_to_dict(getattr(gp, name))["components"]
     return out
-
-
-# The highest total degree a graph-pair term may have.  A term above the
-# default truncation order raises its germ's order to the term's degree, and
-# the exact engine's cost grows with that order: a degree of 10**30 exhausts
-# memory in exact rational powers.  64 is far above every degree the
-# shipped inputs use (3) and the default orders (at most 12).
-MAX_TERM_DEGREE = 64
 
 
 def graphpair_from_dict(payload: dict) -> GraphPair:

@@ -124,6 +124,15 @@ def default_order(source_dim: int) -> int:
     return _DEFAULT_ORDER.get(source_dim, 6)
 
 
+# The highest truncation order a JSON map-germ, and the highest total degree
+# a graph-pair term, may have.  The exact engine's cost grows with a germ's
+# order: a degree of 10**30 exhausts memory in exact rational powers, and
+# recognizing an A8 germ runs past a minute at order 10**6 where it takes a
+# tenth of a second at order 64.  64 is far above every degree the shipped
+# inputs use (3) and the default orders (at most 12).
+MAX_TERM_DEGREE = 64
+
+
 # ---------------------------------------------------------------------------
 # sparse polynomial helpers
 
@@ -1114,8 +1123,9 @@ def mapgerm_from_dict(data: Mapping) -> MapGerm:
         comps = data["components"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad map-germ object: {exc}") from exc
-    if order < 0:
-        raise ValueError(f"map-germ order must be >= 0, got {order}")
+    if not 0 <= order <= MAX_TERM_DEGREE:
+        raise ValueError(f"map-germ order must be in 0..{MAX_TERM_DEGREE}, "
+                         f"got {order}")
     if s < 1 or t < 1:
         raise ValueError(
             f"map-germ dimensions must be >= 1, got source_dim={s}, "

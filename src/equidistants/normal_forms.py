@@ -19,6 +19,17 @@ cubic part restricted to the Hessian kernel (for functions).  In three
 variables the repeated roots of the pencil's determinant cubic are read
 off its Hessian covariant.
 
+A germ with a regular part is reduced to rank 0 first, from its 7-jet
+when the germ's order is above 7.  The contact ladder is then run on
+rungs 4..6 only, and the whole germ is reduced, with the full ladder,
+only when those rungs find no zero of the Hilbert function.  This cannot
+change a label: the reduction commutes with truncation; rung D reads only
+the (D+1)-jet of the reduced germ; every ladder cap is at least 6, so the
+full ladder starts with the same three rungs; and the pencil, the cubic
+and the ideal Hilbert prefix read at most the 3-jet.  Graph-pair contact
+germs arrive at order 12 with long rational coefficients, and nearly all
+of them certify on the 7-jet.
+
 Two normal forms are carried in corrected shape because the printed
 variants fail the catalogue's own finiteness invariant; each carries a
 `correction_note` recording the printed form and the defect:
@@ -709,14 +720,49 @@ def _restricted_cubic(f: MapGerm):
     return tuple(out)
 
 
+# The jet a germ with a regular part is reduced from first: rungs 4..6 of
+# the contact ladder read at most the 7-jet of the reduced germ.
+_JET_ORDER = 7
+
+
+def _rank0(f: MapGerm) -> MapGerm:
+    reduced = rank0_reduce(f)
+    if reduced is REGULAR:
+        raise UnrecognizedGermError("germ is regular; no singular class")
+    return reduced
+
+
+def _reduce(f: MapGerm):
+    """The rank-0 reduction of f and its Ke-Hilbert function, from the
+    7-jet of f when ladder rungs 4..6 certify it, else from f itself."""
+    if f.order > _JET_ORDER:
+        jet = _rank0(MapGerm.from_polys(f.polys(), f.source_dim, _JET_ORDER))
+        keh = ke_quotient_hilbert(jet, order=_JET_ORDER - 3)
+        if keh != INFINITE:
+            return jet, keh
+    reduced = _rank0(f)
+    return reduced, ke_quotient_hilbert(reduced)
+
+
 def recognize(f: MapGerm) -> GermClass:
-    """Catalogue class of a finite-codimension rank-0 germ."""
+    """Catalogue class of a finite-codimension germ.
+
+    A germ with a regular part is reduced to rank 0 first.  Above order 7
+    the 7-jet is reduced and its contact ladder run on rungs 4..6 only;
+    the whole germ is reduced, and the full ladder run, only when those
+    rungs find no zero of h.  The labels are those of the whole germ:
+      * `rank0_reduce` commutes with truncation, since its linear change,
+        compositions and fixed-point passes each map d-jets to d-jets;
+      * rung D reads only the generators' terms of degree <= D, the
+        (D+1)-jet of the reduced germ, so rungs 4..6 read its 7-jet;
+      * every cap is >= 6, so the full ladder's first rungs are the same
+        4, 5, 6, and a zero of h found there is the one it returns;
+      * the rest of recognition reads at most the 3-jet.
+    """
     if corank(f) < f.source_dim:
-        reduced = rank0_reduce(f)
-        if reduced is REGULAR:
-            raise UnrecognizedGermError("germ is regular; no singular class")
-        f = reduced
-    keh = ke_quotient_hilbert(f)
+        f, keh = _reduce(f)
+    else:
+        keh = ke_quotient_hilbert(f)
     if keh == INFINITE:
         raise InfiniteCodimensionError()
     mu = sum(keh)

@@ -240,6 +240,26 @@ def test_germ_with_impossible_sizes_is_a_parse_error(tmp_path, command, field, v
 
 
 @pytest.mark.parametrize("command", ["classify", "mu"])
+def test_germ_order_budget_is_64(capsys, tmp_path, command):
+    # rungs 4..6 of the 7-jet do not certify this A8 germ, so classify
+    # reduces the whole germ; at order 10**6 that ran past a minute
+    blob = json.loads(mapgerm_to_json(germ(
+        [{(1, 0): 1, (0, 2): 1, (1, 1): 1}, {(0, 9): 1, (5, 0): 1}], 2)))
+    path = tmp_path / "a8.json"
+    for order in (65, 10 ** 6):
+        blob["order"] = order
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, command, "--germ", str(path))
+        assert code == 2 and out == "", err
+        assert err.startswith("INPUT_PARSE ") and err.count("\n") == 1
+    blob["order"] = 64
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, command, "--germ", str(path))
+    assert (code, err) == (0, "")
+    assert out.split()[0] == {"classify": "A8", "mu": "8"}[command]
+
+
+@pytest.mark.parametrize("command", ["classify", "mu"])
 @pytest.mark.parametrize("components", [
     [[{"exponents": [2]}]],                    # a term without a coefficient
     [[{"coeff": "1/0", "exponents": [2]}]],    # a zero denominator

@@ -9,9 +9,10 @@ Each example takes a valid base input (a map-germ, a graph pair, or one
 manifold of each kind), replaces one JSON field or term with a value from
 a fixed pool, or deletes it, and draws the flags from pools that mix valid
 and invalid values.  No flag value makes a run costlier than its default.
-The pools hold no integer above 7.  A graph pair's degree is bounded by
-`contact_lab.MAX_TERM_DEGREE`: a term above it, such as a degree of 10**30
-that would exhaust memory in exact rational powers, is one INPUT_PARSE line.
+The pools hold no integer above 7 but 65 and 10**6, which probe the budget
+`germ_algebra.MAX_TERM_DEGREE` = 64 on a germ's order and a graph pair's
+term degree: an order or term above it, such as a degree of 10**30 that
+would exhaust memory in exact rational powers, is one INPUT_PARSE line.
 """
 
 import contextlib
@@ -43,8 +44,8 @@ EXIT_OF = {
 MISSING = "<missing>"
 # written as the bare JSON number 1e400, which reads as an infinite float
 HUGE = "<1e400>"
-POOL = [MISSING, None, True, "x", "1/0", -1, 0, 1.5, 7, math.nan, math.inf,
-        HUGE, [], {}]
+POOL = [MISSING, None, True, "x", "1/0", -1, 0, 1.5, 7, 65, 10 ** 6,
+        math.nan, math.inf, HUGE, [], {}]
 
 
 def _circle_grid(count):
@@ -193,6 +194,8 @@ NUMERIC_LAMBDAS = mostly("1/2", ["3/10", "-1", "0", "1", "x", "1/0", "nan",
 @given(command=st.sampled_from(["classify", "mu"]), json_out=st.booleans(),
        case=mutations(GERMS))
 @example(command="classify", json_out=False, case=("germ", ("order",), HUGE))
+@example(command="classify", json_out=True, case=("germ", ("order",), 10 ** 6))
+@example(command="mu", json_out=False, case=("germ", ("order",), 65))
 @example(command="mu", json_out=False, case=("germ", ("source_dim",), HUGE))
 @example(command="mu", json_out=True,
          case=("germ", ("components", 0, 0, "exponents", 0), HUGE))

@@ -14,9 +14,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import equidistants.geometry_engine as ge
 import equidistants.normal_forms as nf
 from api_extras import clear_mu_cache
 from engine_oracle import both_engines
+from equidistants.contact_lab import lambda_contact_from_pair, random_graph_pair
 from equidistants.germ_algebra import (
     INFINITE,
     InfiniteCodimensionError,
@@ -26,6 +28,7 @@ from equidistants.germ_algebra import (
     ke_codimension,
     ke_quotient_hilbert,
     random_k_move,
+    rank0_reduce,
 )
 from equidistants.normal_forms import (
     MINUS,
@@ -594,6 +597,78 @@ def test_recognize_reduces_linear_rank_first():
     f = germ([{(1, 0): 1}, {(0, 3): 1}], 2)
     assert corank(f) == 1
     assert recognize(f) == GermClass("A", (2,))
+
+
+# -------------------------------------------- reduction from the 7-jet
+
+
+@pytest.fixture(scope="module")
+def graph4():
+    """The R^4 graph (y1^2 + y2^2, y1 y2) and six of its weakly parallel
+    pairs, spread over the cloud."""
+    M = ge.graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}])
+    pairs = ge.find_parallel_pairs(M)
+    return M, pairs[::len(pairs) // 6][:6]
+
+
+def stabilised_a(mu, seed):
+    """A contact move of A_mu stabilised by one regular variable: the
+    order-12 germ (y, x^(mu+1)) in two variables, moved."""
+    return random_k_move(germ([{(0, 1): 1}, {(mu + 1, 0): 1}], 2), seed)
+
+
+def outcome(f):
+    """The label recognize gives f, or its exception's type and text."""
+    try:
+        return recognize(f).label
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_the_7_jet_gives_the_labels_of_the_whole_germ(monkeypatch, graph4):
+    M, pairs = graph4
+    corpus = []
+    with monkeypatch.context() as mp:
+        mp.setattr(ge, "recognize", corpus.append)
+        for lam in ("1/2", "1/3"):
+            for pair in pairs[:3]:
+                ge.classify_pair(M, pair, lam)
+    for n, q, k in ((2, 4, 1), (2, 4, 2), (3, 5, 2), (3, 5, 3), (3, 6, 2)):
+        for seed in range(4):
+            corpus.append(lambda_contact_from_pair(
+                random_graph_pair(n, q, k, seed), "1/2"))
+    corpus += [stabilised_a(mu, seed) for mu in (7, 8) for seed in (0, 1)]
+    regular = germ([{(1, 0): 1, (0, 2): 1}, {(0, 1): 1, (3, 0): 1}], 2)
+    infinite = germ([{(0, 0, 1): 1, (2, 0, 0): 1}, {(2, 1, 0): 1}], 3)
+    corpus += [regular, infinite]
+    assert sum(corank(f) < f.source_dim and f.order > nf._JET_ORDER
+               for f in corpus) >= 20
+    jet_first = [outcome(f) for f in corpus]
+    monkeypatch.setattr(nf, "_JET_ORDER", max(f.order for f in corpus))
+    assert [outcome(f) for f in corpus] == jet_first
+    assert {"A1", "A7", "A8", "A5", "F7"} <= set(jet_first)
+    assert jet_first[-2:] == [
+        ("UnrecognizedGermError", "germ is regular; no singular class"),
+        ("InfiniteCodimensionError", INFINITE)]
+
+
+def test_recognition_reduces_the_7_jet_and_the_whole_germ_only_if_needed(
+        monkeypatch, graph4):
+    orders = []
+
+    def spy(f):
+        orders.append(f.order)
+        return rank0_reduce(f)
+
+    monkeypatch.setattr(nf, "rank0_reduce", spy)
+    M, pairs = graph4
+    labels = [ge.classify_pair(M, pair, "1/2").label for pair in pairs]
+    assert set(labels) <= {"A1", "A2", "A3", "A4"}
+    assert orders == [7] * len(pairs)
+    # A8 has h zero first in degree 8, beyond rung 6 of the 7-jet
+    orders.clear()
+    assert recognize(stabilised_a(8, 0)) == GermClass("A", (8,))
+    assert orders == [7, 12]
 
 
 # ---------------------------------------------------- exact engine oracle
