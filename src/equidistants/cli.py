@@ -195,7 +195,7 @@ def _cmd_trace(args) -> int:
         if not any(len(b) for b in branches):
             raise _Failure("DOMAIN", "no weakly parallel pair off the diagonal band "
                            "to trace", EXIT_MATH)
-        branches = [ge.detect_singularities(b) for b in branches]
+        branches = ge._detect_branches(branches)
     csv_path = args.out + ".csv"
     svg_path = args.out + ".svg"
     ge.write_branches_csv(branches, csv_path)

@@ -229,13 +229,25 @@ def _lagrange_matrix() -> np.ndarray:
 _LAGRANGE_INV = _lagrange_matrix()
 
 
+def _tau_powers(tau, top: int):
+    # tau ** k for k = 0..top.  float_power rounds like the scalar
+    # `tau ** k` (libm pow); the array `**` may take a SIMD pow that differs
+    # in the last bit.
+    return [np.float_power(tau, k) for k in range(top + 1)]
+
+
 def _poly_eval_deriv(coeffs: np.ndarray, tau, m: int) -> np.ndarray:
-    # coeffs indexed by power along axis 0; tau broadcasts against
-    # coeffs[p].  float_power rounds like the scalar `tau ** k` (libm pow);
-    # the array `**` may take a SIMD pow that differs in the last bit.
+    # coeffs indexed by power along axis 0; tau broadcasts against coeffs[p]
+    return _poly_deriv_sum(coeffs, _tau_powers(tau, coeffs.shape[0] - 1 - m),
+                           m)
+
+
+def _poly_deriv_sum(coeffs: np.ndarray, powers, m: int) -> np.ndarray:
+    # the m-th derivative of the polynomial with coefficients `coeffs` at
+    # tau, from powers[k] = tau ** k
     out = np.zeros(coeffs.shape[1:])
     for p in range(m, coeffs.shape[0]):
-        out = out + coeffs[p] * math.perm(p, m) * np.float_power(tau, p - m)
+        out = out + coeffs[p] * math.perm(p, m) * powers[p - m]
     return out
 
 
@@ -260,7 +272,9 @@ class _SampledCurve:
         rows = (idx[:, None] + np.arange(-3, 4)[None, :]) % n
         window = self.grid[rows]                # (N, 7, q)
         coeffs = np.einsum("pk,nkq->pnq", _LAGRANGE_INV, window)
-        out = np.stack([_poly_eval_deriv(coeffs, tau[:, None], m) / self.h ** m
+        # one set of powers serves every order
+        powers = _tau_powers(tau[:, None], 6)
+        out = np.stack([_poly_deriv_sum(coeffs, powers, m) / self.h ** m
                         for m in range(top + 1)])
         return out[:, 0] if scalar else out
 
@@ -982,12 +996,15 @@ def _corrector(M, z, base, d, tol, iters=12):
 
 
 def _march(M, z0, direction, step, delta, tol, max_steps):
-    """March along {g = 0} from z0; returns (points, closed, failed)."""
+    """March along {g = 0} from z0; returns (points, closed, failed, band).
+    A march that steps into the diagonal band stops there, and `band` is
+    its last iterate outside the band with the step inside it, the bracket
+    that `_land_on_band` bisects; it is None for every other ending."""
     pts = [np.array(z0, dtype=float)]
     _, gs, gt, _ = _g_grad(M, z0[0], z0[1])
     d = _step_direction(gs, gt, None)
     if d is None:
-        return pts, False, True
+        return pts, False, True, None
     d = d * direction
     z = np.array(z0, dtype=float)
     for _ in range(max_steps):
@@ -999,39 +1016,46 @@ def _march(M, z0, direction, step, delta, tol, max_steps):
                 break
             h = h / 2
         if hit is None:
-            return pts, False, True
+            return pts, False, True, None
         nxt, gs, gt = hit
         if _toroidal_dist(nxt[0], nxt[1], TWO_PI) < delta:
-            # land exactly on the exclusion-band edge so termination points
-            # do not depend on the step phase; once (lo, hi) repeats, every
-            # later step would project the same midpoint again
-            lo, hi = z, nxt
-            for _ in range(50):
-                mid = _project_to_zero(M, 0.5 * (lo + hi), tol)
-                if mid is None:
-                    break
-                if _toroidal_dist(mid[0], mid[1], TWO_PI) >= delta:
-                    if np.array_equal(mid, lo):
-                        break
-                    lo = mid
-                else:
-                    if np.array_equal(mid, hi):
-                        break
-                    hi = mid
-            if np.linalg.norm(lo - pts[-1]) > 1e-9:
-                pts.append(lo)
-            return pts, False, False
+            return pts, False, False, (z, nxt)
         pts.append(nxt)
         if len(pts) > 8 and \
                 _toroidal_dist(nxt[0], z0[0], TWO_PI) < 1.2 * step and \
                 _toroidal_dist(nxt[1], z0[1], TWO_PI) < 1.2 * step:
             pts.append(np.array(z0, dtype=float))
-            return pts, True, False
+            return pts, True, False, None
         nd = _step_direction(gs, gt, d)
         if nd is None:
-            return pts, False, True
+            return pts, False, True, None
         z, d = nxt, nd
-    return pts, False, True
+    return pts, False, True, None
+
+
+def _land_on_band(M, lo, hi, delta, tol, iters=50):
+    """Bisect every row pair (lo, hi), lo outside the diagonal band and hi
+    inside it, to the band edge along {g = 0}, all rows in one array pass
+    per step.  Landing exactly on the edge keeps termination points
+    independent of the step phase.  Each midpoint is projected onto
+    {g = 0}.  A row stops at its first failed projection, and once its
+    (lo, hi) repeats, since every later step would project the same
+    midpoint again.  Rows never mix, so each row lands where it would land
+    alone.  Returns the final lo of every row."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    live = np.arange(len(lo))
+    for _ in range(iters):
+        if not len(live):
+            break
+        mid, ok = _project_to_zero_many(M, 0.5 * (lo[live] + hi[live]), tol)
+        live, mid = live[ok], mid[ok]
+        gap = np.fmod(np.abs(mid[:, 0] - mid[:, 1]), TWO_PI)
+        out = np.minimum(gap, TWO_PI - gap) >= delta
+        stay = ~(mid == np.where(out[:, None], lo[live], hi[live])).all(axis=1)
+        live, mid, out = live[stay], mid[stay], out[stay]
+        lo[live[out]] = mid[out]
+        hi[live[~out]] = mid[~out]
+    return lo
 
 
 def _branch_from_path(M, lam, path, status):
@@ -1117,14 +1141,23 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
             continue
         if cell(z0) in visited:
             continue
-        fwd, closed, failed = _march(M, z0, +1.0, step, delta_diag, tol,
-                                     max_steps)
+        fwd, closed, failed, band = _march(M, z0, +1.0, step, delta_diag,
+                                           tol, max_steps)
         if closed:
             path = fwd
             status = "closed"
         else:
-            bwd, _, failed_b = _march(M, z0, -1.0, step, delta_diag, tol,
-                                      max_steps)
+            bwd, _, failed_b, band_b = _march(M, z0, -1.0, step, delta_diag,
+                                              tol, max_steps)
+            ends = [(pts, b) for pts, b in ((fwd, band), (bwd, band_b))
+                    if b is not None]
+            if ends:
+                landed = _land_on_band(M, [b[0] for _, b in ends],
+                                       [b[1] for _, b in ends], delta_diag,
+                                       tol)
+                for (pts, _), lo in zip(ends, landed):
+                    if np.linalg.norm(lo - pts[-1]) > 1e-9:
+                        pts.append(lo)
             path = list(reversed(bwd[1:])) + fwd
             status = "step_failure" if (failed or failed_b) else "open"
         for p in path:
@@ -1178,12 +1211,15 @@ def _unit_chords(z_lo, z_hi):
 def _refine_cusps(M, lam, z_lo, z_hi, tol, iters=70):
     """Lockstep bisection of the cusps bracketed by the rows of z_lo, z_hi.
 
-    Along each chord, h is the velocity scalar at the projection of the
-    chord point onto {g = 0}.  A bracket fails when its chord is zero, its
-    end values do not change sign, or any projection fails.  Returns the
-    last projected point of every bracket and the mask of those that did
-    not fail.  As in `_bisect_lockstep`, the loop stops early once no
-    bracket moves, with the result of all `iters` steps.
+    The rows may come from every branch of one trace.  Along each chord, h
+    is the velocity scalar at the projection of the chord point onto
+    {g = 0}.  A bracket fails when its chord is zero, its end values do not
+    change sign, or any projection fails.  Returns the last projected point
+    of every bracket and the mask of those that did not fail.  Rows never
+    mix, so each row's result does not depend on the others.  As in
+    `_bisect_lockstep`, the loop stops early once no bracket moves, with
+    the result of all `iters` steps: a bracket that stops moving repeats
+    its last step, so running on while other rows move changes nothing.
     """
     ref, nrm = _unit_chords(z_lo, z_hi)
 
@@ -1222,55 +1258,60 @@ def _refine_cusps(M, lam, z_lo, z_hi, tol, iters=70):
     return z_best, found
 
 
-def _segment_intersection(p1, p2, p3, p4, min_sin):
-    r = p2 - p1
-    w = p4 - p3
+def _find_node_candidates(P, closed, index_gap, min_sin):
+    """Transverse crossings of the polyline P between segments at least
+    `index_gap` apart along it (around the loop when closed), as
+    (si, sj, point) with si, sj the crossing's fractional segment
+    positions; sorted, and merged when closer than one sweep cell.
+
+    The sweep buckets each segment into the grid cells its bounding box
+    meets, and every pair of segments sharing a cell is tested once, all
+    pairs in one array pass.  A pair crosses when sin of its angle exceeds
+    `min_sin` and both crossing parameters lie in [0, 1).
+    """
+    N = len(P) - 1 if not closed else len(P)
+    A, B = P[:N], P[(np.arange(N) + 1) % len(P)]
+    R = B - A
+    lengths = _norm2(R)
+    cell = max(lengths.max(), 1e-12) * 2.0
+    lo = np.minimum(A, B) // cell
+    span = (np.maximum(A, B) // cell - lo).astype(int) + 1
+    count = span[:, 0] * span[:, 1]
+    seg = np.repeat(np.arange(N), count)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+    cx = lo[seg, 0].astype(int) + k // span[seg, 1]
+    cy = lo[seg, 1].astype(int) + k % span[seg, 1]
+    # sorted by cell, each cell's segments are one run, so every pair in a
+    # run sits some offset d apart within it
+    order = np.lexsort((seg, cy, cx))
+    seg, cx, cy = seg[order], cx[order], cy[order]
+    pairs = [np.empty((0, 2), dtype=int)]
+    for d in range(1, len(seg)):
+        same = (cx[d:] == cx[:-d]) & (cy[d:] == cy[:-d])
+        if not same.any():
+            break
+        pairs.append(np.column_stack([seg[:-d][same], seg[d:][same]]))
+    i, j = np.unique(np.concatenate(pairs), axis=0).T
+    gap = j - i
+    if closed:
+        gap = np.minimum(gap, N - gap)
+    i, j = i[gap >= index_gap], j[gap >= index_gap]
+    r, w = R[i], R[j]
     denom = _cross2(r, w)
-    lr, lw = np.linalg.norm(r), np.linalg.norm(w)
-    if lr == 0 or lw == 0 or abs(denom) <= min_sin * lr * lw:
-        return None
-    dp = p3 - p1
+    lr, lw = lengths[i], lengths[j]
+    keep = (lr != 0) & (lw != 0) & ~(np.abs(denom) <= min_sin * lr * lw)
+    i, j, r, w, denom = i[keep], j[keep], r[keep], w[keep], denom[keep]
+    dp = A[j] - A[i]
     u = _cross2(dp, w) / denom
     v = _cross2(dp, r) / denom
-    if not (0.0 <= u < 1.0 and 0.0 <= v < 1.0):
-        return None
-    return u, v
-
-
-def _find_node_candidates(P, closed, index_gap, min_sin):
-    N = len(P) - 1 if not closed else len(P)
-    segs = [(P[i], P[(i + 1) % len(P)]) for i in range(N)]
-    lengths = [np.linalg.norm(b - a) for a, b in segs]
-    cell = max(max(lengths), 1e-12) * 2.0
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    for i, (a, b) in enumerate(segs):
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        for cx in range(int(lo[0] // cell), int(hi[0] // cell) + 1):
-            for cy in range(int(lo[1] // cell), int(hi[1] // cell) + 1):
-                buckets.setdefault((cx, cy), []).append(i)
-    hits = []
-    seen = set()
-    for ids in buckets.values():
-        for ai in range(len(ids)):
-            for bi in range(ai + 1, len(ids)):
-                i, j = ids[ai], ids[bi]
-                if (i, j) in seen:
-                    continue
-                seen.add((i, j))
-                gap = abs(i - j)
-                if closed:
-                    gap = min(gap, N - gap)
-                if gap < index_gap:
-                    continue
-                hit = _segment_intersection(*segs[i], *segs[j], min_sin)
-                if hit is not None:
-                    hits.append((i + hit[0], j + hit[1]))
+    hit = (0.0 <= u) & (u < 1.0) & (0.0 <= v) & (v < 1.0)
+    si, sj = i[hit] + u[hit], j[hit] + v[hit]
     merged = []
-    for si, sj in sorted(hits):
-        a = P[int(si)] + (si % 1) * (P[(int(si) + 1) % len(P)] - P[int(si)])
+    for n in np.lexsort((sj, si)):
+        base = int(si[n])
+        a = P[base] + (si[n] % 1) * (P[(base + 1) % len(P)] - P[base])
         if all(np.linalg.norm(a - m[2]) > cell for m in merged):
-            merged.append((si, sj, a))
+            merged.append((si[n], sj[n], a))
     return merged
 
 
@@ -1281,18 +1322,65 @@ def detect_singularities(branch: EquidistantBranch, cross_check: bool = True,
 
     Cusps: sign changes of the velocity scalar of the lambda-point along
     the branch, refined by lockstep bisection on the parallel-pair
-    equation, every bracket of the branch in one array pass per step.  Nodes:
-    transverse self-intersections of the sampled polyline found by a
-    bucketed segment sweep.  Each resolved point is optionally
+    equation.  Nodes: transverse self-intersections of the sampled polyline
+    found by a bucketed segment sweep.  Each resolved point is optionally
     cross-checked through the adapted-germ contact pipeline; disagreement
-    or failed refinement yields the label UNRESOLVED.
+    or failed refinement yields the label UNRESOLVED.  This is
+    `_detect_branches` on the one branch, which gives every annotation the
+    bits it gets when all branches of its trace are detected together.
     """
-    if branch.degenerate or branch.status == "cloud" or len(branch) < 4:
-        return replace(branch, annotations=[])
-    M, lam = branch.manifold, branch.lam
+    return _detect_branches([branch], cross_check, min_sin, index_gap)[0]
+
+
+def _detect_branches(branches, cross_check=True, min_sin=0.15, index_gap=12):
+    """`detect_singularities` on every branch of one trace, which share one
+    manifold and one lambda.  The cusp brackets of all branches are refined
+    in one `_refine_cusps` call, so each bisection step is one array pass
+    for the whole trace; every bracket's result is the one it gets alone.
+    Returns the annotated branches in order."""
     tol = 1e-13
-    Z = np.array([[pp.s, pp.t] for pp, _ in branch.samples])
-    closed = branch.status == "closed"
+    out = [replace(br, annotations=[]) for br in branches]
+    work = [(k, br, np.array([[pp.s, pp.t] for pp, _ in br.samples]))
+            for k, br in enumerate(branches)
+            if not (br.degenerate or br.status == "cloud" or len(br) < 4)]
+    if not work:
+        return out
+    M, lam = work[0][1].manifold, work[0][1].lam
+    brackets = [_cusp_brackets(M, lam, Z, br.status == "closed")
+                for _, br, Z in work]
+    z_lo = np.concatenate([Z[b] for (_, _, Z), b in zip(work, brackets)])
+    z_hi = np.concatenate([Z[(b + 1) % len(Z)]
+                           for (_, _, Z), b in zip(work, brackets)])
+    z_star, found = (_refine_cusps(M, lam, z_lo, z_hi, tol) if len(z_lo)
+                     else (z_lo, np.zeros(0, dtype=bool)))
+    cut = np.cumsum([len(b) for b in brackets])[:-1]
+    for (k, br, Z), b, z_b, found_b in zip(work, brackets,
+                                           np.split(z_star, cut),
+                                           np.split(found, cut)):
+        annotations: List[Annotation] = []
+        if len(b):
+            annotations += _annotate(M, lam, b.tolist(), z_b, found_b,
+                                     "A2_cusp", ("A", (2,)), cross_check)
+        nodes = _find_node_candidates(br.points(), br.status == "closed",
+                                      index_gap, min_sin)
+        if nodes:
+            ends = np.array([spos for si, sj, _ in nodes for spos in (si, sj)])
+            idx = ends.astype(int)
+            fr = ends % 1
+            z = Z[idx] + fr[:, None] * _wrap_pi(Z[(idx + 1) % len(Z)]
+                                                - Z[idx])
+            zp, found_n = _project_to_zero_many(M, z, tol)
+            annotations += _annotate(M, lam, idx.tolist(), zp, found_n,
+                                     "A1_node", ("A", (1,)), cross_check)
+        annotations.sort(key=lambda a: a.index)
+        out[k] = replace(br, annotations=annotations)
+    return out
+
+
+def _cusp_brackets(M, lam, Z, closed):
+    """Sample indices i of a branch at which the velocity scalar, taken
+    along the chord from each sample to the next, changes sign from sample
+    i to sample i + 1: a cusp lies between the two."""
     last = len(Z) - 1 if closed else len(Z)
     nxt = (np.arange(last) + 1) % len(Z)
     refs, _ = _unit_chords(Z[:last], Z[nxt])
@@ -1300,24 +1388,7 @@ def detect_singularities(branch: EquidistantBranch, cross_check: bool = True,
     pair_count = last if closed else last - 1
     i = np.arange(pair_count)
     h_i, h_j = hs[i], hs[(i + 1) % last]
-    brackets = i[~(h_i == 0.0) & ~(h_i * h_j >= 0)]
-    annotations: List[Annotation] = []
-    if len(brackets):
-        z_star, found = _refine_cusps(M, lam, Z[brackets],
-                                      Z[(brackets + 1) % len(Z)], tol)
-        annotations += _annotate(M, lam, brackets.tolist(), z_star, found,
-                                 "A2_cusp", ("A", (2,)), cross_check)
-    nodes = _find_node_candidates(branch.points(), closed, index_gap, min_sin)
-    if nodes:
-        ends = np.array([spos for si, sj, _ in nodes for spos in (si, sj)])
-        idx = ends.astype(int)
-        fr = ends % 1
-        z = Z[idx] + fr[:, None] * _wrap_pi(Z[(idx + 1) % len(Z)] - Z[idx])
-        zp, found = _project_to_zero_many(M, z, tol)
-        annotations += _annotate(M, lam, idx.tolist(), zp, found,
-                                 "A1_node", ("A", (1,)), cross_check)
-    annotations.sort(key=lambda a: a.index)
-    return replace(branch, annotations=annotations)
+    return i[~(h_i == 0.0) & ~(h_i * h_j >= 0)]
 
 
 def _annotate(M, lam, index, Z, found, label, expected, cross_check):

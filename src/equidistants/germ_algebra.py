@@ -124,13 +124,20 @@ def default_order(source_dim: int) -> int:
     return _DEFAULT_ORDER.get(source_dim, 6)
 
 
-# The highest truncation order a JSON map-germ, and the highest total degree
-# a graph-pair term, may have.  The exact engine's cost grows with a germ's
-# order: a degree of 10**30 exhausts memory in exact rational powers, and
-# recognizing an A8 germ runs past a minute at order 10**6 where it takes a
-# tenth of a second at order 64.  64 is far above every degree the shipped
-# inputs use (3) and the default orders (at most 12).
+# The highest truncation order a map-germ, from JSON or built in code, and
+# the highest total degree a graph-pair term, may have.  The exact engine's
+# cost grows with a germ's order: a degree of 10**30 exhausts memory in
+# exact rational powers, and recognizing an A8 germ runs past a minute at
+# order 10**6 where it takes a tenth of a second at order 64.  64 is far
+# above every degree the shipped inputs use (3) and the default orders (at
+# most 12).
 MAX_TERM_DEGREE = 64
+
+
+def _check_order(order: int) -> None:
+    if not 0 <= order <= MAX_TERM_DEGREE:
+        raise ValueError(f"map-germ order must be in 0..{MAX_TERM_DEGREE}, "
+                         f"got {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +316,7 @@ class MapGerm:
     components: Tuple[JetPoly, ...]
 
     def __post_init__(self) -> None:
+        _check_order(self.order)
         comps = tuple(self.components)
         if len(comps) != self.target_dim:
             raise ValueError("component count does not match target_dim")
@@ -1123,9 +1131,7 @@ def mapgerm_from_dict(data: Mapping) -> MapGerm:
         comps = data["components"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad map-germ object: {exc}") from exc
-    if not 0 <= order <= MAX_TERM_DEGREE:
-        raise ValueError(f"map-germ order must be in 0..{MAX_TERM_DEGREE}, "
-                         f"got {order}")
+    _check_order(order)
     if s < 1 or t < 1:
         raise ValueError(
             f"map-germ dimensions must be >= 1, got source_dim={s}, "

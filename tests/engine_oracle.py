@@ -15,10 +15,16 @@ free column.
 the Taylor bridge ran on before it shared ``germ_algebra``'s kernel; they
 fix the order in which float coefficients are summed, and so every
 rounding, that the bridge must keep.
+
+``node_candidates`` is the node sweep of ``geometry_engine`` as a loop over
+the bucketed segment pairs, one scalar intersection test per pair; the
+array sweep must return its crossings bit for bit.
 """
 
 from array import array
 from contextlib import contextmanager
+
+import numpy as np
 
 import equidistants.germ_algebra as ga
 import equidistants.normal_forms as nf
@@ -113,3 +119,57 @@ def fcompose(f, subs, n, order):
         for e, v in term.items():
             out[e] = out.get(e, 0.0) + v
     return {e: v for e, v in out.items() if v != 0.0}
+
+
+def _segment_intersection(p1, p2, p3, p4, min_sin):
+    r = p2 - p1
+    w = p4 - p3
+    denom = r[0] * w[1] - r[1] * w[0]
+    lr, lw = np.linalg.norm(r), np.linalg.norm(w)
+    if lr == 0 or lw == 0 or abs(denom) <= min_sin * lr * lw:
+        return None
+    dp = p3 - p1
+    u = (dp[0] * w[1] - dp[1] * w[0]) / denom
+    v = (dp[0] * r[1] - dp[1] * r[0]) / denom
+    if not (0.0 <= u < 1.0 and 0.0 <= v < 1.0):
+        return None
+    return u, v
+
+
+def node_candidates(P, closed, index_gap, min_sin):
+    """(si, sj, point) of every transverse crossing of the polyline P, as
+    ``geometry_engine._find_node_candidates`` returns them."""
+    N = len(P) - 1 if not closed else len(P)
+    segs = [(P[i], P[(i + 1) % len(P)]) for i in range(N)]
+    lengths = [np.linalg.norm(b - a) for a, b in segs]
+    cell = max(max(lengths), 1e-12) * 2.0
+    buckets = {}
+    for i, (a, b) in enumerate(segs):
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        for cx in range(int(lo[0] // cell), int(hi[0] // cell) + 1):
+            for cy in range(int(lo[1] // cell), int(hi[1] // cell) + 1):
+                buckets.setdefault((cx, cy), []).append(i)
+    hits = []
+    seen = set()
+    for ids in buckets.values():
+        for ai in range(len(ids)):
+            for bi in range(ai + 1, len(ids)):
+                i, j = ids[ai], ids[bi]
+                if (i, j) in seen:
+                    continue
+                seen.add((i, j))
+                gap = abs(i - j)
+                if closed:
+                    gap = min(gap, N - gap)
+                if gap < index_gap:
+                    continue
+                hit = _segment_intersection(*segs[i], *segs[j], min_sin)
+                if hit is not None:
+                    hits.append((i + hit[0], j + hit[1]))
+    merged = []
+    for si, sj in sorted(hits):
+        a = P[int(si)] + (si % 1) * (P[(int(si) + 1) % len(P)] - P[int(si)])
+        if all(np.linalg.norm(a - m[2]) > cell for m in merged):
+            merged.append((si, sj, a))
+    return merged

@@ -592,6 +592,20 @@ def test_trace_reproduces_the_golden_oval_csv(capsys, tmp_path, lam, golden):
         assert (tmp_path / "oval.csv").read_bytes() == fh.read()
 
 
+def test_trace_reproduces_both_golden_oval_svgs(capsys, tmp_path):
+    # the drawings carry the cusp circles and node squares of detection
+    path = tmp_path / "oval.json"
+    path.write_text(fourier_oval(a=[0.0, 0.0, 0.2]).to_json())
+    for lam, golden in (("1/2", "oval_lambda_0_5.svg"),
+                        ("3/10", "oval_lambda_0_3.svg")):
+        prefix = str(tmp_path / "oval")
+        code, _, err = run(capsys, "trace", "--input", str(path), "--lambda", lam,
+                           "--out", prefix)
+        assert code == 0, err
+        with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
+            assert (tmp_path / "oval.svg").read_bytes() == fh.read()
+
+
 # A CLI run with one function of normal_forms replaced by a stub that raises
 # ArithmeticError(message): no natural input reaches these failures.
 PATCHED_CLI = """

@@ -3,7 +3,10 @@ location against hand-derived families, tracing against closed-form
 equidistants, singularity detection against frozen brute-force goldens, and
 the float-to-rational bridge against exact contact classes."""
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -11,7 +14,8 @@ import numpy as np
 import pytest
 
 from api_extras import densify_branch, projection_rank_residuals
-from engine_oracle import fcompose
+from engine_oracle import fcompose, node_candidates
+from equidistants.cli import main as cli_main
 from equidistants.contact_lab import contact_map
 from equidistants.normal_forms import DomainError
 from equidistants import geometry_engine as ge
@@ -849,6 +853,11 @@ TRACE_FINGERPRINTS = {
 
 
 def trace_fingerprint(M, lam):
+    return branches_fingerprint(
+        detect_singularities(br) for br in trace_equidistant(M, lam))
+
+
+def branches_fingerprint(branches):
     """sha256 over s, t, a, b and x of every sample, the sigmas and status
     of every branch, and index, label, pair and x of every annotation."""
     h = hashlib.sha256()
@@ -857,8 +866,7 @@ def trace_fingerprint(M, lam):
         for v in vals:
             h.update(np.asarray(v, dtype=float).tobytes())
 
-    for br in trace_equidistant(M, lam):
-        br = detect_singularities(br)
+    for br in branches:
         h.update(br.status.encode())
         put(br.sigmas)
         for pp, x in br.samples:
@@ -874,6 +882,105 @@ def trace_fingerprint(M, lam):
 def test_traces_keep_their_frozen_fingerprints(curve, lam):
     got = trace_fingerprint(TRACED_CURVES[curve](), lam)
     assert got == TRACE_FINGERPRINTS[curve, lam]
+
+
+def cli_trace(tmp_path, M, lam):
+    """Run `trace` on M at lam (its argument string); returns the annotated
+    branches the CLI writes and its JSON branch summaries."""
+    path = tmp_path / "curve.json"
+    path.write_text(M.to_json())
+    written = []
+    write = ge.write_branches_csv
+
+    def keep(branches, out):
+        written.extend(branches)
+        write(branches, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ge, "write_branches_csv", keep)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli_main(["trace", "--input", str(path), "--lambda", lam,
+                             "--out", str(tmp_path / "out"), "--json"]) == 0
+    return written, json.loads(out.getvalue())["branches"]
+
+
+@pytest.mark.parametrize("curve, lam", sorted(TRACE_FINGERPRINTS))
+def test_cli_trace_keeps_the_frozen_fingerprints(tmp_path, curve, lam):
+    # the CLI detects every branch of the trace in one lockstep pass
+    branches, _ = cli_trace(tmp_path, TRACED_CURVES[curve](), str(lam))
+    assert branches_fingerprint(branches) == TRACE_FINGERPRINTS[curve, lam]
+
+
+@pytest.fixture(scope="module")
+def oval_cli_half(tmp_path_factory):
+    """The CLI trace of the oval at lambda 1/2, with the calls of the curve
+    evaluator, of `_refine_cusps` and of `_land_on_band` recorded."""
+    calls = {"jet": 0, "refine": 0, "land_rows": []}
+    jet, refine, land = ge._FourierOval.jet, ge._refine_cusps, ge._land_on_band
+
+    def count_jet(self, *args):
+        calls["jet"] += 1
+        return jet(self, *args)
+
+    def count_refine(*args):
+        calls["refine"] += 1
+        return refine(*args)
+
+    def count_land(M, lo, hi, *args):
+        calls["land_rows"].append(len(lo))
+        return land(M, lo, hi, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ge._FourierOval, "jet", count_jet)
+        mp.setattr(ge, "_refine_cusps", count_refine)
+        mp.setattr(ge, "_land_on_band", count_land)
+        _, summaries = cli_trace(tmp_path_factory.mktemp("oval"), oval(),
+                                 "1/2")
+    return calls, summaries
+
+
+def test_cli_trace_refines_every_cusp_in_one_call(oval_cli_half):
+    calls, summaries = oval_cli_half
+    assert sum(s["cusps"] for s in summaries) == 18
+    assert calls["refine"] == 1
+
+
+def test_trace_lands_both_ends_of_an_open_branch_in_one_call(oval_cli_half):
+    calls, summaries = oval_cli_half
+    opened = [s for s in summaries if s["status"] == "open"]
+    assert len(opened) == 6
+    assert calls["land_rows"] == [2] * len(opened)
+
+
+def test_oval_cli_trace_and_detection_stay_within_4000_evaluator_passes(
+        oval_cli_half):
+    # 3,814 passes when the budget was set, 5,521 with one cusp bisection
+    # per branch and one landing per branch end
+    calls, _ = oval_cli_half
+    assert calls["jet"] <= 4000, calls["jet"]
+
+
+def test_node_sweep_matches_the_loop_reference(oval_03):
+    # bucketed random walks cross themselves often, and some repeat a point
+    rng = np.random.default_rng(5)
+    walks = []
+    for k in range(40):
+        P = np.cumsum(rng.normal(size=(int(rng.integers(4, 200)), 2)), axis=0)
+        if k % 4 == 0:
+            P[rng.integers(len(P))] = P[rng.integers(len(P))]
+        walks.append(P)
+    hits = 0
+    for P in walks + [br.points() for br in oval_03]:
+        for closed in (False, True):
+            for gap, min_sin in ((12, 0.15), (1, 0.0)):
+                want = node_candidates(P, closed, gap, min_sin)
+                got = ge._find_node_candidates(P, closed, gap, min_sin)
+                assert len(got) == len(want)
+                for (si, sj, a), (wi, wj, wa) in zip(got, want):
+                    assert (si, sj) == (wi, wj)
+                    assert a.tobytes() == wa.tobytes()
+                hits += len(want)
+    assert hits > 100
 
 
 def test_oval_trace_and_detection_stay_within_6000_evaluator_passes(

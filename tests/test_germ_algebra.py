@@ -229,6 +229,16 @@ def test_matrix_rank_equals_sympy_on_rank_deficient_rational_matrices(seed):
 # ---------------------------------------------------------------- rank0_reduce
 
 
+@pytest.mark.parametrize("order", [65, 10 ** 6])
+def test_a_germ_built_in_code_keeps_the_order_budget(order):
+    # the A8 germ whose whole-germ reduction ran past a minute at 10**6
+    polys = [{(1, 0): 1, (0, 2): 1, (1, 1): 1}, {(0, 9): 1, (5, 0): 1}]
+    with pytest.raises(ValueError,
+                       match=rf"^map-germ order must be in 0\.\.64, got {order}$"):
+        germ(polys, 2, order=order)
+    assert germ(polys, 2, order=64).order == 64
+
+
 def test_reduce_full_rank_is_regular():
     assert rank0_reduce(MapGerm.identity(2)) is REGULAR
     assert rank0_reduce(germ([{(1, 0): 1, (0, 2): 1}], 2)) is REGULAR
