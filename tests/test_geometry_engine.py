@@ -4,6 +4,7 @@ equidistants, singularity detection against frozen brute-force goldens, and
 the float-to-rational bridge against exact contact classes."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from api_extras import densify_branch, projection_rank_residuals
 from engine_oracle import fcompose, node_candidates
 from equidistants.cli import main as cli_main
-from equidistants.contact_lab import contact_map
+from equidistants.contact_lab import contact_map, graphpair_to_json
 from equidistants.normal_forms import DomainError
 from equidistants import geometry_engine as ge
 from equidistants.geometry_engine import (
@@ -738,6 +739,86 @@ def test_graph_pair_passes_match_the_scalar_reference():
     M = graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}])
     assert_same_pairs(find_parallel_pairs(M),
                       scalar_graph4_pairs(M, 16, 10.0 * 2.0 / 16))
+
+
+def sampled_torus():
+    """torus(2, 0.5) sampled on a 12x12 grid."""
+    u = np.arange(12) * (TWO_PI / 12)
+    U, V = np.meshgrid(u, u, indexing="ij")
+    return sampled_surface(np.asarray(torus(2.0, 0.5).position((U, V))))
+
+
+# (manifold, grid density, diagonal band); None keeps the search's default
+SURFACE_SEARCHES = {
+    "torus": (lambda: torus(2.0, 0.5), None, None),
+    "graph4": (lambda: graph_surface([{(2, 0): 1.0, (0, 2): 1.0},
+                                      {(1, 1): 1.0}]), None, None),
+    "sampled_torus": (sampled_torus, 12, 3.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def surface_search(name):
+    make, density, delta = SURFACE_SEARCHES[name]
+    M = make()
+    return M, find_parallel_pairs(M, density, delta_diag=delta)
+
+
+def pairs_fingerprint(pairs):
+    """sha256 over s, t, a, b, degree, codimension and residual of every
+    pair, in order."""
+    h = hashlib.sha256()
+    for p in pairs:
+        for v in (p.s, p.t, p.a, p.b, p.residual):
+            h.update(np.asarray(v, dtype=float).tobytes())
+        h.update(f"{p.deg_k}:{p.codim};".encode())
+    return h.hexdigest()
+
+
+# sha256 of every located surface pair and of bridge germs at a spread of
+# them, frozen from the per-multi-index evaluators; the pair counts are
+# 7,378, 284 and 941
+SURFACE_FINGERPRINTS = {
+    "torus": "437db40088a37c61fee5843f281c26e748c905560e6911ef0f3c318fa64a94e4",
+    "graph4": "082594cb6759ba383fb6c5e11a97f2879f466fbe3e65818075871ed71ec6ebef",
+    "sampled_torus": "4266dc3d6ebe4a3f67c1da18be9a33d2ad0f4a9080a5c099b492b6ecdd8e8a44",
+}
+BRIDGE_FINGERPRINTS = {
+    "torus": "0e7096a51e602a1de66b83dc4343e095042f55c6075bfee41ad697c266b0c66a",
+    "graph4": "8e3f02d8b16ca920dc07b53043bf72e48b023c3a1b5e922ef09b44534bf521d8",
+    "sampled_torus": "fa29df9db2bb5cc4b5965a2e6dff0c3adf8f284b6e184f8c44a3cce791953f38",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_FINGERPRINTS))
+def test_surface_pair_searches_keep_their_frozen_fingerprints(name):
+    _, pairs = surface_search(name)
+    assert pairs_fingerprint(pairs) == SURFACE_FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BRIDGE_FINGERPRINTS))
+def test_bridge_germs_keep_their_frozen_fingerprints(monkeypatch, name):
+    # six pairs spread over each search, at lambda 1/2 and 1/3: the float
+    # chart series handed to `_graph_functions` (their reprs are exact) and
+    # the snapped GraphPair; a pair whose frame alignment fails contributes
+    # its message
+    M, pairs = surface_search(name)
+    h = hashlib.sha256()
+    real = ge._graph_functions
+
+    def spy(xi, *args):
+        h.update(repr(xi).encode())
+        return real(xi, *args)
+
+    monkeypatch.setattr(ge, "_graph_functions", spy)
+    for pair in pairs[::len(pairs) // 6][:6]:
+        for lam in ("1/2", "1/3"):
+            try:
+                text = graphpair_to_json(taylor_germ_at_pair(M, pair, lam))
+            except FrameAlignmentError as exc:
+                text = str(exc)
+            h.update(text.encode())
+    assert h.hexdigest() == BRIDGE_FINGERPRINTS[name]
 
 
 def test_pair_location_rejects_unsupported_shapes():
