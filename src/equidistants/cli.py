@@ -32,9 +32,10 @@ when no pair off the band is left to draw, or on a floating-point overflow,
 division by zero or invalid operation.  A NaN or infinite manifold
 parameter, coefficient or grid value, a number that overflows to infinity
 anywhere in an input file, a graph_surface whose exponent is not two
-non-negative integers or whose halfwidth is not positive, a germ with a
-dimension below 1, a germ order outside 0..64 and a graph-pair term of
-total degree above 64 are INPUT_PARSE.  Both bounds are the budget
+non-negative integers, whose halfwidth is not positive or which has a term
+of total degree above 64, a germ with a dimension below 1, a germ order
+outside 0..64 and a graph-pair term of total degree above 64 are
+INPUT_PARSE.  All three bounds are the budget
 ``germ_algebra.MAX_TERM_DEGREE``: the exact engine's cost grows with a
 germ's order, and an A8 germ at order 10**6 runs past a minute.
 ``classify``, ``contact`` and ``mu`` report INFINITE only for infinite

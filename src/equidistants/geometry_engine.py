@@ -3,12 +3,14 @@ of weakly parallel pairs, tracing of affine lambda-equidistants, singularity
 detection on traced branches, and the bridge that turns a located pair into
 an exact adapted-coordinate GraphPair for the algebra side.
 
-Conventions.  Builtin families carry closed-form derivatives; sampled grids
-differentiate a 7-point local Lagrange interpolant, whose node values are
-the classical 4th-order central-difference stencils.  Numerical rank uses
-singular values with the relative threshold TAU_RANK.  The float-to-exact
-bridge snaps Taylor coefficients to rationals after zeroing entries below a
-relative clip, so tangency-forced zeros survive roundoff.
+Conventions.  Every evaluator has one routine, `jet(params, top)`, for all
+partials up to order top.  Builtin families carry closed-form derivatives;
+sampled grids differentiate a 7-point local Lagrange interpolant, whose
+node values are the classical 4th-order central-difference stencils.
+Numerical rank uses singular values with the relative threshold TAU_RANK.
+The float-to-exact bridge snaps Taylor coefficients to rationals after
+zeroing entries below a relative clip, so tangency-forced zeros survive
+roundoff.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .contact_lab import DegenerateLambdaError, GraphPair, contact_map
-from .germ_algebra import MapGerm, monomials_upto, p_compose, unit_exp
+from .germ_algebra import (MAX_TERM_DEGREE, MapGerm, monomials_upto,
+                           p_compose, unit_exp)
 from .normal_forms import DomainError, GermClass, recognize
 
 TAU_RANK = 1e-8
@@ -51,14 +54,6 @@ class NonFiniteEquidistantError(DomainError):
 
 # --------------------------------------------------------------------------
 # evaluators
-
-
-def _shifted_cos(theta, m):
-    return np.cos(theta + m * (math.pi / 2.0))
-
-
-def _shifted_sin(theta, m):
-    return np.sin(theta + m * (math.pi / 2.0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,8 +89,8 @@ class _Ellipse:
             raise ValueError("ellipse axes must be finite and positive")
         self.a, self.b = float(a), float(b)
 
-    def jet(self, th, top):
-        th = np.asarray(th, dtype=float)
+    def jet(self, params, top):
+        th = np.asarray(params[0], dtype=float)
         out = np.array([self.a, self.b]) * _circle_jet(th.ravel(), top)
         return out.reshape((top + 1,) + th.shape + (2,))
 
@@ -112,12 +107,12 @@ class _FourierOval:
         if not all(map(math.isfinite, self.a + self.b)):
             raise ValueError("fourier_oval coefficients must be finite")
 
-    def jet(self, th, top):
+    def jet(self, params, top):
         # r^(i) for every order i at once, with each harmonic's shifted
         # cos/sin evaluated once; then the Leibniz sums of r (cos, sin).
         # Every sum runs in the order of the scalar formulas: harmonics as
         # listed, then ascending i from 0.0.
-        th = np.asarray(th, dtype=float)
+        th = np.asarray(params[0], dtype=float)
         flat = th.ravel()
         m, phase, binoms = _orders(top)
         r = np.zeros((top + 1, flat.size))
@@ -144,23 +139,24 @@ class _Torus:
             raise ValueError("torus radii must be finite and positive")
         self.R, self.r = float(R), float(r)
 
-    def derivative(self, params, alpha):
-        u, v = params
-        i, j = alpha
-        R, r = self.R, self.r
-        # x = R cos u + r cos v cos u, y = R sin u + r cos v sin u, z = r sin v
-        cu_i = _shifted_cos(u, i)
-        su_i = _shifted_sin(u, i)
-        cv_j = _shifted_cos(v, j)
-        x = (R * cu_i if j == 0 else 0.0) + r * cv_j * cu_i
-        y = (R * su_i if j == 0 else 0.0) + r * cv_j * su_i
-        z = r * _shifted_sin(v, j) if i == 0 else 0.0
-        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
-        return np.stack(
-            [np.broadcast_to(np.asarray(c, dtype=float), shape)
-             for c in (x, y, z)],
-            axis=-1,
-        )
+    def jet(self, params, top):
+        # (x, y) = (R + r cos v) (cos u, sin u) and z = r sin v, so
+        # d^(i,j) (x, y) is r cv_j (cu_i, su_i), plus R (cu_i, su_i) when
+        # j = 0, with cv_j, cu_i, su_i the circle jets of v and u
+        u, v = np.broadcast_arrays(*(np.asarray(p, dtype=float)
+                                     for p in params))
+        cu, cv = _circle_jet(u.ravel(), top), _circle_jet(v.ravel(), top)
+        rcv = self.r * cv[..., 0]
+        out = np.zeros((top + 1, top + 1, u.size, 3))
+        out[0, :, :, 2] = self.r * cv[..., 1]
+        # one coordinate at a time, so that numpy's inner loops run over
+        # the points instead of a trailing axis of length 2
+        for k in range(2):
+            for j in range(top + 1):
+                for i in range(top + 1 - j):
+                    out[i, j, :, k] = rcv[j] * cu[i, :, k]
+            out[:, 0, :, k] += self.R * cu[..., k]
+        return out.reshape((top + 1, top + 1) + u.shape + (3,))
 
     def payload(self):
         return {"kind": "torus", "R": self.R, "r": self.r}
@@ -182,33 +178,42 @@ class _GraphSurface:
         if not all(math.isfinite(c) for comp in self.components
                    for c in comp.values()):
             raise ValueError("graph_surface coefficients must be finite")
+        degree = max((sum(e) for comp in self.components for e in comp),
+                     default=0)
+        if degree > MAX_TERM_DEGREE:
+            raise ValueError(f"graph_surface has a term of degree {degree}, "
+                             f"above the budget of {MAX_TERM_DEGREE}")
         self.halfwidth = float(halfwidth)
         if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
             raise ValueError("graph_surface halfwidth must be finite and "
                              "positive")
 
-    def derivative(self, params, alpha):
+    def jet(self, params, top):
         y1, y2 = (np.asarray(p, dtype=float) for p in params)
-        i, j = alpha
         shape = np.broadcast(y1, y2).shape
-        cols = []
-        base = [y1, y2]
-        for axis in range(2):
-            if alpha == (0, 0):
-                cols.append(np.broadcast_to(base[axis], shape))
-            elif (i, j) == ((1, 0) if axis == 0 else (0, 1)):
-                cols.append(np.ones(shape))
-            else:
-                cols.append(np.zeros(shape))
-        for comp in self.components:
-            acc = np.zeros(shape)
-            for (e1, e2), c in comp.items():
-                if e1 < i or e2 < j:
-                    continue
-                f = c * math.perm(e1, i) * math.perm(e2, j)
-                acc = acc + f * y1 ** (e1 - i) * y2 ** (e2 - j)
-            cols.append(acc)
-        return np.stack(cols, axis=-1)
+        out = np.zeros((top + 1, top + 1) + shape
+                       + (2 + len(self.components),))
+        out[0, 0, ..., 0], out[0, 0, ..., 1] = y1, y2
+        if top:
+            out[1, 0, ..., 0] = out[0, 1, ..., 1] = 1.0
+        powers = {}         # y ** k, shared by every partial
+
+        def power(axis, k):
+            if (axis, k) not in powers:
+                powers[axis, k] = (y1, y2)[axis] ** k
+            return powers[axis, k]
+
+        for i in range(top + 1):
+            for j in range(top + 1 - i):
+                for col, comp in enumerate(self.components, start=2):
+                    acc = np.zeros(shape)
+                    for (e1, e2), c in comp.items():
+                        if e1 < i or e2 < j:
+                            continue
+                        f = c * math.perm(e1, i) * math.perm(e2, j)
+                        acc = acc + f * power(0, e1 - i) * power(1, e2 - j)
+                    out[i, j, ..., col] = acc
+        return out
 
     def payload(self):
         comps = [
@@ -236,12 +241,6 @@ def _tau_powers(tau, top: int):
     return [np.float_power(tau, k) for k in range(top + 1)]
 
 
-def _poly_eval_deriv(coeffs: np.ndarray, tau, m: int) -> np.ndarray:
-    # coeffs indexed by power along axis 0; tau broadcasts against coeffs[p]
-    return _poly_deriv_sum(coeffs, _tau_powers(tau, coeffs.shape[0] - 1 - m),
-                           m)
-
-
 def _poly_deriv_sum(coeffs: np.ndarray, powers, m: int) -> np.ndarray:
     # the m-th derivative of the polynomial with coefficients `coeffs` at
     # tau, from powers[k] = tau ** k
@@ -251,76 +250,55 @@ def _poly_deriv_sum(coeffs: np.ndarray, powers, m: int) -> np.ndarray:
     return out
 
 
-class _SampledCurve:
-    def __init__(self, grid: np.ndarray, period: float = TWO_PI):
+class _SampledGrid:
+    """A closed curve (n = 1) or surface (n = 2) sampled on a grid that is
+    2pi-periodic in each parameter.  Each point reads the 7 (or 7x7) grid
+    values nearest to it; the interpolant's coefficients come from an
+    einsum along the last parameter axis and, on a surface, a matmul along
+    the first (the BLAS call of a single `L @ line` on each point)."""
+
+    def __init__(self, grid: np.ndarray, n: int):
         grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 2 or grid.shape[0] < 7:
-            raise ValueError("sampled curve needs at least 7 grid points")
+        if grid.ndim != n + 1 or min(grid.shape[:n]) < 7:
+            raise ValueError("sampled curve needs at least 7 grid points"
+                             if n == 1 else
+                             "sampled surface needs a 7x7 grid at least")
         if not np.isfinite(grid).all():
             raise ValueError("sampled grid values must be finite")
-        self.grid = grid
-        self.period = float(period)
-        self.h = self.period / grid.shape[0]
+        self.grid, self.n = grid, n
+        self.h = tuple(TWO_PI / size for size in grid.shape[:n])
 
-    def jet(self, th, top):
-        th = np.asarray(th, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        n = self.grid.shape[0]
-        idx = np.rint(th / self.h).astype(int)
-        tau = th / self.h - idx
-        rows = (idx[:, None] + np.arange(-3, 4)[None, :]) % n
-        window = self.grid[rows]                # (N, 7, q)
-        coeffs = np.einsum("pk,nkq->pnq", _LAGRANGE_INV, window)
-        # one set of powers serves every order
-        powers = _tau_powers(tau[:, None], 6)
-        out = np.stack([_poly_deriv_sum(coeffs, powers, m) / self.h ** m
-                        for m in range(top + 1)])
-        return out[:, 0] if scalar else out
-
-    def payload(self):
-        return {"kind": "samples", "n": 1, "q": self.grid.shape[1],
-                "grid": self.grid.tolist()}
-
-
-class _SampledSurface:
-    def __init__(self, grid: np.ndarray, periods=(TWO_PI, TWO_PI)):
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 3 or grid.shape[0] < 7 or grid.shape[1] < 7:
-            raise ValueError("sampled surface needs a 7x7 grid at least")
-        if not np.isfinite(grid).all():
-            raise ValueError("sampled grid values must be finite")
-        self.grid = grid
-        self.periods = tuple(float(p) for p in periods)
-        self.h = (self.periods[0] / grid.shape[0],
-                  self.periods[1] / grid.shape[1])
-
-    def derivative(self, params, alpha):
-        u, v = (np.asarray(p, dtype=float) for p in params)
-        i, j = alpha
-        scalar = u.ndim == 0 and v.ndim == 0
-        u, v = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
-        shape = u.shape
-        u, v = u.ravel(), v.ravel()
-        n0, n1 = self.grid.shape[:2]
-        i0 = np.rint(u / self.h[0]).astype(int)
-        j0 = np.rint(v / self.h[1]).astype(int)
-        t0 = u / self.h[0] - i0
-        t1 = v / self.h[1] - j0
-        rows = (i0[:, None] + np.arange(-3, 4)) % n0
-        cols = (j0[:, None] + np.arange(-3, 4)) % n1
-        block = self.grid[rows[:, :, None], cols[:, None, :]]  # (N, 7, 7, q)
-        c1 = np.einsum("pk,nakq->pnaq", _LAGRANGE_INV, block)
-        line = _poly_eval_deriv(c1, t1[:, None, None], j)      # (N, 7, q)
-        # matmul runs the BLAS call of a single `L @ line` on each point
-        c0 = np.matmul(_LAGRANGE_INV, line).transpose(1, 0, 2)
-        out = _poly_eval_deriv(c0, t0[:, None], i) / (
-            self.h[0] ** i * self.h[1] ** j)
-        out = out.reshape(shape + (self.grid.shape[2],))
-        return out[(0,) * (out.ndim - 1)] if scalar else out
+    def jet(self, params, top):
+        params = np.broadcast_arrays(*(np.asarray(p, dtype=float)
+                                       for p in params))
+        n, index, powers = self.n, [], []
+        for axis, (x, h) in enumerate(zip(params, self.h)):
+            x = x.ravel()
+            idx = np.rint(x / h).astype(int)
+            tau = x / h - idx
+            rows = (idx[:, None] + np.arange(-3, 4)) % self.grid.shape[axis]
+            index.append(rows.reshape((-1,) + (1,) * axis + (7,)
+                                      + (1,) * (n - 1 - axis)))
+            # tau broadcasts against the coefficient arrays of its axis:
+            # (N, 7, q) along v on a surface, (N, q) otherwise
+            powers.append(_tau_powers(tau.reshape((-1,) + (1,) * (axis + 1)),
+                                      6))
+        block = self.grid[tuple(index)]                 # (N,) + (7,)*n + (q,)
+        c = np.einsum("pk,n...kq->pn...q", _LAGRANGE_INV, block)
+        out = np.zeros((top + 1,) * n + block.shape[:1] + block.shape[-1:])
+        for j in range(top + 1):
+            line = _poly_deriv_sum(c, powers[-1], j)
+            if n == 1:
+                out[j] = line / self.h[0] ** j
+                continue
+            c0 = np.matmul(_LAGRANGE_INV, line).transpose(1, 0, 2)
+            for i in range(top + 1 - j):
+                out[i, j] = _poly_deriv_sum(c0, powers[0], i) / (
+                    self.h[0] ** i * self.h[1] ** j)
+        return out.reshape((top + 1,) * n + params[0].shape + out.shape[-1:])
 
     def payload(self):
-        return {"kind": "samples", "n": 2, "q": self.grid.shape[2],
+        return {"kind": "samples", "n": self.n, "q": self.grid.shape[-1],
                 "grid": self.grid.tolist()}
 
 
@@ -330,15 +308,15 @@ class _SampledSurface:
 
 @dataclass
 class ParametricManifold:
-    """Closed parametrized submanifold with derivative access.
+    """Closed parametrized submanifold with jet access.
 
     `periods[i]` is the period of parameter i, or None on a box domain.
-    `derivative(params, alpha)` returns the mixed partial of multi-index
-    alpha; alpha = (0,..,0) is the position.  Components of `params` may be
-    floats or broadcastable arrays.  A curve's evaluator has one routine,
-    `jet(theta, top)`: it returns the derivatives of orders 0..top in one
-    pass, with the order as the leading array axis, and `derivative` on a
-    curve is `jet(theta, m)[m]`.
+    Every evaluator has one routine, `jet(params, top)`, which returns the
+    partial derivatives of every multi-index alpha with |alpha| <= top in
+    one pass (see `jet`).  `derivative(params, alpha)` is
+    `jet(params, |alpha|)[alpha]`, and `position` is the entry at
+    alpha = (0,..,0).  Components of `params` may be floats or
+    broadcastable arrays.
     """
 
     n: int
@@ -348,26 +326,23 @@ class ParametricManifold:
     _ev: object
 
     def position(self, params):
-        return self.derivative(params, (0,) * self.n)
+        return self.jet(params, 0)[(0,) * self.n]
 
     def derivative(self, params, alpha):
-        params = _as_params(params, self.n)
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.n or any(a < 0 for a in alpha):
             raise ValueError(f"bad derivative multi-index {alpha}")
-        if self.n == 1:
-            return self._ev.jet(params[0], alpha[0])[alpha[0]]
-        return self._ev.derivative(params, alpha)
+        return self.jet(params, sum(alpha))[alpha]
 
     def jet(self, params, top: int):
-        """Derivatives of orders 0..top of a curve in one evaluator pass:
-        axis 0 is the order, then the shape of the parameter, then q."""
-        if self.n != 1:
-            raise ValueError("jet needs a curve")
+        """Partial derivatives J[alpha] for every multi-index alpha with
+        |alpha| <= top, from one evaluator pass.  J has shape
+        (top + 1,) * n + the shape of the parameters + (q,); entries with
+        |alpha| > top are zero."""
         top = int(top)
         if top < 0:
             raise ValueError(f"bad jet order {top}")
-        return self._ev.jet(_as_params(params, 1)[0], top)
+        return self._ev.jet(_as_params(params, self.n), top)
 
     def to_dict(self) -> dict:
         return self._ev.payload()
@@ -409,12 +384,12 @@ def graph_surface(components, halfwidth: float = 1.0) -> ParametricManifold:
 
 
 def sampled_curve(grid) -> ParametricManifold:
-    ev = _SampledCurve(np.asarray(grid, dtype=float))
+    ev = _SampledGrid(grid, 1)
     return ParametricManifold(1, ev.grid.shape[1], "samples", (TWO_PI,), ev)
 
 
 def sampled_surface(grid) -> ParametricManifold:
-    ev = _SampledSurface(np.asarray(grid, dtype=float))
+    ev = _SampledGrid(grid, 2)
     return ParametricManifold(2, ev.grid.shape[2], "samples",
                               (TWO_PI, TWO_PI), ev)
 
@@ -460,8 +435,8 @@ def manifold_from_json(text: str) -> ParametricManifold:
 
 def tangent_frame(M: ParametricManifold, params) -> np.ndarray:
     """Rows are the first partial derivatives at `params` (an n x q frame)."""
-    rows = [M.derivative(params, unit_exp(i, M.n)) for i in range(M.n)]
-    frame = np.stack(rows)
+    J = M.jet(params, 1)
+    frame = np.stack([J[unit_exp(i, M.n)] for i in range(M.n)])
     sv = np.linalg.svd(frame, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= TAU_RANK * sv[0]:
         raise ImmersionError(
@@ -532,7 +507,7 @@ class PairPoint:
 
 
 def _curve_tangents(M, thetas):
-    return M.derivative((np.asarray(thetas, dtype=float),), (1,))
+    return M.jet((np.asarray(thetas, dtype=float),), 1)[1]
 
 
 def _cross2(u, v):
@@ -606,7 +581,7 @@ def _rank_drops(frames):
 def _pair_points(M, S, T, residuals=None):
     """PairPoints of M at the parameters S and T, built in one pass.
 
-    Frames come from `M.derivative` at the unit multi-indices; immersion
+    Frames and positions come from one jet of order 1; immersion
     checks and the rank of each stacked 2n x q frame come from stacked
     SVDs, which run the LAPACK call of `tangent_frame` and `parallelism` on
     each matrix, so the result is that of pair-by-pair construction.
@@ -619,12 +594,12 @@ def _pair_points(M, S, T, residuals=None):
     n = M.n
     Sa = np.array(S, dtype=float).reshape(len(S), n)
     Ta = np.array(T, dtype=float).reshape(len(T), n)
-    Sp, Tp = tuple(Sa.T.copy()), tuple(Ta.T.copy())
     S, T = ([p[0] if n == 1 else tuple(p) for p in A.tolist()]
             for A in (Sa, Ta))
-    units = [unit_exp(i, n) for i in range(n)]
-    Fs = np.stack([M.derivative(Sp, e) for e in units], axis=1)
-    Ft = np.stack([M.derivative(Tp, e) for e in units], axis=1)
+    J = M.jet(tuple(np.concatenate([Sa, Ta]).T.copy()), 1)
+    m = len(S)
+    F = np.stack([J[unit_exp(i, n)] for i in range(n)], axis=1)
+    Fs, Ft = F[:m], F[m:]
     distinct = (_toroidal_gaps(Sa, Ta, M.periods) > 1e-12).any(axis=1)
     bad_s, sv_s = _rank_drops(Fs)
     bad_t, sv_t = _rank_drops(Ft)
@@ -642,7 +617,7 @@ def _pair_points(M, S, T, residuals=None):
     if residuals is None:
         Ts, Tt = Fs[:, 0], Ft[:, 0]
         residuals = np.abs(_cross2(Ts, Tt)) / (_norm2(Ts) * _norm2(Tt))
-    A, B = M.position(Sp), M.position(Tp)
+    A, B = J[(0,) * n][:m], J[(0,) * n][m:]
     return [PairPoint(S[k], T[k], A[k], B[k], int(deg[k]), int(codim[k]),
                       float(residuals[k])) for k in range(len(S))]
 
@@ -695,8 +670,8 @@ def _pairs_curve(M, density, tol, delta):
 def _pairs_torus(M, density, tol, delta):
     us = np.arange(density) * (TWO_PI / density)
     U, V = np.meshgrid(us, us, indexing="ij")
-    Tu = M.derivative((U, V), (1, 0))
-    Tv = M.derivative((U, V), (0, 1))
+    J = M.jet((U, V), 1)
+    Tu, Tv = J[1, 0], J[0, 1]
     bad, sv = _rank_drops(np.stack([Tu, Tv], axis=-2).reshape(-1, 2, M.q))
     if bad.any():
         k = int(np.argmax(bad))
@@ -734,9 +709,8 @@ def _pairs_torus(M, density, tol, delta):
     cand = cand[cand[:, 0] < cand[:, 1]]
 
     def normals(u, v):
-        tu = M.derivative((u, v), (1, 0))
-        tv = M.derivative((u, v), (0, 1))
-        nn = np.cross(tu, tv)
+        J = M.jet((u, v), 1)
+        nn = np.cross(J[1, 0], J[0, 1])
         return nn / np.linalg.norm(nn, axis=-1, keepdims=True)
 
     def resid(Z):
@@ -777,9 +751,8 @@ def _pairs_torus(M, density, tol, delta):
 
 
 def _graph_jac_entries(M, y1, y2):
-    d10 = M.derivative((y1, y2), (1, 0))
-    d01 = M.derivative((y1, y2), (0, 1))
-    return d10[..., 2], d10[..., 3], d01[..., 2], d01[..., 3]
+    J = M.jet((y1, y2), 1)
+    return J[1, 0, ..., 2], J[1, 0, ..., 3], J[0, 1, ..., 2], J[0, 1, ..., 3]
 
 
 def _pairs_graph4(M, density, tol, delta):
@@ -1059,16 +1032,16 @@ def _land_on_band(M, lo, hi, delta, tol, iters=50):
 
 
 def _branch_from_path(M, lam, path, status):
-    S = np.array([p[0] % TWO_PI for p in path])
-    T = np.array([p[1] % TWO_PI for p in path])
-    A = M.position((S,))
-    B = M.position((T,))
+    S = [p[0] % TWO_PI for p in path]
+    T = [p[1] % TWO_PI for p in path]
+    pairs = _pair_points(M, S, T)
+    A = np.array([p.a for p in pairs])
+    B = np.array([p.b for p in pairs])
     with np.errstate(over="ignore", invalid="ignore"):
         X = lam * A + (1 - lam) * B      # _check_finite reports overflow
     steps = np.linalg.norm(np.diff(np.array(path), axis=0), axis=1) \
         if len(path) > 1 else np.array([])
     sigmas = np.concatenate([[0.0], np.cumsum(steps)])
-    pairs = _pair_points(M, S.tolist(), T.tolist())
     samples = list(zip(pairs, X))
     scale = float(np.max(np.linalg.norm(A, axis=1))) or 1.0
     diam = float(np.max(np.ptp(X, axis=0))) if len(X) else 0.0
@@ -1492,17 +1465,15 @@ def _adapted_basis(Fa, Fb, k, q):
     return B
 
 
-def _chart_series(M, params, Binv, const, scale, n, order):
-    """Chart coordinates Binv @ (.) of the Taylor series of `scale` * M at
-    `params`, one dict per coordinate; `const` is the constant term."""
-    xi = [dict() for _ in range(M.q)]
+def _chart_series(J, Binv, const, scale, n, order):
+    """Chart coordinates Binv @ (.) of the Taylor series of `scale` * M at a
+    point where M has the jet J, one dict per coordinate; `const` is the
+    constant term."""
+    xi = [dict() for _ in range(len(Binv))]
     for alpha in monomials_upto(n, order):
-        if sum(alpha):
-            vec = scale * np.asarray(M.derivative(params, alpha), dtype=float)
-        else:
-            vec = const
+        vec = scale * J[alpha] if sum(alpha) else const
         w = Binv @ (vec / _factorial_multi(alpha))
-        for r in range(M.q):
+        for r in range(len(Binv)):
             if w[r] != 0.0:
                 xi[r][alpha] = float(w[r])
     return xi
@@ -1567,10 +1538,11 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
     Fb_scaled = -(1 - lam) / lam * tangent_frame(M, pair.t)
     B = _adapted_basis(Fa, Fb_scaled, k, q)
     Binv = np.linalg.inv(B)
-    a = np.asarray(M.position(pair.s), dtype=float)
+    Ja, Jb = M.jet(pair.s, order), M.jet(pair.t, order)
+    a = Ja[(0,) * n]
 
     # the chart is centred at a, so the first series has no constant term
-    xi_a = _chart_series(M, pair.s, Binv, np.zeros(q), 1.0, n, order)
+    xi_a = _chart_series(Ja, Binv, np.zeros(q), 1.0, n, order)
     u_dim = q + k - 2 * n
 
     phi_psi = _graph_functions(xi_a, list(range(n)),
@@ -1580,9 +1552,8 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
 
     # reflected second graph: base point maps to a, derivatives rescale
     refl_base = (1.0 / lam) * pair.lambda_point(lam) \
-        - (1 - lam) / lam * np.asarray(M.position(pair.t), dtype=float)
-    xi_b = _chart_series(M, pair.t, Binv, refl_base - a, -(1 - lam) / lam,
-                         n, order)
+        - (1 - lam) / lam * Jb[(0,) * n]
+    xi_b = _chart_series(Jb, Binv, refl_base - a, -(1 - lam) / lam, n, order)
     indep_b = list(range(k)) + list(range(n + u_dim, q))
     dep_b = list(range(k, n)) + list(range(n, n + u_dim))
     eta_zeta = _graph_functions(xi_b, indep_b, dep_b, n, order)

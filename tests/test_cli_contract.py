@@ -10,9 +10,10 @@ manifold of each kind), replaces one JSON field or term with a value from
 a fixed pool, or deletes it, and draws the flags from pools that mix valid
 and invalid values.  No flag value makes a run costlier than its default.
 The pools hold no integer above 7 but 65 and 10**6, which probe the budget
-`germ_algebra.MAX_TERM_DEGREE` = 64 on a germ's order and a graph pair's
-term degree: an order or term above it, such as a degree of 10**30 that
-would exhaust memory in exact rational powers, is one INPUT_PARSE line.
+`germ_algebra.MAX_TERM_DEGREE` = 64 on a germ's order and on the term
+degree of a graph pair or a graph_surface: an order or term above it, such
+as a degree of 10**30 that would exhaust memory in exact rational powers,
+is one INPUT_PARSE line.
 """
 
 import contextlib
@@ -237,6 +238,21 @@ def test_a_graph_pair_degree_above_the_budget_is_input_parse(
     assert run_contract([command, "--input", path, "--lambda=1/3"]) == (0, "")
 
 
+def test_a_graph_surface_degree_above_the_budget_is_input_parse(workdir):
+    # an exponent of 10**400 used to end `trace` in UNRECOGNIZED, from an
+    # OverflowError of the evaluator's coefficient times a falling factorial
+    out = os.path.join(str(workdir), "trace")
+    term = ("components", 0, 0, "exponents", 0)
+    argv = ["trace", "--input", None, "--lambda=1/2", "--out", out]
+    for degree in (10 ** 400, MAX_TERM_DEGREE + 1):
+        argv[2] = write_input(workdir, mutated("graph_surface", term, degree))
+        code, err = run_contract(argv, out)
+        assert code == 2 and err.startswith("INPUT_PARSE "), err
+    argv[2] = write_input(workdir,
+                          mutated("graph_surface", term, MAX_TERM_DEGREE))
+    assert run_contract(argv) == (0, "")
+
+
 @contract_settings(300)
 @given(case=mutations(CURVES) | mutations(SURFACES),
        lam=NUMERIC_LAMBDAS,
@@ -259,7 +275,7 @@ def test_trace_keeps_the_contract(workdir, case, lam, step, density):
     # overrides them; surfaces keep their scheme's own density, or a lower
     # one, since a higher density costs more than the default.  The sampled
     # surface stays below the band limit of 20: at its default density of
-    # 24 one trace of the 7x7 torus grid takes about 19 s.
+    # 24 one trace of the 7x7 torus grid takes about 7 s.
     out = os.path.join(str(workdir), "trace")
     for ext in (".csv", ".svg"):
         if os.path.exists(out + ext):

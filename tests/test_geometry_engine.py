@@ -211,9 +211,45 @@ def test_curve_jets_match_closed_forms():
         assert one.shape == (4, 2)
         assert one.tobytes() == jet[:, 1].tobytes()
     with pytest.raises(ValueError):
-        torus().jet((0.1, 0.2), 2)
-    with pytest.raises(ValueError):
         E.jet(0.1, -1)
+
+
+# one manifold per evaluator kind; the sampled grid serves curves and surfaces
+JET_MANIFOLDS = {
+    "ellipse": lambda: ellipse(2.0, 1.0),
+    "fourier_oval": lambda: fourier_oval(a=[0.1, 0.0, 0.15], b=[0.0, 0.05]),
+    "sampled_curve": lambda: wobbly_samples(),
+    "torus": lambda: torus(2.0, 0.5),
+    "graph_surface": lambda: graph_surface(R4_GRAPH),
+    "sampled_surface": lambda: sampled_surface(
+        np.random.default_rng(11).normal(size=(12, 10, 3))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JET_MANIFOLDS))
+def test_every_evaluator_keeps_the_jet_contract(kind):
+    M = JET_MANIFOLDS[kind]()
+    rng = np.random.default_rng(5)
+    params = tuple(rng.uniform(-1.0, 1.0, (2, 3)) for _ in range(M.n))
+    J = M.jet(params, 3)
+    assert J.shape == (4,) * M.n + (2, 3, M.q)
+    for alpha in np.ndindex(*(4,) * M.n):
+        if sum(alpha) > 3:
+            assert not J[alpha].any()
+            continue
+        want = M.jet(params, sum(alpha))[alpha].tobytes()
+        assert M.derivative(params, alpha).tobytes() == want
+        assert J[alpha].tobytes() == want
+    # a single point gives the bits of its entry in the batch
+    for k in np.ndindex(2, 3):
+        one = M.jet(tuple(float(p[k]) for p in params), 3)
+        assert one.shape == (4,) * M.n + (M.q,)
+        assert one.tobytes() == J[(slice(None),) * M.n + k].tobytes()
+    for bad in ((-1,) + (0,) * (M.n - 1), (1,) * (M.n + 1)):
+        with pytest.raises(ValueError):
+            M.derivative(params, bad)
+    with pytest.raises(ValueError):
+        M.jet(params, -1)
 
 
 # ----------------------------------------------------------- sampled grids
@@ -253,7 +289,7 @@ def test_sampled_curve_batch_matches_pointwise_evaluation():
     # a rough grid keeps the high powers of tau significant
     rng = np.random.default_rng(3)
     S = sampled_curve(rng.normal(size=(64, 2)))
-    grid, h = S._ev.grid, S._ev.h
+    grid, (h,) = S._ev.grid, S._ev.h
     th = rng.uniform(0.0, TWO_PI, 300)
     idx = np.rint(th / h).astype(int)
     tau = th / h - idx
@@ -272,6 +308,12 @@ def test_sampled_curve_batch_matches_pointwise_evaluation():
 
 def pointwise_surface_derivative(ev, u, v, alpha):
     """The per-point loop the sampled-surface evaluator used to run."""
+
+    def poly_eval_deriv(coeffs, tau, m):
+        # coeffs indexed by power along axis 0; tau broadcasts against them
+        powers = ge._tau_powers(tau, coeffs.shape[0] - 1 - m)
+        return ge._poly_deriv_sum(coeffs, powers, m)
+
     i, j = alpha
     n0, n1 = ev.grid.shape[:2]
     out = np.empty((len(u), ev.grid.shape[2]))
@@ -285,9 +327,9 @@ def pointwise_surface_derivative(ev, u, v, alpha):
         block = ev.grid[np.ix_(rows, cols)]
         c1 = np.einsum("pk,akq->paq", ge._LAGRANGE_INV, block)
         line = np.stack(
-            [ge._poly_eval_deriv(c1[:, a, :], t1, j) for a in range(7)])
+            [poly_eval_deriv(c1[:, a, :], t1, j) for a in range(7)])
         c0 = ge._LAGRANGE_INV @ line
-        out[k] = ge._poly_eval_deriv(c0, t0, i) / (
+        out[k] = poly_eval_deriv(c0, t0, i) / (
             ev.h[0] ** i * ev.h[1] ** j)
     return out
 
