@@ -34,6 +34,7 @@ FRAME_COND_LIMIT = 1e8
 COEFF_CLIP = 1e-9
 SNAP_DENOMINATOR = 10 ** 12
 TWO_PI = 2.0 * math.pi
+_REFINE_ROWS = 4096     # torus pairs refined together; bounds their jets
 
 
 class ImmersionError(DomainError):
@@ -667,6 +668,37 @@ def _pairs_curve(M, density, tol, delta):
             keys)
 
 
+def _normal_cross(M, Z):
+    """r = nh(s) x nh(t) for unit normals nh at the rows (u_s, v_s, u_t, v_t)
+    of Z, and its Jacobian (rows, 3, 4) by d nh = (dn - nh (nh . dn)) / |n|."""
+    J = M.jet((Z[:, 0::2].T, Z[:, 1::2].T), 2)      # ends s, t on axis 2
+    n = np.cross(J[1, 0], J[0, 1])
+    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+    nh = n / norm
+    dnh = [(d - nh * np.sum(nh * d, axis=-1, keepdims=True)) / norm
+           for d in (np.cross(J[2, 0], J[0, 1]) + np.cross(J[1, 0], J[1, 1]),
+                     np.cross(J[1, 1], J[0, 1]) + np.cross(J[1, 0], J[0, 2]))]
+    cols = ([np.cross(d[0], nh[1]) for d in dnh]
+            + [np.cross(nh[0], d[1]) for d in dnh])
+    return np.cross(nh[0], nh[1]), np.stack(cols, axis=2)
+
+
+def _min_norm_step(J, r):
+    """J^+ r of stacked 3x4 systems by modified Gram-Schmidt on the rows of J
+    and forward substitution on r.  A row left with <= 1e-15 of the largest
+    row norm drops with its equation, as pinv's cutoff drops it."""
+    cut = 1e-15 * np.linalg.norm(J, axis=2).max(axis=1)
+    basis = []
+    for w, y in zip(J.transpose(1, 0, 2), r.T):
+        for q, c in basis:
+            proj = np.sum(w * q, axis=1)
+            w, y = w - proj[:, None] * q, y - proj * c
+        size = np.linalg.norm(w, axis=1)
+        scale = (size > cut) / np.where(size > cut, size, 1.0)
+        basis.append((w * scale[:, None], y * scale))
+    return sum(c[:, None] * q for q, c in basis)
+
+
 def _pairs_torus(M, density, tol, delta):
     us = np.arange(density) * (TWO_PI / density)
     U, V = np.meshgrid(us, us, indexing="ij")
@@ -708,39 +740,21 @@ def _pairs_torus(M, density, tol, delta):
     cand = np.vstack(cand_rows) if cand_rows else np.empty((0, 2), dtype=int)
     cand = cand[cand[:, 0] < cand[:, 1]]
 
-    def normals(u, v):
-        J = M.jet((u, v), 1)
-        nn = np.cross(J[1, 0], J[0, 1])
-        return nn / np.linalg.norm(nn, axis=-1, keepdims=True)
-
-    def resid(Z):
-        return np.cross(normals(Z[:, 0], Z[:, 1]), normals(Z[:, 2], Z[:, 3]))
-
-    # Gauss-Newton with a finite-difference Jacobian on the live rows, those
-    # whose residual is still at or above tol; a row that drops out would
-    # only ever take zero steps, since its iterate and residual stay fixed
+    # Gauss-Newton on the rows whose residual is still >= tol (a dropped row
+    # would take zero steps); a block's 41st pass reads its last residual
     Z = np.hstack([coords[cand[:, 0]], coords[cand[:, 1]]])
-    h = 1e-6
-    live = np.arange(len(Z))
-    for _ in range(40):
-        Zl = Z[live]
-        r = resid(Zl)
-        keep = np.linalg.norm(r, axis=1) >= tol
-        if not keep.any():
-            break
-        live, Zl, r = live[keep], Zl[keep], r[keep]
-        cols = []
-        for idx in range(4):
-            Zp = Zl.copy()
-            Zp[:, idx] += h
-            cols.append((resid(Zp) - r) / h)
-        J = np.stack(cols, axis=2)
-        step = -np.einsum("cij,cj->ci", np.linalg.pinv(J), r)
-        sn = np.linalg.norm(step, axis=1)
-        big = sn > 0.5
-        step[big] *= (0.5 / sn[big])[:, None]
-        Z[live] = Zl + step
-    rn = np.linalg.norm(resid(Z), axis=1)
+    rn = np.empty(len(Z))
+    for lo in range(0, len(Z), _REFINE_ROWS):
+        live = np.arange(lo, min(lo + _REFINE_ROWS, len(Z)))
+        for it in range(41):
+            r, J = _normal_cross(M, Z[live])
+            rn[live] = np.linalg.norm(r, axis=1)
+            keep = rn[live] >= tol
+            if it == 40 or not keep.any():
+                break
+            live, step = live[keep], _min_norm_step(J[keep], r[keep])
+            sn = np.linalg.norm(step, axis=1, keepdims=True)
+            Z[live] -= step * (0.5 / np.maximum(sn, 0.5))  # at most 0.5 long
     Z = Z % TWO_PI
 
     S, T = Z[:, :2], Z[:, 2:]
@@ -815,10 +829,11 @@ def find_parallel_pairs(M: ParametricManifold,
       along t on the grid, refined by lockstep bisection; the brackets
       along s take the exact mirrors (t, s) of those roots.
     * surfaces in R^3 with two 2pi-periodic parameters (the torus, sampled
-      surfaces): the normal-alignment residual polished by Gauss-Newton on
-      the rows whose residual is still at or above tol.  Grid frames that
-      drop rank, and a torus with R <= r even when its singular circle
-      misses the grid, raise ImmersionError.
+      surfaces): Gauss-Newton on the normal-alignment residual, with the
+      analytic Jacobian of a second-order jet and the minimum-norm step, on
+      the rows whose residual is at or above tol.  Grid frames that drop
+      rank, and a torus with R <= r even when its singular circle misses
+      the grid, raise ImmersionError.
     * graph surfaces in R^4: sign changes of the reduced 2x2 determinant
       along grid lines of [-halfwidth, halfwidth]^2, refined by the same
       lockstep bisection.

@@ -275,7 +275,7 @@ def test_trace_keeps_the_contract(workdir, case, lam, step, density):
     # overrides them; surfaces keep their scheme's own density, or a lower
     # one, since a higher density costs more than the default.  The sampled
     # surface stays below the band limit of 20: at its default density of
-    # 24 one trace of the 7x7 torus grid takes about 7 s.
+    # 24 one trace of the 7x7 torus grid takes about 3.5 s.
     out = os.path.join(str(workdir), "trace")
     for ext in (".csv", ".svg"):
         if os.path.exists(out + ext):
