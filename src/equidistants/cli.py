@@ -38,8 +38,10 @@ outside 0..64 and a graph-pair term of total degree above 64 are
 INPUT_PARSE.  All three bounds are the budget
 ``germ_algebra.MAX_TERM_DEGREE``: the exact engine's cost grows with a
 germ's order, and an A8 germ at order 10**6 runs past a minute.
-``classify``, ``contact`` and ``mu`` report INFINITE only for infinite
-Ke-codimension and any other arithmetic failure as UNRECOGNIZED.
+``classify``, ``contact`` and ``mu`` report INFINITE for infinite
+Ke-codimension, and also for a finite germ whose quotient the truncation
+ladder does not exhaust by the cap + 2 (x^10 + y^10 at order 12); any
+other arithmetic failure is UNRECOGNIZED.
 
 ``ringdims --order`` is the truncation cap of the three local rings and
 must be at least 1 (USAGE otherwise).  A ring whose ideal has fewer

@@ -492,7 +492,9 @@ class PairPoint:
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        n = 1 if np.isscalar(self.s) else len(self.s)
+        # the tuple test first: np.isscalar is slow to reject a tuple
+        n = (len(self.s) if isinstance(self.s, tuple)
+             or not np.isscalar(self.s) else 1)
         if 2 * n - self.deg_k != len(self.a) - self.codim:
             raise ValueError(
                 f"parallelism identity violated: n={n}, q={len(self.a)}, "
@@ -619,8 +621,9 @@ def _pair_points(M, S, T, residuals=None):
         Ts, Tt = Fs[:, 0], Ft[:, 0]
         residuals = np.abs(_cross2(Ts, Tt)) / (_norm2(Ts) * _norm2(Tt))
     A, B = J[(0,) * n][:m], J[(0,) * n][m:]
-    return [PairPoint(S[k], T[k], A[k], B[k], int(deg[k]), int(codim[k]),
-                      float(residuals[k])) for k in range(len(S))]
+    return [PairPoint(*row) for row in zip(
+        S, T, A, B, deg.tolist(), codim.tolist(),
+        np.asarray(residuals, dtype=float).tolist())]
 
 
 def _first_of_each_key(keys, S, T):

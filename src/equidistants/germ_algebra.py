@@ -26,8 +26,10 @@ graded quotient is generated in degree 0, so the first zero value h_z = 0
 certifies h_d = 0 for every d >= z.  A truncation ladder climbs one
 degree at a time, from min(4, cap) to cap + 2, and stops at the first
 rung whose h has a zero.  A quotient with no zero by cap + 2 is reported
-INFINITE, which certifies a codimension above cap + 2: by Nakayama's
-lemma a finite codimension c has h_c = 0.
+INFINITE, which certifies only a codimension above cap + 2 (by Nakayama's
+lemma a finite codimension c has h_c = 0): the Ke-codimension 81 of
+x^10 + y^10 at order 12 is reported INFINITE.  Two tests prove INFINITE
+before any rung, Krull's height theorem and the axis test below.
 
 Inside one elimination at truncation D the row space is closed under
 multiplication by a monomial followed by truncation, since
@@ -43,6 +45,19 @@ infinite quotient by Krull's height theorem, dim E_s/I >= s - t > 0, so
 `local_algebra` skips the ladder and reports h and the basis through the
 cap from one certified elimination.  Tangent modules get no such
 shortcut: an ICIS has finite Ke-codimension with t < s.
+
+The axis test is the second proof, and it serves ideals and tangent
+modules alike.  If some variable y_j is a pure power y_j^k (k >= 0, so a
+constant counts) in no term of any slot of the generators, every term
+has a factor y_i with i != j, so the module T lies in (y_i : i != j)*E^t.
+Then E^t/T maps onto R[[y_j]]^t and is infinite: the y_j-axis lies in the
+zero set, as for y_1^2*(a + b*y_2).  A quotient of finite dimension c
+holds y_j^c times every unit vector, so some generator has a pure power
+of each variable and the test never fires on it.  `_module_dimension`
+makes the test in one pass over the terms, before the ladder, and
+returns INFINITE without an elimination; `local_algebra` then reads h
+and the basis through cap + 2, where the ladder would have ended, from
+one certified elimination.
 
 The elimination runs over F_p for a 61-bit prime p and every result is
 proved over Q.  Each generator is scaled to integer coefficients, and a
@@ -799,19 +814,42 @@ def _settle(h: List[int], pivots: set, rungs: List[int], cap: int):
     return INFINITE, h, False, pivots, cap + 2
 
 
+def _axis_in_zero_set(gens: Sequence[Dict[Key, Fraction]],
+                      source_dim: int) -> bool:
+    """Whether some variable y_j is a pure power y_j^k, k >= 0, in no term
+    of any slot of the generators: then the y_j-axis lies in their zero
+    set and the quotient is infinite (module docstring).  Stops at the
+    first term that leaves no variable without a pure power."""
+    missing = set(range(source_dim))
+    for g in gens:
+        for _, exp in g:
+            top = max(exp, default=0)
+            if sum(exp) == top:
+                if not top:
+                    return False
+                missing.discard(exp.index(top))
+                if not missing:
+                    return False
+    return bool(missing)
+
+
 def _module_dimension(
     gens: Sequence[Dict[Key, Fraction]], source_dim: int, slots: int,
     cap: int
-) -> Tuple[Union[int, str], List[int], bool, set, int]:
+) -> Tuple[Union[int, str], Optional[List[int]], bool, Optional[set], int]:
     """Certified quotient dimension via the truncation ladder.
 
     Returns (dimension or INFINITE, hilbert, stabilized, pivots, used_order).
-    The ladder climbs one degree at a time from truncation min(4, cap) to
-    cap + 2 on eliminations mod one prime and certifies only the rung where
-    they stop it; `_settle` replays every lower rung from that rung's exact
-    h, and the climb resumes above it if the exact h does not stop the
-    ladder there.
+    A module that `_axis_in_zero_set` proves infinite skips the ladder and
+    returns (INFINITE, None, False, None, cap + 2): no elimination is made.
+    Otherwise the ladder climbs one degree at a time from truncation
+    min(4, cap) to cap + 2 on eliminations mod one prime and certifies only
+    the rung where they stop it; `_settle` replays every lower rung from
+    that rung's exact h, and the climb resumes above it if the exact h does
+    not stop the ladder there.
     """
+    if _axis_in_zero_set(gens, source_dim):
+        return INFINITE, None, False, None, cap + 2
     rungs = list(range(min(4, cap), cap + 3))
     start = 0
     while True:
@@ -890,18 +928,21 @@ def local_algebra(f: MapGerm, order: Optional[int] = None) -> LocalAlgebraReport
     """Dimension, Hilbert function and monomial basis of E_s/<f_1..f_t>.
 
     With fewer nonzero components than variables the quotient is infinite
-    by Krull's height theorem; its report lists h and the basis through
-    the truncation order from one certified elimination.
+    by Krull's height theorem, and its report lists h and the basis through
+    the truncation order.  A quotient that the axis test proves infinite
+    lists them through the order + 2, where the ladder would have ended.
+    Both come from one certified elimination.
     """
     cap = _analysis_cap(f, order)
     gens = _ideal_gens(f)
     if sum(map(bool, gens)) < f.source_dim:
-        rows = _Rows(gens, f.source_dim, 1, cap)
-        piv = _certified_pivots(rows)
-        dim, h, used = INFINITE, rows.hilbert(piv), cap
-        pivots = {rows.keys[c] for c in piv}
+        dim, h, used = INFINITE, None, cap
     else:
         dim, h, _, pivots, used = _module_dimension(gens, f.source_dim, 1, cap)
+    if h is None:
+        rows = _Rows(gens, f.source_dim, 1, used)
+        piv = _certified_pivots(rows)
+        h, pivots = rows.hilbert(piv), {rows.keys[c] for c in piv}
     # Finite case: basis degrees run strictly below the certified zero of h.
     # Infinite case: list the quotient monomials up to the explored order.
     top = used if dim == INFINITE else len(h) - 1

@@ -20,6 +20,8 @@ from equidistants.cli import main as cli_main
 from equidistants.contact_lab import contact_map, graphpair_to_json
 from equidistants.normal_forms import DomainError
 from equidistants import geometry_engine as ge
+from equidistants import germ_algebra as ga
+from equidistants.germ_algebra import InfiniteCodimensionError
 from equidistants.geometry_engine import (
     TAU_RANK,
     EquidistantBranch,
@@ -1366,6 +1368,27 @@ def test_torus_pairs_classify_through_the_bridge():
     pp1 = make_pair(T, (u, v), (u, v + math.pi))
     with pytest.raises(ArithmeticError):
         classify_pair(T, pp1, "1/2")
+
+
+def test_degenerate_torus_pairs_are_proved_infinite_without_elimination(
+        monkeypatch):
+    # a tube pair (u, v), (u, v + pi) and a central pair (u, v), (u + pi, -v):
+    # each contact germ is y2^2 (a + b y1), so its y1-axis lies in the zero
+    # set of the tangent module and no rung of the ladder is eliminated
+    eliminated = []
+    eliminate = ga._eliminate_mod
+
+    def spy(rows, p):
+        eliminated.append(rows.order)
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(ga, "_eliminate_mod", spy)
+    T = torus(2.0, 0.5)
+    u, v = 0.7, 1.1
+    for t in ((u, v + math.pi), (u + math.pi, -v)):
+        with pytest.raises(InfiniteCodimensionError):
+            classify_pair(T, make_pair(T, (u, v), t), "1/2")
+    assert eliminated == []
 
 
 def test_sampled_curve_pairs_classify_through_the_bridge():

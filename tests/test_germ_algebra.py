@@ -39,7 +39,11 @@ from equidistants.germ_algebra import (
     random_k_move,
     rank0_reduce,
 )
-from equidistants.normal_forms import normal_form, stable_singularities
+from equidistants.normal_forms import (
+    is_nice_dimensions,
+    normal_form,
+    stable_singularities,
+)
 
 y1, y2, y3 = sympy.symbols("y1 y2 y3")
 
@@ -538,20 +542,15 @@ def test_local_algebra_and_miniversal_basis_match_the_fraction_engine():
             assert modular == exact
 
 
-def test_module_dimension_matches_fraction_on_small_primes(monkeypatch):
-    # With three-digit primes, unlucky primes, failed lifts and mod-p
-    # ladders that stop on the wrong rung are common, so every branch of
-    # the certificate and of the ladder replay runs against the oracle.
-    monkeypatch.setattr(ga, "_PRIMES", (101, 103, 107, 109, 113, 127))
+def _no_axis_test(gens, source_dim):
+    return False
+
+
+def _random_small_germs():
+    """Forty random germs in one or two variables, with coefficients that
+    three-digit primes divide; many have an infinite quotient."""
     rng = random.Random(20)
-    cases = 0
-    for f in _moved_germs():
-        for gens, slots in ((ga._ideal_gens(f), 1),
-                            (ga._tangent_gens(f), f.target_dim)):
-            args = (gens, f.source_dim, slots, ga._analysis_cap(f))
-            modular, exact = both_engines(ga._module_dimension, *args)
-            assert modular == exact
-            cases += 1
+    out = []
     for _ in range(40):
         s = rng.choice((1, 2))
         polys = []
@@ -563,10 +562,29 @@ def test_module_dimension_matches_fraction_on_small_primes(monkeypatch):
                     num = rng.choice((1, -1, 101, 2 * 103, 107 * 109))
                     p[e] = Fraction(num, rng.choice((1, 2, 113)))
             polys.append(p)
-        f = germ(polys, s)
-        args = (ga._ideal_gens(f), s, 1, ga._analysis_cap(f))
+        out.append(germ(polys, s))
+    return out
+
+
+def test_module_dimension_matches_fraction_on_small_primes(monkeypatch):
+    # With three-digit primes, unlucky primes, failed lifts and mod-p
+    # ladders that stop on the wrong rung are common, so every branch of
+    # the certificate and of the ladder replay runs against the oracle.
+    # The axis test is off, so the germs it proves infinite climb too.
+    monkeypatch.setattr(ga, "_PRIMES", (101, 103, 107, 109, 113, 127))
+    monkeypatch.setattr(ga, "_axis_in_zero_set", _no_axis_test)
+    cases = 0
+    for f in _moved_germs():
+        for gens, slots in ((ga._ideal_gens(f), 1),
+                            (ga._tangent_gens(f), f.target_dim)):
+            args = (gens, f.source_dim, slots, ga._analysis_cap(f))
+            modular, exact = both_engines(ga._module_dimension, *args)
+            assert modular == exact
+            cases += 1
+    for f in _random_small_germs():
+        args = (ga._ideal_gens(f), f.source_dim, 1, ga._analysis_cap(f))
         modular, exact = both_engines(ga._module_dimension, *args)
-        assert modular == exact, polys
+        assert modular == exact, f.polys()
         cases += 1
     assert cases == 82
 
@@ -779,3 +797,135 @@ def test_a_truncation_order_below_one_is_rejected(order):
                miniversal_basis):
         with pytest.raises(ValueError, match="order must be >= 1"):
             fn(f, order)
+
+
+# ------------------------------------------------------------ the axis proof
+
+
+def _with_and_without_the_axis_test(monkeypatch, fn, *args):
+    """fn(*args) as the engine runs it, and with the ladder alone."""
+    got = fn(*args)
+    with monkeypatch.context() as m:
+        m.setattr(ga, "_axis_in_zero_set", _no_axis_test)
+        ladder = fn(*args)
+    return got, ladder
+
+
+def _assert_the_axis_proof_agrees_with_the_ladder(monkeypatch, f):
+    """The results of `_module_dimension` on the tangent module of f, and
+    of the public functions, with the axis test and with the ladder alone.
+    A proof skips the ladder, so there only the verdict and the order must
+    agree.  Returns whether the test fires on the ideal and on the tangent
+    module; `local_algebra` runs the ideal's `_module_dimension`."""
+    gens = ga._tangent_gens(f)
+    args = (gens, f.source_dim, f.target_dim, ga._analysis_cap(f))
+    got, ladder = _with_and_without_the_axis_test(
+        monkeypatch, ga._module_dimension, *args)
+    tangent = ga._axis_in_zero_set(gens, f.source_dim)
+    if tangent:
+        assert ladder[0] == INFINITE
+        assert got == (INFINITE, None, False, None, ladder[4])
+    else:
+        assert got == ladder
+    for fn in (local_algebra, ke_codimension, ke_quotient_hilbert):
+        got, ladder = _with_and_without_the_axis_test(monkeypatch, fn, f)
+        assert got == ladder, fn.__name__
+    return ga._axis_in_zero_set(ga._ideal_gens(f), f.source_dim), tangent
+
+
+def test_the_axis_proof_never_fires_on_a_catalogue_germ(monkeypatch):
+    classes = {cls.label: cls
+               for n in range(1, 6) for q in range(n + 1, 2 * n + 1)
+               if is_nice_dimensions(n, q)
+               for row in stable_singularities(n, q).rows
+               for cls in row.entries}
+    assert len(classes) == 45
+    for cls in classes.values():
+        f = normal_form(cls, cls.intrinsic_source)
+        for g in [f] + [random_k_move(f, seed) for seed in range(8)]:
+            _, tangent = _assert_the_axis_proof_agrees_with_the_ladder(
+                monkeypatch, g)
+            assert not tangent, cls.label
+            assert ke_codimension(g) == cls.mu
+
+
+def test_the_axis_proof_agrees_with_the_ladder_on_random_germs(monkeypatch):
+    fired = [_assert_the_axis_proof_agrees_with_the_ladder(monkeypatch, f)
+             for f in _random_small_germs()]
+    # both outcomes are exercised, on ideals and on tangent modules
+    assert {ideal for ideal, _ in fired} == {False, True}
+    assert {tangent for _, tangent in fired} == {False, True}
+
+
+def _spy_eliminations(monkeypatch):
+    """The truncation orders of the rows `_eliminate_mod` is called on."""
+    orders = []
+    eliminate = ga._eliminate_mod
+
+    def spy(rows, p):
+        orders.append(rows.order)
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(ga, "_eliminate_mod", spy)
+    return orders
+
+
+# Each has a coordinate axis in the zero set of its contact tangent module:
+# the y-axis of x^2*y, every axis of the zero germ, and the z-axis of a
+# two-component germ that does not depend on z.
+AXIS_DEGENERATE = [
+    pytest.param(germ([{(2, 1): 1}], 2), id="x2y"),
+    pytest.param(MapGerm.zero(2, 1), id="zero"),
+    pytest.param(germ([{(2, 0, 0): 1, (0, 2, 0): 1}, {(1, 1, 0): 1}], 3),
+                 id="cylinder"),
+]
+
+
+@pytest.mark.parametrize("f", AXIS_DEGENERATE)
+def test_an_axis_in_the_zero_set_proves_infinite_without_elimination(
+        monkeypatch, f):
+    orders = _spy_eliminations(monkeypatch)
+    assert ke_codimension(f) == INFINITE
+    assert ke_quotient_hilbert(f) == INFINITE
+    assert orders == []
+    rep, ladder = _with_and_without_the_axis_test(monkeypatch, local_algebra, f)
+    assert rep == ladder and rep.dimension == INFINITE
+
+
+def test_an_axis_proved_local_algebra_lists_the_ladders_h_and_basis(
+        monkeypatch):
+    # (x^2, xy) has two generators in two variables, so Krull does not
+    # apply; y is no pure power, so the y-axis lies in the zero set
+    f = germ([{(2, 0): 1}, {(1, 1): 1}], 2)
+    cap = ga._analysis_cap(f)
+    orders = _spy_eliminations(monkeypatch)
+    rep = local_algebra(f)
+    assert orders == [cap + 2]
+    with monkeypatch.context() as m:
+        m.setattr(ga, "_axis_in_zero_set", _no_axis_test)
+        assert local_algebra(f) == rep
+    assert orders[1:] == list(range(4, cap + 3))
+    assert rep.dimension == INFINITE and not rep.stabilized
+    assert rep.hilbert == (1, 2) + (1,) * (cap + 1)
+    assert len(rep.basis) == sum(rep.hilbert)
+
+
+# ROADMAP item 1: the ladder ends at cap + 2 (14 and 10 here) before the
+# first zero of h (degrees 17 and 13), so these finite germs read INFINITE.
+LADDER_TOO_SHORT = [
+    pytest.param(germ([{(10, 0): 1, (0, 10): 1}], 2, order=12), 81,
+                 id="x10+y10"),
+    pytest.param(germ([{(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}], 3,
+                      order=8), 125, id="x6+y6+z6"),
+]
+
+
+@pytest.mark.parametrize("f, mu", LADDER_TOO_SHORT)
+def test_pure_powers_keep_a_germ_on_the_ladder(f, mu):
+    assert not ga._axis_in_zero_set(ga._tangent_gens(f), f.source_dim)
+
+
+@pytest.mark.xfail(strict=True, reason="the ladder stops at cap + 2")
+@pytest.mark.parametrize("f, mu", LADDER_TOO_SHORT)
+def test_ke_codimension_of_a_germ_whose_h_vanishes_above_the_cap(f, mu):
+    assert ke_codimension(f) == mu
