@@ -5,6 +5,7 @@ Frozen output lines for the documented invocations, the exit-code contract
 codes, JSON round-trips, file products, and byte-determinism across reruns.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -377,6 +378,44 @@ def test_ringdims_rejects_an_order_below_one(tmp_path, order):
     proc = run_subprocess(*argv)
     assert proc.returncode == 0
     assert proc.stdout == "dim(pi)=4 dim(kappa)=4 dim(theta)=4\n"
+
+
+# sha256 of `ringdims --json` on pair seeds 0-3 at lambda 1/3 and 1/2, in
+# that order, per (n, q, k): the 24 inputs of the contact_rings benchmark
+# and the same pairs at 1/2
+RING_FINGERPRINTS = {
+    (1, 2, 1):
+        "6acc603393ad249c4d94fc2b45b026da334f7bf75a0d5e22ab5bf5bf895fb913",
+    (2, 4, 1):
+        "956e0cdf3314114a8930f088aee2f19662fef08779d6795c3121bd763af2f465",
+    (2, 4, 2):
+        "fc4b687b73fdb3eb7bd15d4f5ff678ed5aeb11a66b5bb0f9532a7126322f4973",
+    (3, 6, 1):
+        "5d18e282fc4b768510bc656173503b5fec2ffdf60fb79c240d4ef9b9e5f9d83d",
+    (3, 6, 2):
+        "92f506300daa72b28126b984722d5097dfd09a34bf600b316291f38c6ec26b34",
+    (3, 6, 3):
+        "0e4928514bbd5297fff1f84499caf5b47fe02689f29b5db9403cbc8b437d72a9",
+}
+
+
+def ring_reports_fingerprint(capsys, tmp_path, combo):
+    h = hashlib.sha256()
+    for seed in range(4):
+        path = tmp_path / f"pair{seed}.json"
+        path.write_text(graphpair_to_json(random_graph_pair(*combo, seed=seed)))
+        for lam in ("1/3", "1/2"):
+            code, out, _ = run(capsys, "ringdims", "--input", str(path),
+                               "--lambda", lam, "--json")
+            assert code == 0
+            h.update(out.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("combo", sorted(RING_FINGERPRINTS))
+def test_ring_reports_keep_their_frozen_fingerprints(capsys, tmp_path, combo):
+    assert ring_reports_fingerprint(capsys, tmp_path, combo) == \
+        RING_FINGERPRINTS[combo]
 
 
 # -------------------------------------------------------------- trace
