@@ -89,6 +89,40 @@ no digit is refused.  A lift that runs out of its `_DIGITS` = 8 digits,
 about the modulus that eight primes reach together, refuses the prime
 too.  The Fraction elimination runs once every prime is refused.
 
+The modular elimination skips rows that commuting generators make
+redundant: the Koszul criterion, the weakest form of Faugere's F5
+criterion.  Let g_i = a_i*e_r and g_j = a_j*e_r, i < j, be generators in
+the single slot r, and L_i the lead monomial of a_i (its first term in the
+lead order).  Every row u*g_j with L_i dividing u, u = m*L_i, is dropped.
+Write a_i = c*L_i + sum c_t*t over later monomials t, and a_j = sum d_a*x^a;
+since a_i*g_j = a_j*g_i,
+    c*(m*L_i)*g_j = sum d_a*(m*x^a)*g_i - sum c_t*(m*t)*g_j,
+and the identity survives truncation, a row past it being zero.  Order
+the signatures (generator index, multiplier) position first, and inside
+a position by the reverse of the lead order, which is multiplicative too.
+Every row on the right has a smaller signature than the dropped row, so
+by induction on the signature the kept rows span the built rows over Q.
+Ideals qualify in every generator; tangent modules in their f_j*e_r
+generators and in any partial-derivative column that sits in one slot.
+
+Only the kept rows are eliminated mod p and recorded for the lift.  The
+span holds over Q; mod p it fails when p divides c, so the certificate
+does not trust the criterion.  Every built row must annihilate the lifted
+vectors, and the rank bound reads rank_p(kept) <= rank_Q(kept) <=
+rank_Q(built), which needs only that the kept rows are among the built
+ones.  The cutoff at the first full degree d needs the same two facts.
+Let W be the pivots worked mod p and L_Q the pivots of the built rows over
+Q.  Each column below degree d outside W is free, and its annihilated
+kernel vector keeps it out of L_Q; degree d lies in W.  So L_Q up to
+degree d is inside W up to degree d.  The worked pivots up to degree d
+are independent on those columns, so |W_<=d| is at most the rank mod p,
+hence over Q, of the kept rows cut to them, which is at most the rank of
+the built rows cut to them, |L_Q,<=d|.  So the two sets are equal, a
+degree that fills mod p is full over Q, and by closure every higher one
+is.  With no full degree the same count over all columns gives W = L_Q.
+A wrong drop therefore costs a refused prime, never a wrong answer;
+`_eliminate_exact` too works every built row.
+
 Since h_d does not depend on D >= d, a truncation ladder climbs on
 uncertified eliminations mod one prime and certifies only the rung where
 they stop it.  The decision of every lower rung is replayed from that
@@ -467,6 +501,10 @@ def _columns(source_dim: int, slots: int, order: int):
     return keys, degree, ordinal, shifts
 
 
+def _lead_column(row: Tuple[int, array]) -> int:
+    return row[1][0]
+
+
 class _Rows:
     """The rows m*g of one truncated quotient, scaled to integers.
 
@@ -475,6 +513,13 @@ class _Rows:
     order, which multiplication by a monomial preserves; so row m*g is
     stored as the generator's index and the ascending column array of its
     first terms, those that survive the truncation.
+
+    `rows` holds every built row: `annihilate` and `_eliminate_exact` read
+    them.  `kept` holds the rows that `_eliminate_mod` works, all but the
+    rows m*g_j of a one-slot generator g_j whose multiplier m is divisible
+    by the lead monomial of an earlier one-slot generator in the same slot
+    (the Koszul criterion of the module docstring).  Both are sorted by
+    lead, ties in the order built, so `kept` is a subsequence of `rows`.
     """
 
     def __init__(self, gens: Sequence[Dict[Key, Fraction]], source_dim: int,
@@ -484,7 +529,11 @@ class _Rows:
         self.order = order
         self.coeffs: List[List[int]] = []
         self.rows: List[Tuple[int, array]] = []
+        self.kept: List[Tuple[int, array]] = []
         self.scale = 1  # lcm of every denominator
+        # per slot, the codes of the multipliers that the leads of the
+        # one-slot generators so far divide
+        multiples: List[set] = [set() for _ in range(slots)]
         for g in gens:
             # (column of the term at m = 1, code, coefficient) in lead order
             items = sorted((ordinal[c], c, v) for c, v in (
@@ -499,14 +548,27 @@ class _Rows:
                                 for _, _, v in items])
             degs = [self.degree[i] for i, _, _ in items]
             codes = [c for _, c, _ in items]
+            slot = codes[0] % slots
+            one_slot = all(c % slots == slot for c in codes)
+            drop = multiples[slot] if one_slot else ()
             for dm, shift in shifts:
                 keep = bisect_right(degs, order - dm)
                 if not keep:
                     break
-                self.rows.append((gi, array("q", [
-                    ordinal[shift + c] for c in codes[:keep]])))
+                row = (gi, array("q", [ordinal[shift + c]
+                                       for c in codes[:keep]]))
+                self.rows.append(row)
+                if shift not in drop:
+                    self.kept.append(row)
+            if one_slot:
+                # `shifts` ascends by degree: the multipliers m' with
+                # deg(lead * m') <= order come first
+                lead = codes[0] - slot
+                upto = math.comb(source_dim + order - degs[0], source_dim)
+                drop.update(lead + shift for _, shift in shifts[:upto])
         # Ascending lead order keeps fill-in local to each degree band.
-        self.rows.sort(key=lambda row: row[1][0])
+        self.rows.sort(key=_lead_column)
+        self.kept.sort(key=_lead_column)
 
     def hilbert(self, pivots) -> List[int]:
         h = [0] * (self.order + 1)
@@ -558,7 +620,8 @@ class _Echelon(dict):
 
 
 def _eliminate_mod(rows: _Rows, p: int) -> _Echelon:
-    """Echelon form mod p of the rows, with its record (see `_Echelon`).
+    """Echelon form mod p of the kept rows, with its record (see
+    `_Echelon`).
 
     A row is a dict only while it is reduced; entries grow unreduced and
     are taken mod p when they lead or when the row becomes a pivot.  Once
@@ -575,7 +638,7 @@ def _eliminate_mod(rows: _Rows, p: int) -> _Echelon:
     unfilled = rows.hilbert(())
     first = list(accumulate(unfilled, initial=0))
     top = len(rows.keys) - 1
-    for src in rows.rows:
+    for src in rows.kept:
         gi, cols = src
         if cols[0] > top:
             break

@@ -6,6 +6,7 @@ from the package code (different polynomial representation, different
 monomial enumeration, different rank routine).
 """
 
+import copy
 import random
 import weakref
 from fractions import Fraction
@@ -723,25 +724,29 @@ def test_cutoff_pivots_equal_the_full_elimination_on_ring_pairs(combo):
                 ga._ideal_gens(f), f.source_dim, 1, _rungs(f, top))
 
 
-def test_cutoff_pivots_equal_the_full_elimination_on_tangent_modules():
-    # the cutoff counts every slot of a degree before it fires; rungs
-    # above 6 cost the full elimination seconds in three variables
+def _moved_two_slot_germs():
+    """The catalogue classes with two target components, each moved by
+    seeds 0 and 1."""
     forms = {}
     for pair in ((2, 3), (2, 4), (3, 5), (4, 7), (4, 8)):
         for row in stable_singularities(*pair).rows:
             for cls in row.entries:
                 forms.setdefault(cls.label, cls)
-    modules = 0
+    out = []
     for label in sorted(forms):
         form = normal_form(forms[label], forms[label].intrinsic_source)
-        if form.target_dim < 2:
-            continue
-        for seed in (0, 1):
-            f = random_k_move(form, seed)
-            _assert_cutoff_matches_full_elimination(
-                ga._tangent_gens(f), f.source_dim, f.target_dim, _rungs(f, 6))
-            modules += 1
-    assert modules >= 40
+        if form.target_dim >= 2:
+            out += [random_k_move(form, seed) for seed in (0, 1)]
+    assert len(out) >= 40
+    return out
+
+
+def test_cutoff_pivots_equal_the_full_elimination_on_tangent_modules():
+    # the cutoff counts every slot of a degree before it fires; rungs
+    # above 6 cost the full elimination seconds in three variables
+    for f in _moved_two_slot_germs():
+        _assert_cutoff_matches_full_elimination(
+            ga._tangent_gens(f), f.source_dim, f.target_dim, _rungs(f, 6))
 
 
 def test_ring_dims_of_the_slowest_bench_pair():
@@ -772,6 +777,83 @@ def test_no_certificate_runs_a_second_elimination(monkeypatch):
                 assert dims.dimensions == (12, 12, 12)
                 assert dims.hilberts == ((1, 3, 4, 3, 1),) * 3
     assert second == []
+
+
+def test_ring_dims_of_the_pair_that_took_eleven_seconds():
+    # the 6-variable pi ring climbs every rung to cap + 2; before the
+    # Koszul criterion this pair took 10.5-12.3 s, with it about 0.3 s
+    dims = local_ring_dims(random_graph_pair(3, 6, 3, seed=5), Fraction(1, 3))
+    assert dims.dimensions == (INFINITE,) * 3
+    assert dims.pi.hilbert == (1, 3, 3, 3, 3, 2, 2, 2, 2)
+
+
+# ------------------------------------------------------ the Koszul criterion
+
+
+def _kept_only(rows):
+    """A copy of `rows` whose built rows are its kept rows, for
+    `_eliminate_exact`."""
+    view = copy.copy(rows)
+    view.rows = rows.kept
+    return view
+
+
+def _assert_kept_rows_span_the_built_rows(gens, source_dim, slots, rungs):
+    """Pivots over Q of the kept and the built rows at every rung; returns
+    the number of rows dropped."""
+    dropped = 0
+    for D in rungs:
+        rows = ga._Rows(gens, source_dim, slots, D)
+        assert ga._eliminate_exact(_kept_only(rows)) == \
+            ga._eliminate_exact(rows), (source_dim, slots, D)
+        built = {id(row) for row in rows.rows}
+        assert built.issuperset(map(id, rows.kept))
+        dropped += len(rows.rows) - len(rows.kept)
+    return dropped
+
+
+@pytest.mark.parametrize("combo", RING_COMBOS)
+def test_kept_rows_span_the_built_rows_on_ring_pairs(combo):
+    # every rung up to the one where the ladder stops, in the three rings
+    pi_dropped = 0
+    for seed in range(4):
+        for name, f in zip(("pi", "kappa", "theta"), _ring_germs(combo, seed)):
+            gens = ga._ideal_gens(f)
+            used = ga._module_dimension(gens, f.source_dim, 1,
+                                        ga._analysis_cap(f))[4]
+            dropped = _assert_kept_rows_span_the_built_rows(
+                gens, f.source_dim, 1, _rungs(f, used))
+            if name == "pi":
+                pi_dropped += dropped
+    assert pi_dropped > 0
+
+
+def test_kept_rows_span_the_built_rows_on_tangent_modules():
+    # up to the rung where the ladder stops
+    for f in _moved_two_slot_germs():
+        gens = ga._tangent_gens(f)
+        used = ga._module_dimension(gens, f.source_dim, f.target_dim,
+                                    ga._analysis_cap(f))[4]
+        _assert_kept_rows_span_the_built_rows(
+            gens, f.source_dim, f.target_dim, _rungs(f, used))
+
+
+def test_a_one_slot_derivative_column_drops_rows_of_later_generators():
+    # (x^2 + y^2, y^3 + z^2): d/dx = 2x*e_0 and d/dz = 2z*e_1 sit in one
+    # slot each, so x*m*(f_1*e_0) and z*m*(f_1*e_1) are dropped
+    f = germ([{(2, 0, 0): 1, (0, 2, 0): 1}, {(0, 3, 0): 1, (0, 0, 2): 1}], 3)
+    gens = ga._tangent_gens(f)
+    assert [len({slot for slot, _ in g}) for g in gens[:3]] == [1, 2, 1]
+    rows = ga._Rows(gens, 3, 2, 5)
+    kept = set(map(id, rows.kept))
+    dropped = [(gi, rows.keys[cols[0]]) for gi, cols in
+               (row for row in rows.rows if id(row) not in kept)]
+    assert (3, (0, (1, 2, 0))) in dropped  # x * y^2 * e_0, lead of x*f_1*e_0
+    assert (4, (1, (0, 2, 1))) in dropped  # z * y^2 * e_1, lead of z*f_1*e_1
+    assert not any(gi < 3 for gi, _ in dropped)
+    _assert_kept_rows_span_the_built_rows(gens, 3, 2, range(4, 9))
+    modular, exact = both_engines(ke_quotient_hilbert, f)
+    assert modular == exact != INFINITE
 
 
 def test_fewer_generators_than_variables_is_infinite_at_the_cap():
