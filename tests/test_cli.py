@@ -24,8 +24,20 @@ from equidistants.contact_lab import (
     random_graph_pair,
 )
 from equidistants.geometry_engine import ellipse, fourier_oval, graph_surface
-from equidistants.germ_algebra import MapGerm, ke_codimension, mapgerm_from_dict, mapgerm_to_json
-from equidistants.normal_forms import parse_label, recognize, stable_singularities
+from equidistants.germ_algebra import (
+    MapGerm,
+    ke_codimension,
+    mapgerm_from_dict,
+    mapgerm_to_json,
+    random_k_move,
+)
+from equidistants.normal_forms import (
+    is_nice_dimensions,
+    normal_form,
+    parse_label,
+    recognize,
+    stable_singularities,
+)
 
 TABLE_2_4 = "k=1: A1 A2 A3 A4 | k=2: C2,2+ C2,2-"
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos", "output")
@@ -399,9 +411,14 @@ RING_FINGERPRINTS = {
 }
 
 
-def ring_reports_fingerprint(capsys, tmp_path, combo):
-    h = hashlib.sha256()
-    for seed in range(4):
+# sha256 of `ringdims --json` on pair seeds 0-11 of every (n, q, k) above,
+# in the order of RING_FINGERPRINTS, at lambda 1/3 and 1/2: 144 reports
+RING_SWEEP_FINGERPRINT = \
+    "4fa3196741e5ca6498e7363829f45bae3650f8afb6af113ef82707e3881f6e22"
+
+
+def hash_ring_reports(h, capsys, tmp_path, combo, seeds):
+    for seed in seeds:
         path = tmp_path / f"pair{seed}.json"
         path.write_text(graphpair_to_json(random_graph_pair(*combo, seed=seed)))
         for lam in ("1/3", "1/2"):
@@ -409,13 +426,45 @@ def ring_reports_fingerprint(capsys, tmp_path, combo):
                                "--lambda", lam, "--json")
             assert code == 0
             h.update(out.encode())
-    return h.hexdigest()
+    return h
 
 
 @pytest.mark.parametrize("combo", sorted(RING_FINGERPRINTS))
 def test_ring_reports_keep_their_frozen_fingerprints(capsys, tmp_path, combo):
-    assert ring_reports_fingerprint(capsys, tmp_path, combo) == \
-        RING_FINGERPRINTS[combo]
+    h = hash_ring_reports(hashlib.sha256(), capsys, tmp_path, combo, range(4))
+    assert h.hexdigest() == RING_FINGERPRINTS[combo]
+
+
+def test_ring_report_sweep_keeps_its_frozen_fingerprint(capsys, tmp_path):
+    h = hashlib.sha256()
+    for combo in sorted(RING_FINGERPRINTS):
+        hash_ring_reports(h, capsys, tmp_path, combo, range(12))
+    assert h.hexdigest() == RING_SWEEP_FINGERPRINT
+
+
+# sha256 of `classify --json` on the 45 catalogue classes of the nice
+# dimensions, by label, each moved by random_k_move seeds 0-7: 360 germs
+MOVED_CLASSIFY_FINGERPRINT = \
+    "4fb7e2e78e1eab939918b28437baad70dc5ac3caf7bb9fa2002622171fee707b"
+
+
+def test_moved_catalogue_classes_keep_their_frozen_fingerprint(capsys, tmp_path):
+    classes = {cls.label: cls
+               for n in range(1, 6) for q in range(n + 1, 2 * n + 1)
+               if is_nice_dimensions(n, q)
+               for row in stable_singularities(n, q).rows
+               for cls in row.entries}
+    assert len(classes) == 45
+    h = hashlib.sha256()
+    path = tmp_path / "germ.json"
+    for label in sorted(classes):
+        form = normal_form(classes[label], classes[label].intrinsic_source)
+        for seed in range(8):
+            path.write_text(mapgerm_to_json(random_k_move(form, seed)))
+            code, out, _ = run(capsys, "classify", "--germ", str(path), "--json")
+            assert code == 0
+            h.update(out.encode())
+    assert h.hexdigest() == MOVED_CLASSIFY_FINGERPRINT
 
 
 # -------------------------------------------------------------- trace
