@@ -10,12 +10,42 @@ jet space and every rank or membership decision is tolerance-free.
 The jet kernel (`p_add`, `p_scale`, `p_mul`, `p_compose`) is the one jet
 calculus of the package: the exact engines call it with Fraction
 coefficients and the float-to-exact bridge of `geometry_engine` with
-floats.  For floats the order of the terms in a dict is the order in
-which later sums round, so `p_mul` keeps an entry that cancels to zero in
-the place where it first appeared, and `p_compose` drops zeros once, at
-the end.  Over Q this changes no value.  `_row_reduce` is the one small
-dense elimination: ranks, the linear part of `rank0_reduce` and the
-Hessian kernel of the recognizer.
+floats.  Every product runs in one loop, `_mul`, on packed monomials
+(Monagan and Pearce): an exponent tuple becomes one int with a field of
+w = order.bit_length() + 1 bits per variable and the total degree in the
+top field, so a monomial product is one integer addition and the
+truncation test is one comparison with order + 1 in the degree field.
+A term of total degree above the order is dropped when it is packed, so
+a field holds at most order and the sum of two fields at most
+2*order < 2^w: no sum carries into its neighbour, not even in a product
+the test rejects.
+
+Over Q, when every coefficient is an int or a Fraction, `p_compose` runs
+the loop on integers, as FLINT's fmpq_poly keeps a polynomial over one
+common denominator.  The args are multiplied by the lcm D of their
+denominators, and the term c*x^e of p by E*D^(top - |e|), where E is the
+lcm of p's denominators and top the highest total degree of p.  Each
+product of a term of p with powers of the args is then E*D^top times its
+value, and each output is one Fraction(v, E*D^top), the only division.
+Those integers are not reduced: a truncated power a^k over D^k keeps the
+factor D^k whatever the true denominators, and D is large when the args
+are themselves long series, as the solved coordinates of `rank0_reduce`
+are at order 12 and above.  So when E*D^top would pass
+`_INTEGER_LOOP_BITS` bits the loop multiplies the Fractions as they are.
+The two ways give the same keys, order and values; the limit is where
+their times crossed, between 4,200 and 7,000 bits, on the bridge germs of
+the surface pair search and on order-12 and order-16 germs whose 8 prime
+denominators near 10^6 compound through `rank0_reduce`.
+
+For floats the order of the terms in a dict is the order in which later
+sums round.  So the loop visits the pairs of terms in the order of the
+tuple-keyed loop it replaced and inserts a new key as 0 + c, which
+stores a product -0.0 as +0.0; an entry that cancels to zero keeps the
+place where it first appeared, and `p_compose` drops zeros once, at the
+end.  Over Q the same rules give the same keys in the same order, since
+an integer sum is zero exactly when the Fraction sum is.  `_row_reduce`
+is the one small dense elimination: ranks, the linear part of
+`rank0_reduce` and the Hessian kernel of the recognizer.
 
 Quotient dimensions (local algebras, contact tangent spaces) are computed
 by graded sparse Gaussian elimination at a truncation order D.  Leading
@@ -140,6 +170,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
+from operator import lshift
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 try:
@@ -162,6 +193,10 @@ class InfiniteCodimensionError(ArithmeticError):
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
+_RATIONAL = (int, Fraction)
+# `p_compose` runs on integers while its common denominator has at most
+# this many bits (see the module docstring)
+_INTEGER_LOOP_BITS = 6000
 
 # Truncation caps by source dimension; ladders climb toward the cap one
 # degree at a time so small quotients certify early and never pay for the
@@ -206,7 +241,8 @@ def canonical(coeffs: Mapping[Exponent, object], source_dim: int,
             raise ValueError(f"negative exponent in {exp}")
         if sum(exp) > order:
             continue
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if c != 0:
             out[exp] = c
     return out
@@ -229,17 +265,51 @@ def p_scale(a: Poly, c: Fraction) -> Poly:
     return {exp: v * c for exp, v in a.items()}
 
 
-def p_mul(a: Poly, b: Poly, order: int) -> Poly:
-    """Truncated product; an entry that cancels to zero keeps its place."""
-    out: Poly = {}
-    for ea, ca in a.items():
-        da = sum(ea)
-        for eb, cb in b.items():
-            if da + sum(eb) > order:
-                continue
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            out[exp] = out.get(exp, 0) + ca * cb
+def _layout(source_dim: int,
+            order: int) -> Tuple[Tuple[int, ...], int, int]:
+    """The bit offsets of the packed exponent fields, the total degree's
+    last; the mask of one field; the least key of degree order + 1."""
+    width = order.bit_length() + 1
+    shifts = tuple(range(0, width * (source_dim + 1), width))
+    return shifts, (1 << width) - 1, (order + 1) << shifts[-1]
+
+
+def _pack(p: Poly, shifts: Tuple[int, ...], order: int) -> Dict[int, object]:
+    """p's terms of total degree <= order, each exponent packed into one
+    int with its total degree in the top field."""
+    out: Dict[int, object] = {}
+    for exp, c in p.items():
+        d = sum(exp)
+        if d <= order:
+            out[sum(map(lshift, exp + (d,), shifts))] = c
     return out
+
+
+def _unpack(key: int, shifts: Tuple[int, ...], mask: int) -> Exponent:
+    return tuple((key >> s) & mask for s in shifts[:-1])
+
+
+def _mul(a: Dict[int, object], b: Dict[int, object],
+         bound: int) -> Dict[int, object]:
+    """The truncated product of packed polynomials: the one product loop."""
+    out: Dict[int, object] = {}
+    for ka, ca in a.items():
+        room = bound - ka
+        for kb, cb in b.items():
+            if kb < room:
+                k = ka + kb
+                out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
+def p_mul(a: Poly, b: Poly, order: int) -> Poly:
+    """Truncated product, by the packed loop of `_mul`; an entry that
+    cancels to zero keeps its place."""
+    if not a or not b:
+        return {}
+    shifts, mask, bound = _layout(len(next(iter(a))), order)
+    prod = _mul(_pack(a, shifts, order), _pack(b, shifts, order), bound)
+    return {_unpack(k, shifts, mask): v for k, v in prod.items()}
 
 
 def p_compose(p: Poly, args: Sequence[Poly], source_dim: int,
@@ -248,24 +318,45 @@ def p_compose(p: Poly, args: Sequence[Poly], source_dim: int,
 
     Every partial sum is kept, in the order of p's terms, and zeros are
     dropped only at the end; the module docstring says why floats need it.
+    When every coefficient is an int or a Fraction, and the common
+    denominator has at most `_INTEGER_LOOP_BITS` bits, the products run on
+    integers and each output is one Fraction; otherwise the coefficients
+    are multiplied as they are.
     """
+    shifts, mask, bound = _layout(source_dim, order)
+    scale = None
+    if all(type(c) in _RATIONAL for q in (p, *args) for c in q.values()):
+        den = math.lcm(*(c.denominator for a in args for c in a.values()))
+        top = max(map(sum, p), default=0)
+        lcm_p = math.lcm(*(c.denominator for c in p.values()))
+        if lcm_p.bit_length() + top * den.bit_length() <= _INTEGER_LOOP_BITS:
+            args = [{e: c.numerator * (den // c.denominator)
+                     for e, c in a.items()} for a in args]
+            pw = [lcm_p * den ** k for k in range(top + 1)]
+            p = {e: c.numerator * (pw[top - sum(e)] // c.denominator)
+                 for e, c in p.items()}
+            scale = pw[top]
+    packed = [_pack(a, shifts, order) for a in args]
     # Cache powers of each argument since exponents repeat across terms.
-    pows: List[Dict[int, Poly]] = [{1: a} for a in args]
-    out: Poly = {}
+    pows: List[Dict[int, Dict[int, object]]] = [{1: a} for a in packed]
+    out: Dict[int, object] = {}
     for exp, c in p.items():
-        term: Poly = {(0,) * source_dim: c}
+        term = {0: c}
         for i, e in enumerate(exp):
             if not e:
                 continue
             table = pows[i]
             for m in range(len(table) + 1, e + 1):
-                table[m] = p_mul(table[m - 1], args[i], order)
-            term = p_mul(term, table[e], order)
+                table[m] = _mul(table[m - 1], packed[i], bound)
+            term = _mul(term, table[e], bound)
             if not term:
                 break
         for m, v in term.items():
             out[m] = out.get(m, 0) + v
-    return {m: v for m, v in out.items() if v}
+    if scale is None:
+        return {_unpack(m, shifts, mask): v for m, v in out.items() if v}
+    return {_unpack(m, shifts, mask): Fraction(v, scale)
+            for m, v in out.items() if v}
 
 
 def p_diff(p: Poly, i: int) -> Poly:

@@ -1,13 +1,14 @@
 """Functions on the package's types that the package itself never calls.
 
-Tests use them to state properties of the engines: contact-group
+Tests use them to state properties of the engines: the tuple-keyed jet
+product and composition that the packed kernel replaced, contact-group
 composition and miniversal bases of map-germs, the swap and the
 lambda-reflection of graph pairs, a resampled branch and the rank of the
 lambda-point map along it, and a reset of the memoized codimensions.
 """
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +35,42 @@ from equidistants.germ_algebra import (
     p_compose,
 )
 from equidistants.normal_forms import _computed_mu
+
+
+def tuple_p_mul(a: Poly, b: Poly, order: int) -> Poly:
+    """The tuple-keyed truncated product the packed kernel replaced: the
+    reference for its keys, key order and values."""
+    out: Poly = {}
+    for ea, ca in a.items():
+        da = sum(ea)
+        for eb, cb in b.items():
+            if da + sum(eb) > order:
+                continue
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, 0) + ca * cb
+    return out
+
+
+def tuple_p_compose(p: Poly, args: Sequence[Poly], source_dim: int,
+                    order: int) -> Poly:
+    """The tuple-keyed composition the packed kernel replaced, over the
+    coefficients as given: the reference for both coefficient kinds."""
+    pows: List[Dict[int, Poly]] = [{1: a} for a in args]
+    out: Poly = {}
+    for exp, c in p.items():
+        term: Poly = {(0,) * source_dim: c}
+        for i, e in enumerate(exp):
+            if not e:
+                continue
+            table = pows[i]
+            for m in range(len(table) + 1, e + 1):
+                table[m] = tuple_p_mul(table[m - 1], args[i], order)
+            term = tuple_p_mul(term, table[e], order)
+            if not term:
+                break
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + v
+    return {m: v for m, v in out.items() if v}
 
 
 def p_trunc(p: Poly, order: int) -> Poly:

@@ -13,10 +13,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import equidistants.germ_algebra as ga
 import oracle_tools as oracle
-from api_extras import jet_compose, miniversal_basis
+from api_extras import (
+    jet_compose,
+    miniversal_basis,
+    tuple_p_compose,
+    tuple_p_mul,
+)
 from engine_oracle import both_engines, fcompose, full_eliminate_mod
 from equidistants.contact_lab import (
     lambda_contact_from_pair,
@@ -345,6 +352,89 @@ def test_p_compose_sums_float_jets_like_the_float_reference(seed):
         f, args = jet(), [jet() for _ in range(n)]
         want = fcompose(f, args, n, order)
         assert list(ga.p_compose(f, args, n, order).items()) == list(want.items())
+
+
+RATIONAL_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6),
+              st.sampled_from((1, 2, 3, 4, 9, 999983, 1000003, 2 ** 61 - 1))),
+)
+# dyadic values cancel to an exact 0.0 and their products make -0.0; 0.1,
+# -1/3 and the huge values round, overflow and make nan, so the order of
+# the sums shows in the bits
+FLOAT_COEFFS = st.sampled_from(
+    (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 0.1, -1 / 3, 1e200, -1e200))
+
+
+@st.composite
+def jet_problems(draw, coeffs):
+    """(p, args, n, order): n in 1-6, order up to 12, terms up to two
+    degrees above the order, constant terms in the args included."""
+    n, order = draw(st.integers(1, 6)), draw(st.integers(0, 12))
+
+    def jet(terms, low):
+        variables = st.lists(st.integers(0, n - 1), min_size=low,
+                             max_size=order + 2)
+        exps = variables.map(lambda vs: tuple(vs.count(i) for i in range(n)))
+        return draw(st.dictionaries(exps, coeffs, max_size=terms))
+
+    return jet(5, 1), [jet(4, 0) for _ in range(n)], n, order
+
+
+def cancelling_problem(one):
+    """x - y + z at x = t + t^2, y = t, z = t^2 + t: the t entry cancels
+    to zero after y and comes back with z, so dropping it early would move
+    its key behind t^2."""
+    t, t2 = (1, 0, 0), (2, 0, 0)
+    p = {(1, 0, 0): one, (0, 1, 0): -one, (0, 0, 1): one}
+    return p, [{t: one, t2: one}, {t: one}, {t2: one, t: one}], 3, 3
+
+
+def kernel_settings(examples):
+    return settings(max_examples=examples, derandomize=True, database=None,
+                    deadline=None)
+
+
+@kernel_settings(150)
+@given(problem=jet_problems(RATIONAL_COEFFS))
+@example(problem=cancelling_problem(Fraction(1, 3)))
+def test_packed_kernel_matches_the_tuple_kernel_over_q(problem):
+    # mixed int/Fraction coefficients over unrelated denominators: the
+    # integer loop over one common denominator gives the same keys, key
+    # order and values, cancelled terms included
+    p, args, n, order = problem
+    want = list(tuple_p_compose(p, args, n, order).items())
+    assert list(ga.p_compose(p, args, n, order).items()) == want
+    with pytest.MonkeyPatch.context() as mp:
+        # a common denominator above the bit limit takes the Fraction loop
+        mp.setattr(ga, "_INTEGER_LOOP_BITS", -1)
+        assert list(ga.p_compose(p, args, n, order).items()) == want
+    for a in args:
+        assert list(ga.p_mul(p, a, order).items()) == \
+            list(tuple_p_mul(p, a, order).items())
+
+
+@kernel_settings(150)
+@given(problem=jet_problems(FLOAT_COEFFS))
+@example(problem=cancelling_problem(0.1))
+def test_packed_kernel_matches_the_tuple_kernel_bit_for_bit_over_floats(problem):
+    p, args, n, order = problem
+    assert repr(list(ga.p_compose(p, args, n, order).items())) == \
+        repr(list(tuple_p_compose(p, args, n, order).items()))
+    for a in args:
+        assert repr(list(ga.p_mul(p, a, order).items())) == \
+            repr(list(tuple_p_mul(p, a, order).items()))
+
+
+@pytest.mark.parametrize("one", (1, 1.0))
+def test_terms_above_the_order_stay_out_of_the_neighbouring_field(one):
+    # at order 3 a field is 3 bits wide, so x^8 packed as it stands would
+    # read as y; the products and powers of y below must not see it
+    x8, y = (8, 0), (0, 1)
+    assert ga.p_mul({x8: one, y: one}, {y: one}, 3) == {(0, 2): one}
+    assert ga.p_mul({(0, 0): one}, {x8: one}, 3) == {}
+    assert ga.p_compose({(0, 2): one}, [{x8: one}, {x8: one, y: one}],
+                        2, 3) == {(0, 2): one}
 
 
 def test_compose_pinned_value():
