@@ -11,41 +11,31 @@ The jet kernel (`p_add`, `p_scale`, `p_mul`, `p_compose`) is the one jet
 calculus of the package: the exact engines call it with Fraction
 coefficients and the float-to-exact bridge of `geometry_engine` with
 floats.  Every product runs in one loop, `_mul`, on packed monomials
-(Monagan and Pearce): an exponent tuple becomes one int with a field of
-w = order.bit_length() + 1 bits per variable and the total degree in the
-top field, so a monomial product is one integer addition and the
-truncation test is one comparison with order + 1 in the degree field.
-A term of total degree above the order is dropped when it is packed, so
-a field holds at most order and the sum of two fields at most
-2*order < 2^w: no sum carries into its neighbour, not even in a product
-the test rejects.
+(Monagan and Pearce): an exponent tuple is one int with a field of
+w = order.bit_length() + 1 bits per variable and the total degree on top,
+so a monomial product is one addition and truncation one comparison.
+Terms above the order are dropped when packed, so a field holds at most
+order and a sum of two at most 2*order < 2^w: no field carries into the
+next, even in a product the test rejects.
 
-Over Q, when every coefficient is an int or a Fraction, `p_compose` runs
-the loop on integers, as FLINT's fmpq_poly keeps a polynomial over one
-common denominator.  The args are multiplied by the lcm D of their
-denominators, and the term c*x^e of p by E*D^(top - |e|), where E is the
-lcm of p's denominators and top the highest total degree of p.  Each
-product of a term of p with powers of the args is then E*D^top times its
-value, and each output is one Fraction(v, E*D^top), the only division.
-Those integers are not reduced: a truncated power a^k over D^k keeps the
-factor D^k whatever the true denominators, and D is large when the args
-are themselves long series, as the solved coordinates of `rank0_reduce`
-are at order 12 and above.  So when E*D^top would pass
-`_INTEGER_LOOP_BITS` bits the loop multiplies the Fractions as they are.
-The two ways give the same keys, order and values; the limit is where
-their times crossed, between 4,200 and 7,000 bits, on the bridge germs of
-the surface pair search and on order-12 and order-16 germs whose 8 prime
-denominators near 10^6 compound through `rank0_reduce`.
+Over Q `p_compose` runs the loop on integers over one common denominator,
+as FLINT's fmpq_poly does: the args are scaled by the lcm D of their
+denominators, the term c*x^e of p by E*D^(top - |e|) (E the lcm of p's
+denominators, top its highest degree), and each output is one
+Fraction(v, E*D^top).  A truncated power a^k over D^k is far from
+reduced when D is large, as for the solved coordinates of `rank0_reduce`
+at order 12 and above, so past `_INTEGER_LOOP_BITS` bits of E*D^top the
+loop multiplies the Fractions as they are; the two ways' times crossed
+between 4,200 and 7,000 bits.
 
-For floats the order of the terms in a dict is the order in which later
-sums round.  So the loop visits the pairs of terms in the order of the
-tuple-keyed loop it replaced and inserts a new key as 0 + c, which
-stores a product -0.0 as +0.0; an entry that cancels to zero keeps the
-place where it first appeared, and `p_compose` drops zeros once, at the
-end.  Over Q the same rules give the same keys in the same order, since
-an integer sum is zero exactly when the Fraction sum is.  `_row_reduce`
-is the one small dense elimination: ranks, the linear part of
-`rank0_reduce` and the Hessian kernel of the recognizer.
+For floats the order of a dict's terms is the order in which later sums
+round.  So the loop visits the pairs of terms in the old tuple-keyed
+order and inserts a new key as 0 + c (a product -0.0 is stored as +0.0);
+an entry that cancels to zero keeps its place, and `p_compose` drops
+zeros once, at the end.  Over Q this gives the same keys in the same
+order, since an integer sum is zero exactly when the Fraction sum is.
+`_row_reduce` is the one small dense elimination: ranks, the linear part
+of `rank0_reduce` and the Hessian kernel of the recognizer.
 
 Quotient dimensions (local algebras, contact tangent spaces) are computed
 by graded sparse Gaussian elimination at a truncation order D.  Leading
@@ -194,8 +184,7 @@ class InfiniteCodimensionError(ArithmeticError):
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
 _RATIONAL = (int, Fraction)
-# `p_compose` runs on integers while its common denominator has at most
-# this many bits (see the module docstring)
+# the largest common denominator, in bits, that `p_compose` runs on integers
 _INTEGER_LOOP_BITS = 6000
 
 # Truncation caps by source dimension; ladders climb toward the cap one
@@ -265,18 +254,16 @@ def p_scale(a: Poly, c: Fraction) -> Poly:
     return {exp: v * c for exp, v in a.items()}
 
 
-def _layout(source_dim: int,
-            order: int) -> Tuple[Tuple[int, ...], int, int]:
-    """The bit offsets of the packed exponent fields, the total degree's
-    last; the mask of one field; the least key of degree order + 1."""
+def _layout(source_dim: int, order: int) -> Tuple[Tuple[int, ...], int, int]:
+    """Field offsets (the total degree's last), field mask, and the least
+    key of degree order + 1."""
     width = order.bit_length() + 1
     shifts = tuple(range(0, width * (source_dim + 1), width))
     return shifts, (1 << width) - 1, (order + 1) << shifts[-1]
 
 
 def _pack(p: Poly, shifts: Tuple[int, ...], order: int) -> Dict[int, object]:
-    """p's terms of total degree <= order, each exponent packed into one
-    int with its total degree in the top field."""
+    """p's terms of total degree <= order, keyed by packed exponent."""
     out: Dict[int, object] = {}
     for exp, c in p.items():
         d = sum(exp)
@@ -303,8 +290,7 @@ def _mul(a: Dict[int, object], b: Dict[int, object],
 
 
 def p_mul(a: Poly, b: Poly, order: int) -> Poly:
-    """Truncated product, by the packed loop of `_mul`; an entry that
-    cancels to zero keeps its place."""
+    """Truncated product; an entry that cancels to zero keeps its place."""
     if not a or not b:
         return {}
     shifts, mask, bound = _layout(len(next(iter(a))), order)
@@ -318,10 +304,8 @@ def p_compose(p: Poly, args: Sequence[Poly], source_dim: int,
 
     Every partial sum is kept, in the order of p's terms, and zeros are
     dropped only at the end; the module docstring says why floats need it.
-    When every coefficient is an int or a Fraction, and the common
-    denominator has at most `_INTEGER_LOOP_BITS` bits, the products run on
-    integers and each output is one Fraction; otherwise the coefficients
-    are multiplied as they are.
+    Over Q, below `_INTEGER_LOOP_BITS`, the products run on integers and
+    each output is one Fraction (see the module docstring).
     """
     shifts, mask, bound = _layout(source_dim, order)
     scale = None
