@@ -922,17 +922,27 @@ class EquidistantBranch:
         return len(self.samples)
 
 
-def _step_direction(gs, gt, prev):
-    """Unit tangent of {g = 0} from the gradient (gs, gt), oriented along
-    prev when given; None where the gradient vanishes."""
-    d = np.array([-gt, gs])
-    nrm = np.linalg.norm(d)
-    if nrm == 0:
-        return None
-    d = d / nrm
-    if prev is not None and float(d @ prev) < 0:
-        d = -d
-    return d
+def _torus_gaps(a, b):
+    """Row-wise `_toroidal_dist(a, b, TWO_PI)`."""
+    d = np.fmod(np.abs(a - b), TWO_PI)
+    return np.minimum(d, TWO_PI - d)
+
+
+def _solve_rows(J, rhs):
+    """Solve every 2x2 system J[i] x = rhs[i]; returns the solutions and
+    the singular rows' indices.  The stacked solve runs the LAPACK call of
+    a single `np.linalg.solve` on each row; it raises when any row is
+    singular, and then the rows are solved one at a time."""
+    try:
+        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0], ()
+    except np.linalg.LinAlgError:
+        x, singular = np.zeros((len(J), 2)), []
+        for i in range(len(J)):
+            try:
+                x[i] = np.linalg.solve(J[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular.append(i)
+        return x, singular
 
 
 def _project_to_zero_many(M, Z, tol, iters=16):
@@ -960,68 +970,202 @@ def _project_to_zero_many(M, Z, tol, iters=16):
     return Z, ok
 
 
-def _project_to_zero(M, z, tol):
-    Z, ok = _project_to_zero_many(M, [z], tol)
-    return Z[0] if ok[0] else None
+class _Row:
+    """One march in progress: the corrector iterate (x, y), the base point
+    (bx, by) of its hyperplane, the unit tangent (dx, dy), the last point
+    (zx, zy) and the start (x0, y0); the step h, the tries spent on it and
+    the corrector iterates spent on the current try."""
+
+    __slots__ = ("rid", "x", "y", "bx", "by", "dx", "dy", "zx", "zy",
+                 "x0", "y0", "h", "tries", "it")
 
 
-def _corrector(M, z, base, d, tol, iters=12):
-    """Newton-correct z onto {g = 0} within the hyperplane through base
-    normal to d; returns the accepted point with the gradient (gs, gt) there,
-    or None."""
-    z = np.array(z, dtype=float)
-    for _ in range(iters):
-        g, gs, gt, scale = _g_grad(M, z[0], z[1])
-        r2 = float((z - base) @ d)
-        if abs(g) <= tol * scale and abs(r2) < 1e-13:
-            return z, gs, gt
-        J = np.array([[gs, gt], [d[0], d[1]]])
-        try:
-            delta = np.linalg.solve(J, np.array([g, r2]))
-        except np.linalg.LinAlgError:
-            return None
-        z = z - delta
-        if np.linalg.norm(delta) > 1.0:
-            return None
-    return None
+class _Marches:
+    """Marches along {g = 0}, one per row, advanced in lockstep.
 
+    Row r starts at Z0[r] and follows the zero set's unit tangent, oriented
+    by signs[r] at the start.  Each step predicts the point h = `step`
+    ahead and Newton-corrects it onto {g = 0} within the hyperplane through
+    it normal to the tangent: at most 12 iterates, each moving by at most
+    1.0.  A failed corrector halves h, at most four times; a fifth failure,
+    a vanishing gradient or `max_steps` accepted steps fail the march.  A
+    march that steps into the diagonal band |s - t| < delta stops there,
+    and one that comes back within 1.2 steps of Z0[r] in both parameters,
+    after 8 points, closes.
 
-def _march(M, z0, direction, step, delta, tol, max_steps):
-    """March along {g = 0} from z0; returns (points, closed, failed, band).
-    A march that steps into the diagonal band stops there, and `band` is
-    its last iterate outside the band with the step inside it, the bracket
-    that `_land_on_band` bisects; it is None for every other ending."""
-    pts = [np.array(z0, dtype=float)]
-    _, gs, gt, _ = _g_grad(M, z0[0], z0[1])
-    d = _step_direction(gs, gt, None)
-    if d is None:
-        return pts, False, True, None
-    d = d * direction
-    z = np.array(z0, dtype=float)
-    for _ in range(max_steps):
-        h = step
-        for _ in range(5):
-            base = z + h * d
-            hit = _corrector(M, base, base, d, tol)
-            if hit is not None:
-                break
-            h = h / 2
-        if hit is None:
-            return pts, False, True, None
-        nxt, gs, gt = hit
-        if _toroidal_dist(nxt[0], nxt[1], TWO_PI) < delta:
-            return pts, False, False, (z, nxt)
-        pts.append(nxt)
-        if len(pts) > 8 and \
-                _toroidal_dist(nxt[0], z0[0], TWO_PI) < 1.2 * step and \
-                _toroidal_dist(nxt[1], z0[1], TWO_PI) < 1.2 * step:
-            pts.append(np.array(z0, dtype=float))
-            return pts, True, False, None
-        nd = _step_direction(gs, gt, d)
-        if nd is None:
-            return pts, False, True, None
-        z, d = nxt, nd
-    return pts, False, True, None
+    A pass takes one corrector iterate on every live row: one jet pass
+    evaluates g and its gradient at every iterate, and one stacked solve
+    takes every Newton step.  Dot products run as `np.vecdot` rows or
+    `np.dot`, which round like the `@` and `np.linalg.norm` of one
+    2-vector (a plain a0*b0 + a1*b1 may not: BLAS may fuse it).  The rest
+    is scalar float arithmetic per row, in the order of a march run alone.
+    So rows never mix, a row may be suspended and resumed between passes,
+    and `result(r)` is the march of Z0[r] whatever the schedule.
+    """
+
+    def __init__(self, M, Z0, signs, step, delta, tol, max_steps):
+        self.M, self.step, self.delta, self.tol = M, step, delta, tol
+        self.max_steps = max_steps
+        Z0 = np.array(Z0, dtype=float).reshape(-1, 2)
+        self.pts = [[z] for z in map(tuple, Z0.tolist())]
+        self.ends = [None] * len(Z0)    # (closed, failed, band) once done
+        self.rows, self.parked = [], {}
+        _, gs, gt, _ = _g_grad(M, Z0[:, 0], Z0[:, 1])
+        tangents = self._tangents(gs.tolist(), gt.tolist())
+        for rid, ((x0, y0), d, sign) in enumerate(
+                zip(Z0.tolist(), tangents, np.asarray(signs, float).tolist())):
+            if d is None or max_steps <= 0:
+                self.ends[rid] = (False, True, None)
+                continue
+            row = _Row()
+            row.rid, row.x0, row.y0, row.zx, row.zy = rid, x0, y0, x0, y0
+            row.dx, row.dy = d[0] * sign, d[1] * sign
+            self._next_step(row)
+            self.rows.append(row)
+
+    @staticmethod
+    def _tangents(gs, gt, prev=None):
+        """The unit tangents (-gt, gs) / |(-gt, gs)| of {g = 0}, None where
+        the gradient vanishes, each turned to have a non-negative dot
+        product with its row of prev when given."""
+        V = [(-b, a) for a, b in zip(gs, gt)]
+        out = []
+        for (vx, vy), n2 in zip(V, np.vecdot(V, V).tolist()):
+            nrm = math.sqrt(n2)
+            out.append((vx / nrm, vy / nrm) if nrm != 0 else None)
+        if prev is not None:
+            turn = np.vecdot([d or (0.0, 0.0) for d in out], prev).tolist()
+            out = [(-d[0], -d[1]) if d is not None and c < 0 else d
+                   for d, c in zip(out, turn)]
+        return out
+
+    def result(self, r):
+        """(points, closed, failed, band) of a finished row.  `band` is the
+        row's last point outside the band with its step inside, the bracket
+        `_land_on_band` bisects, or None for every other ending."""
+        return (self.pts[r],) + self.ends[r]
+
+    def done(self, r):
+        return self.ends[r] is not None
+
+    def live(self):
+        """The ids of the live rows."""
+        return [row.rid for row in self.rows]
+
+    def run(self, watch=None):
+        """Pass until no row is live.  After each pass, `watch(rows, points,
+        finished)` sees the rows that took a step with their new points and
+        the rows that finished; it returns rows to suspend."""
+        while self.rows:
+            self.step_once(watch)
+
+    def step_once(self, watch=None):
+        """One pass: one corrector iterate on every live row."""
+        rows = self.rows
+        A = np.array([(r.x, r.y, r.x - r.bx, r.y - r.by, r.dx, r.dy)
+                      for r in rows])
+        g, gs, gt, scale = _g_grad(self.M, A[:, 0], A[:, 1])
+        r2 = np.vecdot(A[:, 2:4], A[:, 4:6]).tolist()
+        g, gs, gt, scale = g.tolist(), gs.tolist(), gt.tolist(), scale.tolist()
+        tol, newton, accept = self.tol, [], []
+        for i in range(len(rows)):
+            if abs(g[i]) <= tol * scale[i] and abs(r2[i]) < 1e-13:
+                accept.append(i)
+            else:
+                newton.append(i)
+        finished, moved, new = [], [], []
+        if newton:
+            J = np.array([((gs[i], gt[i]), (rows[i].dx, rows[i].dy))
+                          for i in newton])
+            delta, singular = _solve_rows(J, np.array(
+                [(g[i], r2[i]) for i in newton]))
+            for k, (i, e, (ex, ey)) in enumerate(zip(newton, delta,
+                                                      delta.tolist())):
+                r = rows[i]
+                r.x, r.y, r.it = r.x - ex, r.y - ey, r.it + 1
+                # |delta| as np.linalg.norm takes it
+                if k in singular or math.sqrt(np.dot(e, e)) > 1.0 \
+                        or r.it == 12:
+                    self._retry(r, finished)
+        if accept:
+            self._accept([rows[i] for i in accept], [gs[i] for i in accept],
+                         [gt[i] for i in accept], finished, moved, new)
+        if finished:
+            self.rows = [r for r in rows if self.ends[r.rid] is None]
+        if watch is not None and (moved or finished):
+            self.suspend(watch(moved, new, finished))
+
+    def _next_step(self, r):
+        r.h, r.tries = self.step, 0
+        self._predict(r)
+
+    @staticmethod
+    def _predict(r):
+        r.bx, r.by = r.zx + r.h * r.dx, r.zy + r.h * r.dy
+        r.x, r.y, r.it = r.bx, r.by, 0
+
+    def _retry(self, r, finished):
+        """The corrector failed: halve the step, or fail the march after
+        five tries."""
+        r.tries += 1
+        if r.tries == 5:
+            self.ends[r.rid] = (False, True, None)
+            finished.append(r.rid)
+        else:
+            r.h = r.h / 2
+            self._predict(r)
+
+    def _accept(self, rows, gs, gt, finished, moved, new):
+        """The corrector converged on `rows`, with the gradient (gs, gt)
+        there.  Each row leaves through the band, or takes the step, and
+        then closes, fails or goes on along the new tangent.  Appends the
+        ids of the rows that took the step to `moved`, and their new points
+        to `new`."""
+        reach, turning = 1.2 * self.step, []
+        for r, a, b in zip(rows, gs, gt):
+            p = (r.x, r.y)
+            if _toroidal_dist(r.x, r.y, TWO_PI) < self.delta:
+                self.ends[r.rid] = (False, False, ((r.zx, r.zy), p))
+                finished.append(r.rid)
+                continue
+            pts = self.pts[r.rid]
+            pts.append(p)
+            moved.append(r.rid)
+            new.append(p)
+            if len(pts) > 8 and \
+                    _toroidal_dist(r.x, r.x0, TWO_PI) < reach and \
+                    _toroidal_dist(r.y, r.y0, TWO_PI) < reach:
+                pts.append((r.x0, r.y0))
+                self.ends[r.rid] = (True, False, None)
+                finished.append(r.rid)
+            else:
+                turning.append((r, a, b))
+        if not turning:
+            return
+        rows, gs, gt = zip(*turning)
+        for r, d in zip(rows, self._tangents(
+                gs, gt, [(r.dx, r.dy) for r in rows])):
+            if d is None or len(self.pts[r.rid]) > self.max_steps:
+                self.ends[r.rid] = (False, True, None)
+                finished.append(r.rid)
+            else:
+                r.zx, r.zy, (r.dx, r.dy) = r.x, r.y, d
+                self._next_step(r)
+
+    def suspend(self, rids):
+        """Park the live rows among `rids`; `resume` continues them."""
+        if rids:
+            rids = set(rids)
+            keep = []
+            for r in self.rows:
+                if r.rid in rids:
+                    self.parked[r.rid] = r
+                else:
+                    keep.append(r)
+            self.rows = keep
+
+    def resume(self, rids):
+        self.rows += [self.parked.pop(r) for r in rids if r in self.parked]
 
 
 def _land_on_band(M, lo, hi, delta, tol, iters=50):
@@ -1040,8 +1184,7 @@ def _land_on_band(M, lo, hi, delta, tol, iters=50):
             break
         mid, ok = _project_to_zero_many(M, 0.5 * (lo[live] + hi[live]), tol)
         live, mid = live[ok], mid[ok]
-        gap = np.fmod(np.abs(mid[:, 0] - mid[:, 1]), TWO_PI)
-        out = np.minimum(gap, TWO_PI - gap) >= delta
+        out = _torus_gaps(mid[:, 0], mid[:, 1]) >= delta
         stay = ~(mid == np.where(out[:, None], lo[live], hi[live])).all(axis=1)
         live, mid, out = live[stay], mid[stay], out[stay]
         lo[live[out]] = mid[out]
@@ -1049,23 +1192,26 @@ def _land_on_band(M, lo, hi, delta, tol, iters=50):
     return lo
 
 
-def _branch_from_path(M, lam, path, status):
-    S = [p[0] % TWO_PI for p in path]
-    T = [p[1] % TWO_PI for p in path]
-    pairs = _pair_points(M, S, T)
-    A = np.array([p.a for p in pairs])
-    B = np.array([p.b for p in pairs])
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = lam * A + (1 - lam) * B      # _check_finite reports overflow
-    steps = np.linalg.norm(np.diff(np.array(path), axis=0), axis=1) \
-        if len(path) > 1 else np.array([])
-    sigmas = np.concatenate([[0.0], np.cumsum(steps)])
-    samples = list(zip(pairs, X))
-    scale = float(np.max(np.linalg.norm(A, axis=1))) or 1.0
-    diam = float(np.max(np.ptp(X, axis=0))) if len(X) else 0.0
-    return EquidistantBranch(
-        lam=float(lam), manifold=M, samples=samples, sigmas=sigmas,
-        status=status, degenerate=diam < 1e-8 * scale)
+def _branches_from_paths(M, lam, paths):
+    """One EquidistantBranch per (path, status), with the PairPoints of
+    every path built in one `_pair_points` pass."""
+    P = np.concatenate([np.array(path) for path, _ in paths]) % TWO_PI
+    pairs = _pair_points(M, P[:, 0], P[:, 1])
+    out, start = [], 0
+    for path, status in paths:
+        part, start = pairs[start:start + len(path)], start + len(path)
+        A = np.array([p.a for p in part])
+        B = np.array([p.b for p in part])
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = lam * A + (1 - lam) * B  # _check_finite reports overflow
+        steps = np.linalg.norm(np.diff(np.array(path), axis=0), axis=1)
+        sigmas = np.concatenate([[0.0], np.cumsum(steps)])
+        scale = float(np.max(np.linalg.norm(A, axis=1))) or 1.0
+        diam = float(np.max(np.ptp(X, axis=0)))
+        out.append(EquidistantBranch(
+            lam=float(lam), manifold=M, samples=list(zip(part, X)),
+            sigmas=sigmas, status=status, degenerate=diam < 1e-8 * scale))
+    return out
 
 
 def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
@@ -1084,6 +1230,21 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     None, and the surface scheme's own default otherwise.
     A lambda that sends a traced point outside the finite floats raises
     NonFiniteEquidistantError, a DomainError.
+
+    The branches are decided by a sequential walk over the sorted seeds
+    (each pair and its swap): a seed whose grid cell, or whose projection's
+    cell, lies next to a point of an accepted branch is skipped; otherwise
+    its forward march, and its backward march unless the forward one
+    closes, make the next branch, with band ends landed on the band edge.
+    A march depends only on its seed and direction, so the marches run as
+    rows of one `_Marches`, one array pass per corrector iterate for all of
+    them, scheduled speculatively: seeds that a lower seed is about to
+    cover are suspended, and the walk resumes a suspended march only if it
+    turns out to need it.  The schedule decides what is computed, never
+    what a march returns, so every branch, point and bit is the one that
+    the walk gets from marches run one at a time.  The band ends of all
+    accepted branches land in one `_land_on_band` call, and the PairPoints
+    of all branches are built in one `_pair_points` pass.
     """
     lam = float(lam)
     if lam in (0.0, 1.0):
@@ -1108,53 +1269,135 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     seed_pts = [(float(p.s), float(p.t)) for p in seeds]
     seed_pts += [(t, s) for s, t in seed_pts]
     seed_pts.sort()
+    SP = np.array(seed_pts).reshape(-1, 2)
+    Z0, usable = _project_to_zero_many(M, SP, tol)
+    usable &= ~(_torus_gaps(Z0[:, 0], Z0[:, 1]) < delta_diag)
+    if not usable.any():
+        return []
 
-    visited = set()
-
-    def cell(z):
-        return (int(math.floor((z[0] % TWO_PI) / step)),
-                int(math.floor((z[1] % TWO_PI) / step)))
-
+    # grid cells as keys i * (ncells + 1) + j: a point's cell (i, j) may
+    # reach ncells, while marks wrap into 0..ncells-1
     ncells = int(math.ceil(TWO_PI / step))
+    around = np.array([(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)])
 
-    def mark(z):
-        c = cell(z)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                visited.add(((c[0] + di) % ncells, (c[1] + dj) % ncells))
+    def cells(P):
+        C = np.floor((P % TWO_PI) / step).astype(np.int64)
+        return C[:, 0] * (ncells + 1) + C[:, 1], C
 
-    branches = []
-    for sp in seed_pts:
-        if cell(sp) in visited:
-            continue
-        z0 = _project_to_zero(M, sp, tol)
-        if z0 is None or _toroidal_dist(z0[0], z0[1], TWO_PI) < delta_diag:
-            continue
-        if cell(z0) in visited:
-            continue
-        fwd, closed, failed, band = _march(M, z0, +1.0, step, delta_diag,
-                                           tol, max_steps)
-        if closed:
-            path = fwd
-            status = "closed"
+    def marks(P, centre=False):
+        """The wrapped cells of the points P, or else of the 3 x 3 blocks
+        of cells around them, as keys."""
+        C = cells(P)[1]
+        C = C % ncells if centre else (C[:, None, :] + around) % ncells
+        return (C[..., 0] * (ncells + 1) + C[..., 1]).ravel()
+
+    # seed k of the usable seeds, in sorted order, marches as rows 2k
+    # (forward) and 2k + 1 (backward)
+    used = np.flatnonzero(usable)
+    sp_key, z0_key = cells(SP[used])[0], cells(Z0[used])[0]
+    march = _Marches(M, np.repeat(Z0[used], 2, axis=0),
+                     np.tile([1.0, -1.0], len(used)),
+                     step, delta_diag, tol, max_steps)
+
+    # Speculation.  Seed k starts its forward row unless a lower seed's
+    # projection lies next to its own on the seed grid (the seeds lie on
+    # its lines, so each reads its nearest node, which rounding noise does
+    # not move).  Its backward row starts once the forward one ends
+    # without closing, since the walk reads it only then.  A lower seed is
+    # about to cover seed k when one of its rows marks k's sp or z0 cell,
+    # or when a row of k steps into a cell that a row of it has visited:
+    # then the rows of k are suspended.  The walk resumes any row it needs.
+    nodes = np.rint(Z0[used] / (TWO_PI / seed_density)) % seed_density
+    near, start = set(), []
+    for k, (i, j) in enumerate(nodes.astype(np.int64).tolist()):
+        if (i, j) not in near:
+            start.append(k)
+        near.update(((i + di) % seed_density, (j + dj) % seed_density)
+                    for di, dj in around.tolist())
+    march.suspend(sorted(set(range(2 * len(used))) - {2 * k for k in start}))
+    watchers = {}       # cell -> the started seeds whose sp or z0 it marks
+    rings = marks(np.concatenate([SP[used][start], Z0[used][start]]))
+    for k, ring in zip(start * 2, rings.reshape(-1, len(around)).tolist()):
+        for c in ring:
+            watchers.setdefault(c, set()).add(k)
+    owner = {}          # visited cell -> the lowest seed whose row did
+    dropped = set()
+
+    def watch(rows, points, finished):
+        if finished:
+            march.resume([r + 1 for r in finished
+                          if r % 2 == 0 and not march.ends[r][0]])
+        stop = []
+        if not rows or len({r // 2 for r in march.live()}) < 2:
+            return stop
+        for r, c in zip(rows, marks(np.array(points), centre=True).tolist()):
+            k = r // 2
+            if k in dropped:
+                continue
+            low = owner.setdefault(c, k)
+            if low < k:
+                hit = [k]
+            else:
+                owner[c] = k
+                hit = [w for w in watchers.get(c, ()) if w > k]
+            for w in hit:
+                if w not in dropped:
+                    dropped.add(w)
+                    stop.extend((2 * w, 2 * w + 1))
+        return stop
+
+    live = march.live()
+    march.suspend(watch(live, [march.pts[r][0] for r in live], []))
+    march.run(watch)
+    sp_key, z0_key = sp_key.tolist(), z0_key.tolist()
+
+    def walk(landed):
+        """The sequential walk over the seeds, with the marches and the
+        landings at hand.  Returns the (path, status) of each branch it
+        accepts, the suspended rows it needs first, if any, and the band
+        ends it accepts without a landing yet."""
+        visited, paths, land = set(), [], []
+        for k in range(len(used)):
+            if sp_key[k] in visited or z0_key[k] in visited:
+                continue
+            f, b = 2 * k, 2 * k + 1
+            if not march.done(f):
+                return paths, [f, b], land
+            fwd, closed, failed, band = march.result(f)
+            if closed:
+                path, status = fwd, "closed"
+            else:
+                if not march.done(b):
+                    return paths, [b], land
+                bwd, _, failed_b, band_b = march.result(b)
+                fwd, bwd = list(fwd), list(bwd)
+                for pts, r, end in ((fwd, f, band), (bwd, b, band_b)):
+                    if end is not None and r not in landed:
+                        land.append(r)
+                    elif end is not None and \
+                            np.linalg.norm(landed[r] - pts[-1]) > 1e-9:
+                        pts.append(landed[r])
+                path = list(reversed(bwd[1:])) + fwd
+                status = "step_failure" if (failed or failed_b) else "open"
+            visited.update(marks(np.array(path)).tolist())
+            if len(path) >= 2:
+                paths.append((path, status))
+        return paths, [], land
+
+    landed = {}
+    while True:
+        paths, need, land = walk(landed)
+        if need:
+            march.resume(need)
+            march.run()
+        elif land:
+            ends = [march.result(r)[3] for r in land]
+            lo = _land_on_band(M, [e[0] for e in ends], [e[1] for e in ends],
+                               delta_diag, tol)
+            landed.update(zip(land, lo))
         else:
-            bwd, _, failed_b, band_b = _march(M, z0, -1.0, step, delta_diag,
-                                              tol, max_steps)
-            ends = [(pts, b) for pts, b in ((fwd, band), (bwd, band_b))
-                    if b is not None]
-            if ends:
-                landed = _land_on_band(M, [b[0] for _, b in ends],
-                                       [b[1] for _, b in ends], delta_diag,
-                                       tol)
-                for (pts, _), lo in zip(ends, landed):
-                    if np.linalg.norm(lo - pts[-1]) > 1e-9:
-                        pts.append(lo)
-            path = list(reversed(bwd[1:])) + fwd
-            status = "step_failure" if (failed or failed_b) else "open"
-        for p in path:
-            mark(p)
-        if len(path) >= 2:
-            branches.append(_branch_from_path(M, lam, path, status))
+            break
+    branches = _branches_from_paths(M, lam, paths) if paths else []
     _check_finite(branches)
     return branches
 

@@ -1,7 +1,8 @@
 """Functions on the package's types that the package itself never calls.
 
 Tests use them to state properties of the engines: the tuple-keyed jet
-product and composition that the packed kernel replaced, contact-group
+product and composition that the packed kernel replaced, the one-point
+continuation march that the lockstep marcher replaced, contact-group
 composition and miniversal bases of map-germs, the swap and the
 lambda-reflection of graph pairs, a resampled branch and the rank of the
 lambda-point map along it, and a reset of the memoized codimensions.
@@ -19,6 +20,8 @@ from equidistants.geometry_engine import (
     PairPoint,
     _cross2,
     _g_grad,
+    _project_to_zero_many,
+    _toroidal_dist,
     _wrap_pi,
     tangent_frame,
 )
@@ -71,6 +74,84 @@ def tuple_p_compose(p: Poly, args: Sequence[Poly], source_dim: int,
         for m, v in term.items():
             out[m] = out.get(m, 0) + v
     return {m: v for m, v in out.items() if v}
+
+
+def _step_direction(gs, gt, prev):
+    """Unit tangent of {g = 0} from the gradient (gs, gt), oriented along
+    prev when given; None where the gradient vanishes."""
+    d = np.array([-gt, gs])
+    nrm = np.linalg.norm(d)
+    if nrm == 0:
+        return None
+    d = d / nrm
+    if prev is not None and float(d @ prev) < 0:
+        d = -d
+    return d
+
+
+def scalar_project_to_zero(M, z, tol):
+    """Newton projection of the one point z onto {g = 0}, or None."""
+    Z, ok = _project_to_zero_many(M, [z], tol)
+    return Z[0] if ok[0] else None
+
+
+def scalar_corrector(M, z, base, d, tol, iters=12):
+    """Newton-correct z onto {g = 0} within the hyperplane through base
+    normal to d; returns the accepted point with the gradient (gs, gt)
+    there, or None."""
+    z = np.array(z, dtype=float)
+    for _ in range(iters):
+        g, gs, gt, scale = _g_grad(M, z[0], z[1])
+        r2 = float((z - base) @ d)
+        if abs(g) <= tol * scale and abs(r2) < 1e-13:
+            return z, gs, gt
+        J = np.array([[gs, gt], [d[0], d[1]]])
+        try:
+            delta = np.linalg.solve(J, np.array([g, r2]))
+        except np.linalg.LinAlgError:
+            return None
+        z = z - delta
+        if np.linalg.norm(delta) > 1.0:
+            return None
+    return None
+
+
+def scalar_march(M, z0, direction, step, delta, tol, max_steps):
+    """The one-point march along {g = 0} from z0 that the lockstep marcher
+    replaced, one scalar Newton iterate at a time: the reference for every
+    row of `_Marches`.  Returns (points, closed, failed, band), with band
+    the (last point outside the band, step inside it) bracket or None."""
+    pts = [np.array(z0, dtype=float)]
+    _, gs, gt, _ = _g_grad(M, z0[0], z0[1])
+    d = _step_direction(gs, gt, None)
+    if d is None:
+        return pts, False, True, None
+    d = d * direction
+    z = np.array(z0, dtype=float)
+    for _ in range(max_steps):
+        h = step
+        for _ in range(5):
+            base = z + h * d
+            hit = scalar_corrector(M, base, base, d, tol)
+            if hit is not None:
+                break
+            h = h / 2
+        if hit is None:
+            return pts, False, True, None
+        nxt, gs, gt = hit
+        if _toroidal_dist(nxt[0], nxt[1], TWO_PI) < delta:
+            return pts, False, False, (z, nxt)
+        pts.append(nxt)
+        if len(pts) > 8 and \
+                _toroidal_dist(nxt[0], z0[0], TWO_PI) < 1.2 * step and \
+                _toroidal_dist(nxt[1], z0[1], TWO_PI) < 1.2 * step:
+            pts.append(np.array(z0, dtype=float))
+            return pts, True, False, None
+        nd = _step_direction(gs, gt, d)
+        if nd is None:
+            return pts, False, True, None
+        z, d = nxt, nd
+    return pts, False, True, None
 
 
 def p_trunc(p: Poly, order: int) -> Poly:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from api_extras import densify_branch, projection_rank_residuals
+from api_extras import densify_branch, projection_rank_residuals, scalar_march
 from engine_oracle import fcompose, node_candidates
 from equidistants.cli import main as cli_main
 from equidistants.contact_lab import contact_map, graphpair_to_json
@@ -1147,18 +1147,108 @@ def test_cli_trace_refines_every_cusp_in_one_call(oval_cli_half):
 
 
 def test_trace_lands_both_ends_of_an_open_branch_in_one_call(oval_cli_half):
+    # one landing call holds both ends of every open branch of the trace
     calls, summaries = oval_cli_half
     opened = [s for s in summaries if s["status"] == "open"]
     assert len(opened) == 6
-    assert calls["land_rows"] == [2] * len(opened)
+    assert calls["land_rows"] == [2 * len(opened)]
 
 
-def test_oval_cli_trace_and_detection_stay_within_4000_evaluator_passes(
+def test_oval_cli_trace_and_detection_stay_within_2350_evaluator_passes(
         oval_cli_half):
-    # 3,814 passes when the budget was set, 5,521 with one cusp bisection
-    # per branch and one landing per branch end
+    # 2,143 passes with every march in one lockstep pass per corrector
+    # iterate; 3,647 with one march at a time, 5,521 with one cusp
+    # bisection per branch and one landing per branch end
     calls, _ = oval_cli_half
-    assert calls["jet"] <= 4000, calls["jet"]
+    assert calls["jet"] <= 2350, calls["jet"]
+
+
+def usable_seeds(M, density=128):
+    """The projected seeds that `trace_equidistant` marches from, in the
+    order its walk reads them, and the diagonal band width."""
+    delta = 10.0 * TWO_PI / density
+    pairs = find_parallel_pairs(M, density, tol=1e-10, delta_diag=delta)
+    seeds = sorted([(float(p.s), float(p.t)) for p in pairs]
+                   + [(float(p.t), float(p.s)) for p in pairs])
+    Z0, ok = ge._project_to_zero_many(M, seeds, 1e-12)
+    ok &= np.array([tor_dist(s, t) >= delta for s, t in Z0])
+    return Z0[ok], delta
+
+
+def march_rows(Z):
+    """Every point of Z twice, marching forward and backward."""
+    return np.repeat(Z, 2, axis=0), np.tile([1.0, -1.0], len(Z))
+
+
+def assert_march_is_scalar(got, M, z0, sign, delta, max_steps):
+    """The lockstep march `got` equals the scalar march bit for bit."""
+    pts, closed, failed, band = got
+    want, w_closed, w_failed, w_band = scalar_march(
+        M, z0, sign, 0.02, delta, 1e-12, max_steps)
+    assert np.array(pts).tobytes() == np.array(want).tobytes()
+    assert (closed, failed) == (w_closed, w_failed)
+    assert (band is None) == (w_band is None)
+    if band is not None:
+        for a, b in zip(band, w_band):
+            assert np.asarray(a, dtype=float).tobytes() == b.tobytes()
+    return "closed" if closed else "band" if band else "failed"
+
+
+@pytest.mark.parametrize("curve", sorted(TRACED_CURVES))
+def test_lockstep_marches_equal_the_scalar_march(curve):
+    # short marches from seeds all over the walk, both directions, as rows
+    # of one batch; then the whole march of the first seed each way
+    M = TRACED_CURVES[curve]()
+    Z0, delta = usable_seeds(M)
+    ends = set()
+    for Z, max_steps in ((Z0[::len(Z0) // 16], 60), (Z0[:1], 40000)):
+        rows, signs = march_rows(Z)
+        march = ge._Marches(M, rows, signs, 0.02, delta, 1e-12, max_steps)
+        march.run()
+        for r, (z0, sign) in enumerate(zip(rows, signs)):
+            ends.add(assert_march_is_scalar(march.result(r), M, z0, sign,
+                                            delta, max_steps))
+    # the ellipse's one branch is closed and never reaches the band
+    assert ends >= {"failed"} | ({"closed"} if curve == "ellipse"
+                                 else {"band"})
+
+
+def test_a_suspended_lockstep_row_resumes_where_it_stopped():
+    # rows parked mid-corrector while the others finish, then resumed
+    M = oval()
+    Z0, delta = usable_seeds(M)
+    rows, signs = march_rows(Z0[::len(Z0) // 6][:6])
+    march = ge._Marches(M, rows, signs, 0.02, delta, 1e-12, 80)
+    for _ in range(7):
+        march.step_once()
+    parked = march.live()[::2]
+    march.suspend(parked)
+    assert parked and not set(parked) & set(march.live())
+    march.run()
+    assert not any(march.done(r) for r in parked)
+    march.resume(parked)
+    march.run()
+    for r, (z0, sign) in enumerate(zip(rows, signs)):
+        assert_march_is_scalar(march.result(r), M, z0, sign, delta, 80)
+
+
+def test_the_walk_resumes_every_march_it_needs(monkeypatch):
+    # every row is suspended after the first lockstep pass, so the walk
+    # resumes each march it reads, and the trace stays the same
+    step_once, resumed = ge._Marches.step_once, []
+
+    def stall(self, watch=None):
+        step_once(self, watch)
+        if watch is not None:
+            self.suspend(self.live())
+
+    resume = ge._Marches.resume
+    monkeypatch.setattr(ge._Marches, "step_once", stall)
+    monkeypatch.setattr(ge._Marches, "resume",
+                        lambda self, rids: resumed.append(rids)
+                        or resume(self, rids))
+    assert trace_fingerprint(oval(), 0.5) == TRACE_FINGERPRINTS["oval", 0.5]
+    assert len(resumed) >= 7
 
 
 def test_node_sweep_matches_the_loop_reference(oval_03):
