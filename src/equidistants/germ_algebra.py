@@ -1173,19 +1173,18 @@ def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
         p_compose(p, args_old_to_new, s, order) for p in new_comps
     ]
     # Now component i (i < r) reads w_i + P_i(w, x), P_i in m^2.
-    # Solve w = W(x) by iteration; each pass gains one degree of accuracy.
+    # Solve w = W(x) by iteration in graded passes: if W is right through
+    # degree d - 1, then w_i = W_i - (W_i + P_i(W, x)) is right through
+    # degree d, and its d-jet reads only the d-jets of relabeled[i] and W.
+    # So pass d composes those d-jets at order d, and the last pass leaves
+    # the unique fixed point of the full-order iteration.
     x_block = [{unit_exp(i, s): Fraction(1)} for i in range(r, s)]
     W = [dict() for _ in range(r)]  # type: List[Poly]
-    for _ in range(order + 1):
+    for d in range(2, order + 1):
         args = list(W) + x_block
-        newW = []
-        for i in range(r):
-            val = p_compose(relabeled[i], args, s, order)
-            # w_i + P_i(W, x) = 0  =>  w_i = w_i_guess - (guess + P_i)
-            newW.append(p_add(W[i], p_scale(val, Fraction(-1))))
-        if newW == W:
-            break
-        W = newW
+        W = [p_add(W[i], p_scale(p_compose(
+            {e: c for e, c in relabeled[i].items() if sum(e) <= d},
+            args, s, d), Fraction(-1))) for i in range(r)]
     args = list(W) + x_block
     reduced = [p_compose(relabeled[i], args, s, order) for i in range(r, t)]
     # Drop the eliminated variables: remaining polys only involve x-block.
