@@ -1000,25 +1000,35 @@ class _Marches:
     2-vector (a plain a0*b0 + a1*b1 may not: BLAS may fuse it).  The rest
     is scalar float arithmetic per row, in the order of a march run alone.
     So rows never mix, a row may be suspended and resumed between passes,
-    and `result(r)` is the march of Z0[r] whatever the schedule.
+    and `result(r)` is the march of Z0[r] whatever the schedule.  Only the
+    rows in `start` (all by default) start at once; `resume` starts any
+    other.
     """
 
-    def __init__(self, M, Z0, signs, step, delta, tol, max_steps):
+    def __init__(self, M, Z0, signs, step, delta, tol, max_steps,
+                 start=None):
         self.M, self.step, self.delta, self.tol = M, step, delta, tol
         self.max_steps = max_steps
-        Z0 = np.array(Z0, dtype=float).reshape(-1, 2)
-        self.pts = [[z] for z in map(tuple, Z0.tolist())]
-        self.ends = [None] * len(Z0)    # (closed, failed, band) once done
-        self.rows, self.parked = [], {}
-        _, gs, gt, _ = _g_grad(M, Z0[:, 0], Z0[:, 1])
-        tangents = self._tangents(gs.tolist(), gt.tolist())
-        for rid, ((x0, y0), d, sign) in enumerate(
-                zip(Z0.tolist(), tangents, np.asarray(signs, float).tolist())):
-            if d is None or max_steps <= 0:
+        self.Z0 = np.array(Z0, dtype=float).reshape(-1, 2)
+        self.signs = np.asarray(signs, dtype=float).tolist()
+        self.pts = [[z] for z in map(tuple, self.Z0.tolist())]
+        self.ends = [None] * len(self.Z0)   # (closed, failed, band) once done
+        self.rows, self.parked, self.started = [], {}, set()
+        self.resume(range(len(self.Z0)) if start is None else start)
+
+    def _start(self, rids):
+        """Start the rows rids: the tangent at the start, oriented by the
+        row's sign, and the first predicted point."""
+        Z = self.Z0[rids]
+        _, gs, gt, _ = _g_grad(self.M, Z[:, 0], Z[:, 1])
+        for rid, (x0, y0), d in zip(rids, Z.tolist(), self._tangents(
+                gs.tolist(), gt.tolist())):
+            if d is None or self.max_steps <= 0:
                 self.ends[rid] = (False, True, None)
                 continue
             row = _Row()
             row.rid, row.x0, row.y0, row.zx, row.zy = rid, x0, y0, x0, y0
+            sign = self.signs[rid]
             row.dx, row.dy = d[0] * sign, d[1] * sign
             self._next_step(row)
             self.rows.append(row)
@@ -1165,7 +1175,13 @@ class _Marches:
             self.rows = keep
 
     def resume(self, rids):
+        """Continue the parked rows among `rids`, and start the others that
+        have not started yet."""
+        new = [r for r in rids if r not in self.started]
         self.rows += [self.parked.pop(r) for r in rids if r in self.parked]
+        if new:
+            self.started.update(new)
+            self._start(new)
 
 
 def _land_on_band(M, lo, hi, delta, tol, iters=50):
@@ -1291,30 +1307,29 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
         C = C % ncells if centre else (C[:, None, :] + around) % ncells
         return (C[..., 0] * (ncells + 1) + C[..., 1]).ravel()
 
-    # seed k of the usable seeds, in sorted order, marches as rows 2k
-    # (forward) and 2k + 1 (backward)
+    # Speculation.  Seed k of the usable seeds, in sorted order, marches
+    # forward as row 2k and backward as row 2k + 1.  It starts its forward
+    # row unless a lower seed's projection lies next to its own on the
+    # seed grid (the seeds lie on its lines, so each reads its nearest
+    # node, which rounding noise does not move).  Its backward row starts
+    # once the forward one ends without closing, since the walk reads it
+    # only then.  A lower seed is about to cover seed k when one of its
+    # rows marks k's sp or z0 cell, or when a row of k steps into a cell
+    # that a row of it has visited: then the rows of k are suspended.  The
+    # walk resumes, or starts, any row it needs.
     used = np.flatnonzero(usable)
     sp_key, z0_key = cells(SP[used])[0], cells(Z0[used])[0]
+    node = np.rint(Z0[used] / (TWO_PI / seed_density)).astype(np.int64) \
+        % seed_density
+    first = np.full((seed_density, seed_density), len(used))
+    np.minimum.at(first, (node[:, 0], node[:, 1]), np.arange(len(used)))
+    lowest = np.min([first[(node[:, 0] + di) % seed_density,
+                           (node[:, 1] + dj) % seed_density]
+                     for di, dj in around], axis=0)
+    start = np.flatnonzero(lowest == np.arange(len(used))).tolist()
     march = _Marches(M, np.repeat(Z0[used], 2, axis=0),
-                     np.tile([1.0, -1.0], len(used)),
-                     step, delta_diag, tol, max_steps)
-
-    # Speculation.  Seed k starts its forward row unless a lower seed's
-    # projection lies next to its own on the seed grid (the seeds lie on
-    # its lines, so each reads its nearest node, which rounding noise does
-    # not move).  Its backward row starts once the forward one ends
-    # without closing, since the walk reads it only then.  A lower seed is
-    # about to cover seed k when one of its rows marks k's sp or z0 cell,
-    # or when a row of k steps into a cell that a row of it has visited:
-    # then the rows of k are suspended.  The walk resumes any row it needs.
-    nodes = np.rint(Z0[used] / (TWO_PI / seed_density)) % seed_density
-    near, start = set(), []
-    for k, (i, j) in enumerate(nodes.astype(np.int64).tolist()):
-        if (i, j) not in near:
-            start.append(k)
-        near.update(((i + di) % seed_density, (j + dj) % seed_density)
-                    for di, dj in around.tolist())
-    march.suspend(sorted(set(range(2 * len(used))) - {2 * k for k in start}))
+                     np.tile([1.0, -1.0], len(used)), step, delta_diag, tol,
+                     max_steps, start=[2 * k for k in start])
     watchers = {}       # cell -> the started seeds whose sp or z0 it marks
     rings = marks(np.concatenate([SP[used][start], Z0[used][start]]))
     for k, ring in zip(start * 2, rings.reshape(-1, len(around)).tolist()):
