@@ -922,12 +922,6 @@ class EquidistantBranch:
         return len(self.samples)
 
 
-def _torus_gaps(a, b):
-    """Row-wise `_toroidal_dist(a, b, TWO_PI)`."""
-    d = np.fmod(np.abs(a - b), TWO_PI)
-    return np.minimum(d, TWO_PI - d)
-
-
 def _solve_rows(J, rhs):
     """Solve every 2x2 system J[i] x = rhs[i]; returns the solutions and
     the singular rows' indices.  The stacked solve runs the LAPACK call of
@@ -1011,7 +1005,7 @@ class _Marches:
         self.max_steps = max_steps
         self.Z0 = np.array(Z0, dtype=float).reshape(-1, 2)
         self.signs = np.asarray(signs, dtype=float).tolist()
-        self.pts = [[z] for z in map(tuple, self.Z0.tolist())]
+        self.pts = {}                       # row -> its points, once started
         self.ends = [None] * len(self.Z0)   # (closed, failed, band) once done
         self.rows, self.parked, self.started = [], {}, set()
         self.resume(range(len(self.Z0)) if start is None else start)
@@ -1023,6 +1017,7 @@ class _Marches:
         _, gs, gt, _ = _g_grad(self.M, Z[:, 0], Z[:, 1])
         for rid, (x0, y0), d in zip(rids, Z.tolist(), self._tangents(
                 gs.tolist(), gt.tolist())):
+            self.pts[rid] = [(x0, y0)]
             if d is None or self.max_steps <= 0:
                 self.ends[rid] = (False, True, None)
                 continue
@@ -1200,7 +1195,8 @@ def _land_on_band(M, lo, hi, delta, tol, iters=50):
             break
         mid, ok = _project_to_zero_many(M, 0.5 * (lo[live] + hi[live]), tol)
         live, mid = live[ok], mid[ok]
-        out = _torus_gaps(mid[:, 0], mid[:, 1]) >= delta
+        gap = np.fmod(np.abs(mid[:, 0] - mid[:, 1]), TWO_PI)
+        out = np.minimum(gap, TWO_PI - gap) >= delta
         stay = ~(mid == np.where(out[:, None], lo[live], hi[live])).all(axis=1)
         live, mid, out = live[stay], mid[stay], out[stay]
         lo[live[out]] = mid[out]
@@ -1287,7 +1283,8 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     seed_pts.sort()
     SP = np.array(seed_pts).reshape(-1, 2)
     Z0, usable = _project_to_zero_many(M, SP, tol)
-    usable &= ~(_torus_gaps(Z0[:, 0], Z0[:, 1]) < delta_diag)
+    usable &= ~(_toroidal_gaps(Z0[:, :1], Z0[:, 1:], (TWO_PI,))[:, 0]
+                < delta_diag)
     if not usable.any():
         return []
 
@@ -1321,7 +1318,7 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     sp_key, z0_key = cells(SP[used])[0], cells(Z0[used])[0]
     node = np.rint(Z0[used] / (TWO_PI / seed_density)).astype(np.int64) \
         % seed_density
-    first = np.full((seed_density, seed_density), len(used))
+    first = np.full((seed_density, seed_density), len(used), dtype=np.int32)
     np.minimum.at(first, (node[:, 0], node[:, 1]), np.arange(len(used)))
     lowest = np.min([first[(node[:, 0] + di) % seed_density,
                            (node[:, 1] + dj) % seed_density]
