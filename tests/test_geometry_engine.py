@@ -1222,11 +1222,14 @@ def test_a_suspended_lockstep_row_resumes_where_it_stopped():
     for _ in range(7):
         march.step_once()
     parked = march.live()[::2]
+    taken = {r: list(march.pts[r]) for r in parked}
+    assert parked and min(map(len, taken.values())) > 1
     march.suspend(parked)
-    assert parked and not set(parked) & set(march.live())
+    assert not set(parked) & set(march.live())
     march.run()
     assert not any(march.done(r) for r in parked)
     march.resume(parked)
+    assert all(march.pts[r] == taken[r] for r in parked)
     march.run()
     for r, (z0, sign) in enumerate(zip(rows, signs)):
         assert_march_is_scalar(march.result(r), M, z0, sign, delta, 80)
