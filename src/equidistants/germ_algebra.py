@@ -1172,15 +1172,21 @@ def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
     relabeled = [
         p_compose(p, args_old_to_new, s, order) for p in new_comps
     ]
-    # Now component i (i < r) reads w_i + P_i(w, x), P_i in m^2.
-    # Solve w = W(x) by iteration in graded passes: if W is right through
-    # degree d - 1, then w_i = W_i - (W_i + P_i(W, x)) is right through
-    # degree d, and its d-jet reads only the d-jets of relabeled[i] and W.
-    # So pass d composes those d-jets at order d, and the last pass leaves
-    # the unique fixed point of the full-order iteration.
+    # Now component i (i < r) reads w_i + P_i(w, x), P_i in m^2.  Solve
+    # w = W(x) by iteration in graded passes.  Let every term of P that
+    # holds some w have degree >= j + 1.  If W is right through degree d,
+    # then w_i = W_i - (W_i + P_i(W, x)) is right through degree d + j,
+    # and that jet reads only the (d + j)-jets of relabeled[i] and W; so
+    # each pass composes those jets at order d + j, up to the full order.
+    # The last pass leaves the unique fixed point of the full-order
+    # iteration; with no w in P, one full-order pass is exact.
+    j = min((sum(e) - 1 for i in range(r) for e in relabeled[i]
+             if any(e[:r]) and e != unit_exp(i, s)), default=order)
     x_block = [{unit_exp(i, s): Fraction(1)} for i in range(r, s)]
     W = [dict() for _ in range(r)]  # type: List[Poly]
-    for d in range(2, order + 1):
+    d = 1   # W = 0 is right through degree 1, since W is in m^2
+    while d < order:
+        d = min(order, d + max(j, 1))
         args = list(W) + x_block
         W = [p_add(W[i], p_scale(p_compose(
             {e: c for e, c in relabeled[i].items() if sum(e) <= d},
