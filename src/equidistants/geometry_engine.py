@@ -1315,7 +1315,7 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     # that a row of it has visited: then the rows of k are suspended.  The
     # walk resumes, or starts, any row it needs.
     used = np.flatnonzero(usable)
-    sp_key, z0_key = cells(SP[used])[0], cells(Z0[used])[0]
+    sp_key, z0_key = (cells(P)[0].tolist() for P in (SP[used], Z0[used]))
     node = np.rint(Z0[used] / (TWO_PI / seed_density)).astype(np.int64) \
         % seed_density
     first = np.full((seed_density, seed_density), len(used), dtype=np.int32)
@@ -1361,7 +1361,6 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     live = march.live()
     march.suspend(watch(live, [march.pts[r][0] for r in live], []))
     march.run(watch)
-    sp_key, z0_key = sp_key.tolist(), z0_key.tolist()
 
     def walk(landed):
         """The sequential walk over the seeds, with the marches and the
