@@ -35,6 +35,7 @@ COEFF_CLIP = 1e-9
 SNAP_DENOMINATOR = 10 ** 12
 TWO_PI = 2.0 * math.pi
 _REFINE_ROWS = 4096     # torus pairs refined together; bounds their jets
+_PAIR_TOL = 1e-10       # residual bound of a located pair
 
 
 class ImmersionError(DomainError):
@@ -314,10 +315,8 @@ class ParametricManifold:
     `periods[i]` is the period of parameter i, or None on a box domain.
     Every evaluator has one routine, `jet(params, top)`, which returns the
     partial derivatives of every multi-index alpha with |alpha| <= top in
-    one pass (see `jet`).  `derivative(params, alpha)` is
-    `jet(params, |alpha|)[alpha]`, and `position` is the entry at
-    alpha = (0,..,0).  Components of `params` may be floats or
-    broadcastable arrays.
+    one pass (see `jet`).  `position` is the entry at alpha = (0,..,0).
+    Components of `params` may be floats or broadcastable arrays.
     """
 
     n: int
@@ -330,6 +329,9 @@ class ParametricManifold:
         return self.jet(params, 0)[(0,) * self.n]
 
     def derivative(self, params, alpha):
+        """`jet(params, |alpha|)[alpha]`.  No code of the package calls it;
+        it stays only because the benchmark's tracer patches it on the class
+        (ROADMAP item 11)."""
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.n or any(a < 0 for a in alpha):
             raise ValueError(f"bad derivative multi-index {alpha}")
@@ -634,7 +636,7 @@ def _first_of_each_key(keys, S, T):
     return first[np.lexsort(cols.T[::-1])]
 
 
-def _pairs_curve(M, density, tol, delta):
+def _pairs_curve(M, density, delta):
     """Bisects the brackets of g along t only.  G is exactly antisymmetric
     in IEEE arithmetic (products commute and a - b is -(b - a)), so each
     bracket along s is the transpose of one along t, and its root is the
@@ -664,7 +666,7 @@ def _pairs_curve(M, density, tol, delta):
     val = np.abs(_cross2(Ts, Tt))
     scale = _norm2(Ts) * _norm2(Tt)
 
-    rows = np.nonzero(val <= tol * scale)[0]
+    rows = np.nonzero(val <= _PAIR_TOL * scale)[0]
     keys = np.round(np.column_stack([S[rows], T[rows]]) / (spacing / 2))
     keys = keys.astype(np.int64) % (2 * density)
     return (S[rows] % TWO_PI, T[rows] % TWO_PI, val[rows] / scale[rows],
@@ -702,7 +704,7 @@ def _min_norm_step(J, r):
     return sum(c[:, None] * q for q, c in basis)
 
 
-def _pairs_torus(M, density, tol, delta):
+def _pairs_torus(M, density, delta):
     us = np.arange(density) * (TWO_PI / density)
     U, V = np.meshgrid(us, us, indexing="ij")
     J = M.jet((U, V), 1)
@@ -743,8 +745,8 @@ def _pairs_torus(M, density, tol, delta):
     cand = np.vstack(cand_rows) if cand_rows else np.empty((0, 2), dtype=int)
     cand = cand[cand[:, 0] < cand[:, 1]]
 
-    # Gauss-Newton on the rows whose residual is still >= tol (a dropped row
-    # would take zero steps); a block's 41st pass reads its last residual
+    # Gauss-Newton on the rows whose residual is still >= _PAIR_TOL (a dropped
+    # row would take zero steps); a block's 41st pass reads its last residual
     Z = np.hstack([coords[cand[:, 0]], coords[cand[:, 1]]])
     rn = np.empty(len(Z))
     for lo in range(0, len(Z), _REFINE_ROWS):
@@ -752,7 +754,7 @@ def _pairs_torus(M, density, tol, delta):
         for it in range(41):
             r, J = _normal_cross(M, Z[live])
             rn[live] = np.linalg.norm(r, axis=1)
-            keep = rn[live] >= tol
+            keep = rn[live] >= _PAIR_TOL
             if it == 40 or not keep.any():
                 break
             live, step = live[keep], _min_norm_step(J[keep], r[keep])
@@ -761,7 +763,7 @@ def _pairs_torus(M, density, tol, delta):
     Z = Z % TWO_PI
 
     S, T = Z[:, :2], Z[:, 2:]
-    ok = (rn <= tol) & ~(_toroidal_gaps(S, T, M.periods).max(axis=1) < delta)
+    ok = (rn <= _PAIR_TOL) & ~(_toroidal_gaps(S, T, M.periods).max(axis=1) < delta)
     rows = np.nonzero(ok)[0]
     keys = np.round(Z[rows] / (spacing / 4)).astype(np.int64) % (4 * density)
     return S[rows], T[rows], rn[rows], keys
@@ -772,7 +774,7 @@ def _graph_jac_entries(M, y1, y2):
     return J[1, 0, ..., 2], J[1, 0, ..., 3], J[0, 1, ..., 2], J[0, 1, ..., 3]
 
 
-def _pairs_graph4(M, density, tol, delta):
+def _pairs_graph4(M, density, delta):
     """The stacked frame rows are [I2 | A; I2 | B] with A, B the 2x2
     Jacobians of (f1, f2), so the 4x4 determinant collapses to det(B - A);
     its zero set is generically a 3-manifold in the 4 parameters, and this
@@ -808,7 +810,7 @@ def _pairs_graph4(M, density, tol, delta):
     T2 = np.where(fax == 0, root, fix)
 
     S, T = pts[si], np.stack([T1, T2], axis=1)
-    ok = (res <= tol) & ~(np.abs(S - T).max(axis=1) < delta)
+    ok = (res <= _PAIR_TOL) & ~(np.abs(S - T).max(axis=1) < delta)
     rows = np.nonzero(ok)[0]
     keys = np.column_stack([si[rows],
                             np.round(T[rows] / (step / 2)).astype(np.int64)])
@@ -817,16 +819,16 @@ def _pairs_graph4(M, density, tol, delta):
 
 def find_parallel_pairs(M: ParametricManifold,
                         grid_density: Optional[int] = None,
-                        tol: float = 1e-10,
                         delta_diag: Optional[float] = None) -> List[PairPoint]:
     """Sample the weakly parallel pairs of M off the diagonal band.
 
     A scheme chosen by (n, q) and by the domain returns its refined
-    candidates as arrays (S, T, residuals, keys).  One tail then keeps the
-    first hit of each key, so duplicates merge by parameter distance,
-    orders the pairs lexicographically, builds their PairPoints in one
-    stacked pass (as pair-by-pair construction would build them) and drops
-    those that are not weakly parallel.  The schemes:
+    candidates whose residual is at most 1e-10 as arrays (S, T, residuals,
+    keys).  One tail then keeps the first hit of each key, so duplicates
+    merge by parameter distance, orders the pairs lexicographically, builds
+    their PairPoints in one stacked pass (as pair-by-pair construction
+    would build them) and drops those that are not weakly parallel.  The
+    schemes:
 
     * closed curves in R^2: sign changes of the stacked-tangent determinant
       along t on the grid, refined by lockstep bisection; the brackets
@@ -834,7 +836,7 @@ def find_parallel_pairs(M: ParametricManifold,
     * surfaces in R^3 with two 2pi-periodic parameters (the torus, sampled
       surfaces): Gauss-Newton on the normal-alignment residual, with the
       analytic Jacobian of a second-order jet and the minimum-norm step, on
-      the rows whose residual is at or above tol.  Grid frames that drop
+      the rows whose residual is at or above 1e-10.  Grid frames that drop
       rank, and a torus with R <= r even when its singular circle misses
       the grid, raise ImmersionError.
     * graph surfaces in R^4: sign changes of the reduced 2x2 determinant
@@ -879,7 +881,7 @@ def find_parallel_pairs(M: ParametricManifold,
         raise DomainError(
             f"diagonal band {delta_diag:.6g} at density {grid_density} "
             f"exceeds {what} {reach:.6g} and covers every pair")
-    S, T, residuals, keys = scheme(M, grid_density, tol, delta_diag)
+    S, T, residuals, keys = scheme(M, grid_density, delta_diag)
     first = _first_of_each_key(keys, S, T)
     pairs = _pair_points(M, S[first], T[first], residuals[first])
     return [p for p in pairs if p.codim > 0]
@@ -1007,7 +1009,7 @@ class _Marches:
         self.signs = np.asarray(signs, dtype=float).tolist()
         self.pts = {}                       # row -> its points, once started
         self.ends = [None] * len(self.Z0)   # (closed, failed, band) once done
-        self.rows, self.parked, self.started = [], {}, set()
+        self.rows, self.parked = [], {}
         self.resume(range(len(self.Z0)) if start is None else start)
 
     def _start(self, rids):
@@ -1172,10 +1174,9 @@ class _Marches:
     def resume(self, rids):
         """Continue the parked rows among `rids`, and start the others that
         have not started yet."""
-        new = [r for r in rids if r not in self.started]
+        new = [r for r in rids if r not in self.pts]
         self.rows += [self.parked.pop(r) for r in rids if r in self.parked]
         if new:
-            self.started.update(new)
             self._start(new)
 
 
@@ -1227,21 +1228,19 @@ def _branches_from_paths(M, lam, paths):
 
 
 def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
-                      delta_diag: Optional[float] = None,
-                      seed_density: Optional[int] = None,
-                      tol: float = 1e-12,
-                      max_steps: int = 40000) -> List[EquidistantBranch]:
+                      seed_density: Optional[int] = None) \
+        -> List[EquidistantBranch]:
     """Trace the affine lambda-equidistant of M.
 
     Curves run pseudo-arclength continuation of the parallel-pair equation
-    on the parameter torus minus the diagonal band |s - t| < delta_diag,
-    mapping each solution through x = lam*a + (1-lam)*b.  Branches either
-    close up or terminate at the band.  Non-curve inputs fall back to a
-    grid-sampled point cloud (status "cloud") with no branch structure.
-    `seed_density` is the pair-search grid density: 128 for curves when
-    None, and the surface scheme's own default otherwise.
-    A lambda that sends a traced point outside the finite floats raises
-    NonFiniteEquidistantError, a DomainError.
+    on the parameter torus minus the diagonal band |s - t| < delta, with
+    delta = 10 * 2pi / seed_density, mapping each solution through
+    x = lam*a + (1-lam)*b.  Branches either close up or terminate at the
+    band.  Non-curve inputs fall back to a grid-sampled point cloud (status
+    "cloud") with no branch structure.  `seed_density` is the pair-search
+    grid density: 128 for curves when None, and the surface scheme's own
+    default otherwise.  A lambda that sends a traced point outside the
+    finite floats raises NonFiniteEquidistantError, a DomainError.
 
     The branches are decided by a sequential walk over the sorted seeds
     (each pair and its swap): a seed whose grid cell, or whose projection's
@@ -1250,21 +1249,21 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     closes, make the next branch, with band ends landed on the band edge.
     A march depends only on its seed and direction, so the marches run as
     rows of one `_Marches`, one array pass per corrector iterate for all of
-    them, scheduled speculatively: seeds that a lower seed is about to
-    cover are suspended, and the walk resumes a suspended march only if it
-    turns out to need it.  The schedule decides what is computed, never
+    them, scheduled speculatively by one rule: whenever rows of two seeds
+    meet in a grid cell, the higher seed's rows are suspended.  The band
+    ends of this run land in one `_land_on_band` call, and then the walk
+    makes its one pass; a march it needs that has not finished is resumed,
+    run and landed in place.  The schedule decides what is computed, never
     what a march returns, so every branch, point and bit is the one that
-    the walk gets from marches run one at a time.  The band ends of all
-    accepted branches land in one `_land_on_band` call, and the PairPoints
-    of all branches are built in one `_pair_points` pass.
+    the walk gets from marches run one at a time.  The PairPoints of all
+    branches are built in one `_pair_points` pass.
     """
     lam = float(lam)
     if lam in (0.0, 1.0):
         raise DegenerateLambdaError("lambda must avoid 0 and 1; those "
                                     "reproduce M")
     if M.n != 1:
-        pairs = find_parallel_pairs(M, seed_density, tol=1e-10,
-                                    delta_diag=delta_diag)
+        pairs = find_parallel_pairs(M, seed_density)
         with np.errstate(over="ignore", invalid="ignore"):
             samples = [(p, p.lambda_point(lam)) for p in pairs]
         branches = [EquidistantBranch(
@@ -1274,17 +1273,15 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
         return branches
     if seed_density is None:
         seed_density = 128
-    if delta_diag is None:
-        delta_diag = 10.0 * TWO_PI / seed_density
-    seeds = find_parallel_pairs(M, seed_density, tol=1e-10,
-                                delta_diag=delta_diag)
+    delta, tol = 10.0 * TWO_PI / seed_density, 1e-12
+    seeds = find_parallel_pairs(M, seed_density)
     seed_pts = [(float(p.s), float(p.t)) for p in seeds]
     seed_pts += [(t, s) for s, t in seed_pts]
     seed_pts.sort()
     SP = np.array(seed_pts).reshape(-1, 2)
     Z0, usable = _project_to_zero_many(M, SP, tol)
     usable &= ~(_toroidal_gaps(Z0[:, :1], Z0[:, 1:], (TWO_PI,))[:, 0]
-                < delta_diag)
+                < delta)
     if not usable.any():
         return []
 
@@ -1310,10 +1307,9 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     # seed grid (the seeds lie on its lines, so each reads its nearest
     # node, which rounding noise does not move).  Its backward row starts
     # once the forward one ends without closing, since the walk reads it
-    # only then.  A lower seed is about to cover seed k when one of its
-    # rows marks k's sp or z0 cell, or when a row of k steps into a cell
-    # that a row of it has visited: then the rows of k are suspended.  The
-    # walk resumes, or starts, any row it needs.
+    # only then.  `owner` maps each cell to the lowest seed whose row has
+    # a point there, from the started seeds' first points on: where rows of
+    # two seeds meet, the lower one's branch is about to cover the higher.
     used = np.flatnonzero(usable)
     sp_key, z0_key = (cells(P)[0].tolist() for P in (SP[used], Z0[used]))
     node = np.rint(Z0[used] / (TWO_PI / seed_density)).astype(np.int64) \
@@ -1325,15 +1321,9 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
                      for di, dj in around], axis=0)
     start = np.flatnonzero(lowest == np.arange(len(used))).tolist()
     march = _Marches(M, np.repeat(Z0[used], 2, axis=0),
-                     np.tile([1.0, -1.0], len(used)), step, delta_diag, tol,
-                     max_steps, start=[2 * k for k in start])
-    watchers = {}       # cell -> the started seeds whose sp or z0 it marks
-    rings = marks(np.concatenate([SP[used][start], Z0[used][start]]))
-    for k, ring in zip(start * 2, rings.reshape(-1, len(around)).tolist()):
-        for c in ring:
-            watchers.setdefault(c, set()).add(k)
-    owner = {}          # visited cell -> the lowest seed whose row did
-    dropped = set()
+                     np.tile([1.0, -1.0], len(used)), step, delta, tol,
+                     40000, start=[2 * k for k in start])
+    owner, dropped = {}, set()
 
     def watch(rows, points, finished):
         if finished:
@@ -1347,67 +1337,59 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
             if k in dropped:
                 continue
             low = owner.setdefault(c, k)
-            if low < k:
-                hit = [k]
-            else:
-                owner[c] = k
-                hit = [w for w in watchers.get(c, ()) if w > k]
-            for w in hit:
-                if w not in dropped:
-                    dropped.add(w)
-                    stop.extend((2 * w, 2 * w + 1))
+            if low == k:
+                continue
+            owner[c], high = min(low, k), max(low, k)
+            if high not in dropped:
+                dropped.add(high)
+                stop.extend((2 * high, 2 * high + 1))
         return stop
 
     live = march.live()
     march.suspend(watch(live, [march.pts[r][0] for r in live], []))
     march.run(watch)
-
-    def walk(landed):
-        """The sequential walk over the seeds, with the marches and the
-        landings at hand.  Returns the (path, status) of each branch it
-        accepts, the suspended rows it needs first, if any, and the band
-        ends it accepts without a landing yet."""
-        visited, paths, land = set(), [], []
-        for k in range(len(used)):
-            if sp_key[k] in visited or z0_key[k] in visited:
-                continue
-            f, b = 2 * k, 2 * k + 1
-            if not march.done(f):
-                return paths, [f, b], land
-            fwd, closed, failed, band = march.result(f)
-            if closed:
-                path, status = fwd, "closed"
-            else:
-                if not march.done(b):
-                    return paths, [b], land
-                bwd, _, failed_b, band_b = march.result(b)
-                fwd, bwd = list(fwd), list(bwd)
-                for pts, r, end in ((fwd, f, band), (bwd, b, band_b)):
-                    if end is not None and r not in landed:
-                        land.append(r)
-                    elif end is not None and \
-                            np.linalg.norm(landed[r] - pts[-1]) > 1e-9:
-                        pts.append(landed[r])
-                path = list(reversed(bwd[1:])) + fwd
-                status = "step_failure" if (failed or failed_b) else "open"
-            visited.update(marks(np.array(path)).tolist())
-            if len(path) >= 2:
-                paths.append((path, status))
-        return paths, [], land
-
     landed = {}
-    while True:
-        paths, need, land = walk(landed)
-        if need:
-            march.resume(need)
+
+    def land(rows):
+        """Land the band ends of the finished rows among `rows`."""
+        ends = {r: march.ends[r][2] for r in rows
+                if march.done(r) and march.ends[r][2]}
+        if ends:
+            lo, hi = zip(*ends.values())
+            landed.update(zip(ends, _land_on_band(M, lo, hi, delta, tol)))
+
+    def finish(rows):
+        """Resume, run and land the rows among `rows` not finished yet."""
+        rows = [r for r in rows if not march.done(r)]
+        if rows:
+            march.resume(rows)
             march.run()
-        elif land:
-            ends = [march.result(r)[3] for r in land]
-            lo = _land_on_band(M, [e[0] for e in ends], [e[1] for e in ends],
-                               delta_diag, tol)
-            landed.update(zip(land, lo))
+            land(rows)
+
+    land(range(len(march.Z0)))
+    visited, paths = set(), []
+    for k in range(len(used)):
+        if sp_key[k] in visited or z0_key[k] in visited:
+            continue
+        f, b = 2 * k, 2 * k + 1
+        if not march.done(f):
+            finish([f, b])
+        fwd, closed, failed, _ = march.result(f)
+        if closed:
+            path, status = fwd, "closed"
         else:
-            break
+            finish([b])
+            bwd, _, failed_b, _ = march.result(b)
+            fwd, bwd = list(fwd), list(bwd)
+            for pts, r in ((fwd, f), (bwd, b)):
+                if r in landed and \
+                        np.linalg.norm(landed[r] - pts[-1]) > 1e-9:
+                    pts.append(landed[r])
+            path = list(reversed(bwd[1:])) + fwd
+            status = "step_failure" if (failed or failed_b) else "open"
+        visited.update(marks(np.array(path)).tolist())
+        if len(path) >= 2:
+            paths.append((path, status))
     branches = _branches_from_paths(M, lam, paths) if paths else []
     _check_finite(branches)
     return branches
@@ -1560,24 +1542,23 @@ def _find_node_candidates(P, closed, index_gap, min_sin):
     return merged
 
 
-def detect_singularities(branch: EquidistantBranch, cross_check: bool = True,
-                         min_sin: float = 0.15,
-                         index_gap: int = 12) -> EquidistantBranch:
+def detect_singularities(branch: EquidistantBranch) -> EquidistantBranch:
     """Annotate a traced branch with cusps and nodes.
 
     Cusps: sign changes of the velocity scalar of the lambda-point along
     the branch, refined by lockstep bisection on the parallel-pair
     equation.  Nodes: transverse self-intersections of the sampled polyline
-    found by a bucketed segment sweep.  Each resolved point is optionally
+    found by a bucketed segment sweep, between segments at least 12 apart
+    whose angle has a sine above 0.15.  Each resolved point is
     cross-checked through the adapted-germ contact pipeline; disagreement
     or failed refinement yields the label UNRESOLVED.  This is
     `_detect_branches` on the one branch, which gives every annotation the
     bits it gets when all branches of its trace are detected together.
     """
-    return _detect_branches([branch], cross_check, min_sin, index_gap)[0]
+    return _detect_branches([branch])[0]
 
 
-def _detect_branches(branches, cross_check=True, min_sin=0.15, index_gap=12):
+def _detect_branches(branches):
     """`detect_singularities` on every branch of one trace, which share one
     manifold and one lambda.  The cusp brackets of all branches are refined
     in one `_refine_cusps` call, so each bisection step is one array pass
@@ -1605,9 +1586,9 @@ def _detect_branches(branches, cross_check=True, min_sin=0.15, index_gap=12):
         annotations: List[Annotation] = []
         if len(b):
             annotations += _annotate(M, lam, b.tolist(), z_b, found_b,
-                                     "A2_cusp", ("A", (2,)), cross_check)
+                                     "A2_cusp", ("A", (2,)))
         nodes = _find_node_candidates(br.points(), br.status == "closed",
-                                      index_gap, min_sin)
+                                      12, 0.15)
         if nodes:
             ends = np.array([spos for si, sj, _ in nodes for spos in (si, sj)])
             idx = ends.astype(int)
@@ -1616,7 +1597,7 @@ def _detect_branches(branches, cross_check=True, min_sin=0.15, index_gap=12):
                                                 - Z[idx])
             zp, found_n = _project_to_zero_many(M, z, tol)
             annotations += _annotate(M, lam, idx.tolist(), zp, found_n,
-                                     "A1_node", ("A", (1,)), cross_check)
+                                     "A1_node", ("A", (1,)))
         annotations.sort(key=lambda a: a.index)
         out[k] = replace(br, annotations=annotations)
     return out
@@ -1636,9 +1617,12 @@ def _cusp_brackets(M, lam, Z, closed):
     return i[~(h_i == 0.0) & ~(h_i * h_j >= 0)]
 
 
-def _annotate(M, lam, index, Z, found, label, expected, cross_check):
-    """Annotations at the parameter rows of Z: `label` where `found`,
-    UNRESOLVED elsewhere, optionally cross-checked against `expected`."""
+def _annotate(M, lam, index, Z, found, label, expected):
+    """Annotations at the parameter rows of Z, each cross-checked by
+    `classify_pair`: `label` where `found` and the class is `expected`.
+    The rest are UNRESOLVED: with no pair where refinement failed, with a
+    pair and no class where `classify_pair` raised, and with a pair and the
+    class it gave where that class disagreed."""
     at = Z[found] % TWO_PI
     pairs = iter(_pair_points(M, at[:, 0].tolist(), at[:, 1].tolist(),
                               np.zeros(len(at))))
@@ -1648,21 +1632,14 @@ def _annotate(M, lam, index, Z, found, label, expected, cross_check):
             out.append(Annotation(index=i, label="UNRESOLVED"))
             continue
         pp = next(pairs)
-        ann = Annotation(index=i, label=label, pair=pp, x=pp.lambda_point(lam))
-        if cross_check:
-            ann = _cross_checked(M, ann, lam, expected)
-        out.append(ann)
+        try:
+            got = classify_pair(M, pp, lam)
+        except (ArithmeticError, ValueError):
+            got = None
+        agree = got is not None and (got.family, got.params) == expected
+        out.append(Annotation(index=i, label=label if agree else "UNRESOLVED",
+                              pair=pp, x=pp.lambda_point(lam), germ_class=got))
     return out
-
-
-def _cross_checked(M, ann, lam, expected):
-    try:
-        got = classify_pair(M, ann.pair, lam)
-    except (ArithmeticError, ValueError):
-        return replace(ann, label="UNRESOLVED")
-    if (got.family, got.params) != expected:
-        return replace(ann, label="UNRESOLVED", germ_class=got)
-    return replace(ann, germ_class=got)
 
 
 # --------------------------------------------------------------------------
@@ -1757,13 +1734,13 @@ def _graph_functions(xi, indep_rows, dep_rows, n, order):
     return [p_compose(xi[r], Binv_series, n, order) for r in dep_rows]
 
 
-def _snap_block(comps, clip=COEFF_CLIP):
+def _snap_block(comps):
     mx = max((abs(c) for d in comps for c in d.values()), default=0.0)
     out = []
     for d in comps:
         nd = {}
         for e, c in d.items():
-            if abs(c) <= clip * mx:
+            if abs(c) <= COEFF_CLIP * mx:
                 continue
             if sum(e) <= 1:
                 raise FrameAlignmentError(
@@ -1775,11 +1752,7 @@ def _snap_block(comps, clip=COEFF_CLIP):
 
 
 def _as_lambda_fraction(lam) -> Fraction:
-    if isinstance(lam, Fraction):
-        return lam
-    if isinstance(lam, int):
-        return Fraction(lam)
-    if isinstance(lam, str):
+    if isinstance(lam, (Fraction, int, str)):
         return Fraction(lam)
     return Fraction(lam).limit_denominator(10 ** 9)
 
@@ -1838,17 +1811,17 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
 
 
 def classify_pair(M: ParametricManifold, pair: PairPoint, lam,
-                  order: int = 3, clip: float = COEFF_CLIP) -> GermClass:
+                  order: int = 3) -> GermClass:
     """Contact class of the equidistant at a pair: adapted germs, contact
     map, then recognition.  The contact map's own coefficients are clipped
-    relative to its largest one before recognition, since differences of
-    snapped graphs carry a cancellation floor."""
+    at COEFF_CLIP relative to its largest one before recognition, since
+    differences of snapped graphs carry a cancellation floor."""
     gp = taylor_germ_at_pair(M, pair, lam, order=order)
     kappa = contact_map(gp)
     polys = kappa.polys()
     mx = max((abs(float(c)) for d in polys for c in d.values()), default=0.0)
     cleaned = [
-        {e: c for e, c in d.items() if abs(float(c)) > clip * mx}
+        {e: c for e, c in d.items() if abs(float(c)) > COEFF_CLIP * mx}
         for d in polys
     ]
     kappa = MapGerm.from_polys(cleaned, kappa.source_dim)
@@ -1895,18 +1868,16 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b")
 
 
-def write_branches_svg(branches: Sequence[EquidistantBranch], path: str,
-                       size: int = 640,
-                       include_manifold: bool = True) -> None:
-    """Polylines per branch in ambient coordinates; cusps marked with
-    circles, nodes with squares.  Only the first two ambient coordinates
-    are drawn."""
+def write_branches_svg(branches: Sequence[EquidistantBranch],
+                       path: str) -> None:
+    """Polylines per branch in ambient coordinates on a 640 px square,
+    over the grey outline of a curve; cusps marked with circles, nodes with
+    squares.  Only the first two ambient coordinates are drawn."""
+    size, outline = 640, None
     pts = [x[:2] for br in branches for _, x in br.samples]
-    M = branches[0].manifold if branches else None
-    outline = None
-    if include_manifold and M is not None and M.n == 1:
+    if branches and branches[0].manifold.n == 1:
         th = np.linspace(0, TWO_PI, 512)
-        outline = np.asarray(M.position((th,)))[:, :2]
+        outline = np.asarray(branches[0].manifold.position((th,)))[:, :2]
         pts.extend(outline)
     if not pts:
         raise ValueError("no points to draw")

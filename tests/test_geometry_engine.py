@@ -18,7 +18,7 @@ from api_extras import densify_branch, projection_rank_residuals, scalar_march
 from engine_oracle import fcompose, node_candidates
 from equidistants.cli import main as cli_main
 from equidistants.contact_lab import contact_map, graphpair_to_json
-from equidistants.normal_forms import DomainError
+from equidistants.normal_forms import DomainError, GermClass
 from equidistants import geometry_engine as ge
 from equidistants import germ_algebra as ga
 from equidistants.germ_algebra import InfiniteCodimensionError
@@ -1115,9 +1115,11 @@ def test_cli_trace_keeps_the_frozen_fingerprints(tmp_path, curve, lam):
 @pytest.fixture(scope="module")
 def oval_cli_half(tmp_path_factory):
     """The CLI trace of the oval at lambda 1/2, with the calls of the curve
-    evaluator, of `_refine_cusps` and of `_land_on_band` recorded."""
-    calls = {"jet": 0, "refine": 0, "land_rows": []}
+    evaluator, of `_refine_cusps` and of `_land_on_band` recorded, and the
+    row-passes of its marches: rows advanced by one corrector iterate."""
+    calls = {"jet": 0, "refine": 0, "land_rows": [], "row_passes": 0}
     jet, refine, land = ge._FourierOval.jet, ge._refine_cusps, ge._land_on_band
+    step_once = ge._Marches.step_once
 
     def count_jet(self, *args):
         calls["jet"] += 1
@@ -1131,8 +1133,13 @@ def oval_cli_half(tmp_path_factory):
         calls["land_rows"].append(len(lo))
         return land(M, lo, hi, *args)
 
+    def count_rows(self, *args):
+        calls["row_passes"] += len(self.rows)
+        return step_once(self, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ge._FourierOval, "jet", count_jet)
+        mp.setattr(ge._Marches, "step_once", count_rows)
         mp.setattr(ge, "_refine_cusps", count_refine)
         mp.setattr(ge, "_land_on_band", count_land)
         _, summaries = cli_trace(tmp_path_factory.mktemp("oval"), oval(),
@@ -1163,11 +1170,19 @@ def test_oval_cli_trace_and_detection_stay_within_2350_evaluator_passes(
     assert calls["jet"] <= 2350, calls["jet"]
 
 
+def test_oval_cli_trace_stays_within_5000_row_passes(oval_cli_half):
+    # 4,543 with one suspension rule (rows of two seeds meet in a cell: the
+    # higher seed waits); 7,714 when only a seed that steps into a lower
+    # seed's cell waits, and 11,792 when no seed ever waits
+    calls, _ = oval_cli_half
+    assert calls["row_passes"] <= 5000, calls["row_passes"]
+
+
 def usable_seeds(M, density=128):
     """The projected seeds that `trace_equidistant` marches from, in the
     order its walk reads them, and the diagonal band width."""
     delta = 10.0 * TWO_PI / density
-    pairs = find_parallel_pairs(M, density, tol=1e-10, delta_diag=delta)
+    pairs = find_parallel_pairs(M, density, delta_diag=delta)
     seeds = sorted([(float(p.s), float(p.t)) for p in pairs]
                    + [(float(p.t), float(p.s)) for p in pairs])
     Z0, ok = ge._project_to_zero_many(M, seeds, 1e-12)
@@ -1388,6 +1403,45 @@ def test_asymmetric_caustic_has_six_cusps_and_three_nodes(main_03):
         gold = min(NODES_03,
                    key=lambda g: np.hypot(a.x[0] - g[0], a.x[1] - g[1]))
         assert np.hypot(a.x[0] - gold[0], a.x[1] - gold[1]) <= 2e-3
+
+
+def test_a_failed_refinement_is_unresolved_without_a_pair(monkeypatch,
+                                                           oval_03):
+    # no chord point projects onto {g = 0}, so no cusp bracket and no node
+    # candidate refines, and nothing reaches the cross-check
+    monkeypatch.setattr(ge, "_project_to_zero_many", lambda M, Z, tol: (
+        np.array(Z, dtype=float), np.zeros(len(Z), dtype=bool)))
+    anns = detect_singularities(max(oval_03, key=len)).annotations
+    assert len(anns) == 12
+    for a in anns:
+        assert (a.label, a.pair, a.germ_class) == ("UNRESOLVED", None, None)
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, ValueError])
+def test_a_failed_cross_check_is_unresolved_with_its_pair(monkeypatch, oval_03,
+                                                          main_03, error):
+    def fail(*args):
+        raise error("no class")
+
+    monkeypatch.setattr(ge, "classify_pair", fail)
+    anns = detect_singularities(max(oval_03, key=len)).annotations
+    assert len(anns) == len(main_03.annotations) == 12
+    for a, want in zip(anns, main_03.annotations):
+        assert (a.label, a.germ_class) == ("UNRESOLVED", None)
+        assert (a.index, a.pair.s, a.pair.t) == (want.index, want.pair.s,
+                                                 want.pair.t)
+
+
+def test_a_disagreeing_cross_check_is_unresolved_with_its_class(
+        monkeypatch, oval_03, main_03):
+    a3 = GermClass("A", (3,))
+    monkeypatch.setattr(ge, "classify_pair", lambda *args: a3)
+    anns = detect_singularities(max(oval_03, key=len)).annotations
+    assert len(anns) == len(main_03.annotations) == 12
+    for a, want in zip(anns, main_03.annotations):
+        assert (a.label, a.germ_class) == ("UNRESOLVED", a3)
+        assert (a.index, a.pair.s, a.pair.t) == (want.index, want.pair.s,
+                                                 want.pair.t)
 
 
 def test_degenerate_branches_are_not_annotated():
