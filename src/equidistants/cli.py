@@ -18,7 +18,9 @@ error carries its own code, the CLI raises USAGE and INPUT_PARSE itself, and
 
 Lambda values are exact rational strings ("1/2", "3") for the algebra
 commands; ``trace`` also accepts decimals, but not ``nan`` or ``inf``
-(USAGE); its ``--step`` must be finite and positive and its
+(USAGE).  A negative lambda is given either as ``--lambda -3/4`` or as
+``--lambda=-3/4``: a token after ``--lambda`` that reads as a number is its
+value.  ``trace``'s ``--step`` must be finite and positive and its
 ``--seed-density`` at least 1 (USAGE otherwise).  The seed density defaults
 to 128 for curves and to the pair scheme's own density for surfaces; an
 explicit one applies to both.  Lambda 0 or 1 is DEGENERATE_LAMBDA.
@@ -145,6 +147,29 @@ def _parse_lambda_numeric(text: str) -> float:
         raise _Failure("USAGE", "lambda must be a rational or decimal number", EXIT_USAGE)
     _usage(math.isfinite(lam), "lambda must be finite")
     return lam
+
+
+def _is_number(token: str) -> bool:
+    """Whether token reads as a decimal or a rational such as -3/4."""
+    try:
+        Fraction(token) if "/" in token else float(token)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _join_lambda(argv: List[str]) -> List[str]:
+    """argv with each `--lambda X` (or an abbreviation such as `--lam X`)
+    whose X reads as a number joined into `--lambda=X`, since argparse takes
+    a token such as -3/4 for an option."""
+    out: List[str] = []
+    for token in argv:
+        if out and len(out[-1]) > 2 and "--lambda".startswith(out[-1]) \
+                and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _germ_names(k: int, n: int) -> List[str]:
@@ -362,6 +387,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code.  Every failure ends here
     as one stderr line, its code first."""
+    argv = _join_lambda(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -467,6 +467,42 @@ def test_moved_catalogue_classes_keep_their_frozen_fingerprint(capsys, tmp_path)
     assert h.hexdigest() == MOVED_CLASSIFY_FINGERPRINT
 
 
+# ------------------------------------------------------- negative lambda
+
+
+@pytest.fixture
+def random_pair_path(tmp_path):
+    path = tmp_path / "random.json"
+    path.write_text(graphpair_to_json(random_graph_pair(1, 2, 1, seed=0)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["contact", "ringdims"])
+@pytest.mark.parametrize("flag", ["--lambda", "--lam"])
+def test_a_negative_lambda_may_follow_its_flag(capsys, random_pair_path, command, flag):
+    # argparse alone takes -3/4 for an option, since it starts with '-'
+    spaced = run(capsys, command, "--input", random_pair_path, flag, "-3/4")
+    joined = run(capsys, command, "--input", random_pair_path, "--lambda=-3/4")
+    assert joined[0] == 0
+    assert spaced == joined
+
+
+@pytest.mark.parametrize("lam", ["-1/2", "-1e-3"])
+def test_a_negative_trace_lambda_may_follow_its_flag(capsys, tmp_path, ellipse_path, lam):
+    argv = ("trace", "--input", ellipse_path, "--out", str(tmp_path / "neg"),
+            "--step", "0.05", "--seed-density", "64", "--json")
+    spaced = run(capsys, *argv, "--lambda", lam)
+    joined = run(capsys, *argv, "--lambda=" + lam)
+    assert joined[0] == 0
+    assert spaced == joined
+
+
+def test_lambda_followed_by_an_option_is_a_usage_error(capsys, random_pair_path):
+    code, out, err = run(capsys, "contact", "--input", random_pair_path, "--lambda", "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("USAGE")
+
+
 # -------------------------------------------------------------- trace
 
 
