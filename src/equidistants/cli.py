@@ -12,7 +12,7 @@ Subcommands bind the exact and numerical engines to files and stdout:
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 mathematical
 error.  Every non-zero exit writes one machine-readable line to stderr whose
 first token names the failure (USAGE, INPUT_PARSE, NOT_NICE_DIMENSIONS,
-DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED, REGULAR).  Each engine
+DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED).  Each engine
 error carries its own code, the CLI raises USAGE and INPUT_PARSE itself, and
 ``main`` alone writes the line, so any other exception is a bug.
 
@@ -46,10 +46,10 @@ ladder does not exhaust by the cap + 2 (x^10 + y^10 at order 12); any
 other arithmetic failure is UNRECOGNIZED.
 
 ``ringdims --order`` is the truncation cap of the three local rings and
-must be at least 1 (USAGE otherwise).  A ring whose ideal has fewer
-nonzero generators than variables is INFINITE by Krull's height theorem;
-its Hilbert function is listed through the cap.  Any other INFINITE ring
-lists it through the cap + 2.
+must lie in 1..64, the budget ``MAX_TERM_DEGREE`` again (USAGE otherwise).
+A ring whose ideal has fewer nonzero generators than variables is INFINITE
+by Krull's height theorem; its Hilbert function is listed through the cap.
+Any other INFINITE ring lists it through the cap + 2.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from typing import List, Optional
 
 from .contact_lab import (
     DegenerateLambdaError,
-    TransversalContactError,
     graphpair_from_json,
     lambda_contact_from_pair,
     local_ring_dims,
@@ -72,7 +71,7 @@ from .contact_lab import (
 )
 from .germ_algebra import (
     INFINITE,
-    REGULAR,
+    MAX_TERM_DEGREE,
     InfiniteCodimensionError,
     MapGerm,
     format_poly,
@@ -282,20 +281,17 @@ def _cmd_contact(args) -> int:
     pair, lam = _load_pair(args)
     kappa = lambda_contact_from_pair(pair, lam)
     theta = reduce_to_theta(kappa, pair.n, pair.q)
-    cls = recognize(kappa if theta == REGULAR else theta)
+    cls = recognize(theta)
     if args.json:
         blob = {
             "kappa": mapgerm_to_dict(kappa),
-            "theta": REGULAR if theta == REGULAR else mapgerm_to_dict(theta),
+            "theta": mapgerm_to_dict(theta),
             "class": _class_dict(cls),
         }
         print(json.dumps(blob, indent=2, sort_keys=True))
         return EXIT_OK
     print("kappa: {}".format(_format_germ(kappa, _germ_names(pair.k, pair.n))))
-    if theta == REGULAR:
-        print("theta: {}".format(REGULAR))
-    else:
-        print("theta: {}".format(_format_germ(theta, _germ_names(theta.source_dim, theta.source_dim))))
+    print("theta: {}".format(_format_germ(theta, _germ_names(theta.source_dim, theta.source_dim))))
     print("class: {} mu={}".format(cls.label, cls.mu))
     return EXIT_OK
 
@@ -304,6 +300,8 @@ def _cmd_ringdims(args) -> int:
     pair, lam = _load_pair(args)
     _usage(args.order is None or args.order >= 1,
            "truncation order must be >= 1, got {}".format(args.order))
+    _usage(args.order is None or args.order <= MAX_TERM_DEGREE,
+           "truncation order must be at most {}, got {}".format(MAX_TERM_DEGREE, args.order))
     dims = local_ring_dims(pair, lam, order=args.order)
     d_pi, d_kappa, d_theta = dims.dimensions
     if args.json:
@@ -399,7 +397,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InfiniteCodimensionError as exc:
         code, detail, status = exc.code, "germ has infinite Ke-codimension", EXIT_MATH
     except (DomainError, NotNiceDimensionsError, UnrecognizedGermError,
-            DegenerateLambdaError, TransversalContactError) as exc:
+            DegenerateLambdaError) as exc:
         code, detail, status = exc.code, str(exc), EXIT_MATH
     except FloatingPointError as exc:
         code, detail, status = "DOMAIN", str(exc), EXIT_MATH

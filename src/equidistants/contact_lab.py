@@ -27,13 +27,10 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Union
 
 from .germ_algebra import (
-    INFINITE,
     MAX_TERM_DEGREE,
-    REGULAR,
     LocalAlgebraReport,
     MapGerm,
     Poly,
-    corank,
     default_order,
     local_algebra,
     mapgerm_to_dict,
@@ -51,12 +48,6 @@ class DegenerateLambdaError(ValueError):
     """lambda is 0 or 1, where the lambda-reflection collapses."""
 
     code = "DEGENERATE_LAMBDA"
-
-
-class TransversalContactError(ValueError):
-    """The contact is transversal, so no reduced germ exists."""
-
-    code = REGULAR
 
 
 def _check_lambda(lam) -> Fraction:
@@ -269,16 +260,15 @@ def local_ring_dims(gp: GraphPair, lam=None,
                     order: Optional[int] = None) -> RingDims:
     """Reports for the quotients of E_2n, E_n and E_k by the component
     ideals of the projection local form, the lambda-contact map, and its
-    rank-0 reduction.  The three agree (the first two always, the third
-    whenever defined); INFINITE entries are reported per slot."""
+    rank-0 reduction.  The three agree; INFINITE entries are reported per
+    slot.  phi, psi, eta and zeta vanish to second order, so the linear
+    part of the lambda-contact map is its z-block, of rank n - k, and the
+    reduction keeps its other q + k - 2n >= 1 components: the contact of a
+    GraphPair is never transversal."""
     lam = _check_lambda(lam if lam is not None else gp.lam)
     pi = pi_tilde_local(gp, lam)
     kap = lambda_contact_from_pair(gp, lam)
     theta = rank0_reduce(kap)
-    if theta is REGULAR:
-        raise TransversalContactError(
-            "contact is transversal; no reduced germ exists for this pair"
-        )
     return RingDims(
         local_algebra(pi, order=order),
         local_algebra(kap, order=order),

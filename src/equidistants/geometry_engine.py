@@ -454,29 +454,17 @@ def _toroidal_dist(a: float, b: float, period: Optional[float]) -> float:
     return min(d, period - d)
 
 
-def _params_distinct(M, s, t) -> bool:
-    ss, tt = _as_params(s, M.n), _as_params(t, M.n)
-    return any(
-        _toroidal_dist(a, b, M.periods[i]) > 1e-12
-        for i, (a, b) in enumerate(zip(ss, tt))
-    )
-
-
 def parallelism(M: ParametricManifold, s, t) -> Tuple[int, int]:
     """Degree and codimension of (weak) parallelism of the pair (s, t).
 
     r is the numerical rank of the stacked 2n x q frame; the degree is
-    2n - r and the codimension q - r, so 2n - deg = q - codim holds by
-    construction and is asserted.  codim = 0 means not weakly parallel.
+    2n - r and the codimension q - r.  `_pair_points` makes the checks:
+    s and t must be distinct and M immersed at both, and the `PairPoint`
+    it builds enforces 2n - deg = q - codim.  codim = 0 means not weakly
+    parallel.
     """
-    if not _params_distinct(M, s, t):
-        raise ValueError("parallelism needs distinct parameters")
-    stacked = np.vstack([tangent_frame(M, s), tangent_frame(M, t)])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    r = int(np.sum(sv > TAU_RANK * sv[0]))
-    deg_k, codim = 2 * M.n - r, M.q - r
-    assert 2 * M.n - deg_k == M.q - codim
-    return deg_k, codim
+    p = _pair_points(M, [s], [t])[0]
+    return p.deg_k, p.codim
 
 
 @dataclass
@@ -588,10 +576,10 @@ def _pair_points(M, S, T, residuals=None):
 
     Frames and positions come from one jet of order 1; immersion
     checks and the rank of each stacked 2n x q frame come from stacked
-    SVDs, which run the LAPACK call of `tangent_frame` and `parallelism` on
-    each matrix, so the result is that of pair-by-pair construction.
-    Errors are raised for the first offending pair, in the order
-    `parallelism` checks it.  Without `residuals`, a plane-curve pair gets
+    SVDs, which run the LAPACK call of `tangent_frame` on each matrix, so
+    the result is that of pair-by-pair construction.  Errors are raised for
+    the first offending pair: parameters that are not distinct, then a
+    rank drop at s, then at t.  Without `residuals`, a plane-curve pair gets
     its normalized |g|.
     """
     if not len(S):
@@ -1323,7 +1311,7 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     march = _Marches(M, np.repeat(Z0[used], 2, axis=0),
                      np.tile([1.0, -1.0], len(used)), step, delta, tol,
                      40000, start=[2 * k for k in start])
-    owner, dropped = {}, set()
+    owner = {}
 
     def watch(rows, points, finished):
         if finished:
@@ -1334,14 +1322,9 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
             return stop
         for r, c in zip(rows, marks(np.array(points), centre=True).tolist()):
             k = r // 2
-            if k in dropped:
-                continue
             low = owner.setdefault(c, k)
-            if low == k:
-                continue
-            owner[c], high = min(low, k), max(low, k)
-            if high not in dropped:
-                dropped.add(high)
+            if low != k:
+                owner[c], high = min(low, k), max(low, k)
                 stop.extend((2 * high, 2 * high + 1))
         return stop
 
@@ -1848,7 +1831,7 @@ def write_branches_csv(branches: Sequence[EquidistantBranch],
     join their components with ';')."""
     if not branches:
         raise ValueError("no branches to write")
-    q = len(branches[0].samples[0][1]) if branches[0].samples else 0
+    q = next((len(br.samples[0][1]) for br in branches if br.samples), 0)
     header = ["branch_id", "sigma", "s", "t"] + \
         [f"x{i + 1}" for i in range(q)] + ["label"]
     lines = [",".join(header)]

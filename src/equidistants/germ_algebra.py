@@ -1052,13 +1052,16 @@ class LocalAlgebraReport:
 
 
 def _analysis_cap(f: MapGerm, order: Optional[int] = None) -> int:
-    """The truncation cap: `order` when given, which must be at least 1;
-    else the dimension default, raised when the germ itself carries
-    higher-degree monomials."""
+    """The truncation cap: `order` when given, which must lie in
+    1..MAX_TERM_DEGREE; else the dimension default, raised when the germ
+    itself carries higher-degree monomials."""
     if order is None:
         return max(default_order(f.source_dim), f.max_degree() + 1)
     if order < 1:
         raise ValueError(f"truncation order must be >= 1, got {order}")
+    if order > MAX_TERM_DEGREE:
+        raise ValueError(f"truncation order must be at most "
+                         f"{MAX_TERM_DEGREE}, got {order}")
     return order
 
 
@@ -1110,11 +1113,8 @@ def corank(f: MapGerm) -> int:
 
 def ke_codimension(f: MapGerm, order: Optional[int] = None) -> Union[int, str]:
     """Dimension of E^t over the extended contact tangent space of f."""
-    cap = _analysis_cap(f, order)
-    dim, _, _, _, _ = _module_dimension(
-        _tangent_gens(f), f.source_dim, f.target_dim, cap
-    )
-    return dim
+    h = ke_quotient_hilbert(f, order)
+    return h if h == INFINITE else sum(h)
 
 
 def ke_quotient_hilbert(f: MapGerm,

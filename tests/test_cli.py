@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -390,6 +391,33 @@ def test_ringdims_rejects_an_order_below_one(tmp_path, order):
     proc = run_subprocess(*argv)
     assert proc.returncode == 0
     assert proc.stdout == "dim(pi)=4 dim(kappa)=4 dim(theta)=4\n"
+
+
+def run_capped(*argv):
+    """run_subprocess under a 1.5 GB address-space limit and a 30 s
+    timeout, so that an unbounded computation fails fast instead of taking
+    the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+    return subprocess.run([sys.executable, "-m", "equidistants.cli", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=cap)
+
+
+@pytest.mark.parametrize("order", ["65", "1000000000"])
+def test_ringdims_rejects_an_order_above_the_budget(tmp_path, order):
+    # the cap is held to MAX_TERM_DEGREE like every other order from
+    # outside; at order 10**9 the rings grew until memory ran out
+    path = tmp_path / "pair.json"
+    path.write_text(graphpair_to_json(random_graph_pair(1, 2, 1, seed=3)))
+    argv = ("ringdims", "--input", str(path), "--lambda", "1/3")
+    proc = run_capped(*argv, "--order", order)
+    assert_one_line_failure(proc, 1, "USAGE")
+    assert "order must be at most 64, got " + order in proc.stderr
+    proc = run_capped(*argv, "--order", "64")
+    assert proc.returncode == 0
+    assert proc.stdout == "dim(pi)=INFINITE dim(kappa)=INFINITE " \
+        "dim(theta)=INFINITE\n"
 
 
 # sha256 of `ringdims --json` on pair seeds 0-3 at lambda 1/3 and 1/2, in

@@ -39,7 +39,6 @@ EXIT_OF = {
     "DEGENERATE_LAMBDA": 3,
     "INFINITE": 3,
     "UNRECOGNIZED": 3,
-    "REGULAR": 3,
 }
 
 MISSING = "<missing>"

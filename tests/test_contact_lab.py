@@ -16,6 +16,7 @@ from equidistants.germ_algebra import (
     local_algebra,
     mapgerm_from_dict,
     matrix_rank,
+    rank0_reduce,
 )
 from equidistants.contact_lab import (
     GraphPair,
@@ -206,6 +207,25 @@ def test_reduce_to_theta_boundary_is_regular():
 def test_reduce_to_theta_checks_shape():
     with pytest.raises(ValueError):
         reduce_to_theta(germ([{(0, 1): 1}], 2), 2, 5)
+
+
+ADMISSIBLE = [(n, q, k) for n in range(1, 5) for q in range(n + 1, 2 * n + 1)
+              for k in range(1, n + 1) if q + k - 2 * n >= 1]
+
+
+@pytest.mark.parametrize("n, q, k", ADMISSIBLE)
+def test_a_graph_pair_contact_is_never_transversal(n, q, k):
+    # the linear part of kappa is its z-block, of rank n - k, so the
+    # reduction keeps q + k - 2n >= 1 components: local_ring_dims and the
+    # contact subcommand rely on it
+    for seed in range(3):
+        gp = random_graph_pair(n, q, k, seed)
+        for lam in (third, Fraction(-3, 4), Fraction(5, 2)):
+            kap = lambda_contact_from_pair(gp, lam)
+            assert corank(kap) == k
+            theta = rank0_reduce(kap)
+            assert theta is not REGULAR, (n, q, k, seed, lam)
+            assert (theta.source_dim, theta.target_dim) == (k, q + k - 2 * n)
 
 
 def test_reduction_preserves_component_ideal_growth():

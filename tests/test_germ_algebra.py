@@ -971,6 +971,17 @@ def test_a_truncation_order_below_one_is_rejected(order):
             fn(f, order)
 
 
+def test_a_truncation_order_above_the_budget_is_rejected():
+    # 65 is the first order past the budget; the CLI test tries 10**9,
+    # under a memory limit
+    f = germ([{(2, 0): 1}, {(0, 2): 1}], 2)
+    for fn in (local_algebra, ke_codimension, ke_quotient_hilbert,
+               miniversal_basis):
+        with pytest.raises(ValueError, match="order must be at most 64"):
+            fn(f, 65)
+    assert local_algebra(f, 64).dimension == ke_codimension(f, 64) == 4
+
+
 # ------------------------------------------------------------ the axis proof
 
 
