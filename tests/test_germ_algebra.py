@@ -7,6 +7,8 @@ monomial enumeration, different rank routine).
 """
 
 import copy
+import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -294,6 +296,38 @@ def test_reduce_preserves_algebra_and_codimension():
         ht = local_algebra(theta).hilbert
         span = min(len(hf), len(ht))
         assert hf[:span] == ht[:span]
+
+
+# sha256 of the rank0_reduce outputs, one line each (the sorted
+# mapgerm_to_dict JSON, or REGULAR): the lambda-contact maps of pair seeds
+# 0-3 of every (n, q, k) with n <= 3 at the three lambdas below, then
+# random_k_move seeds 0-2 of every catalogue normal form, by label
+REDUCE_FINGERPRINT = \
+    "fb8e24903f0b5272fb0d0b5ebb32f9b393dcf0250053e2491c55e3e993951075"
+
+
+def test_rank0_reduce_keeps_its_frozen_fingerprint():
+    combos = [(n, q, k) for n in range(1, 4) for k in range(1, n + 1)
+              for q in range(2 * n - k + 1, 2 * n + 1)]
+    assert len(combos) == 10
+    germs = [lambda_contact_from_pair(random_graph_pair(*combo, seed=seed), lam)
+             for combo in combos for seed in range(4)
+             for lam in (Fraction(1, 3), Fraction(-3, 4), Fraction(5, 2))]
+    classes = {cls.label: cls
+               for n in range(1, 6) for q in range(n + 1, 2 * n + 1)
+               if is_nice_dimensions(n, q)
+               for row in stable_singularities(n, q).rows
+               for cls in row.entries}
+    for label in sorted(classes):
+        form = normal_form(classes[label], classes[label].intrinsic_source)
+        germs += [random_k_move(form, seed) for seed in range(3)]
+    h = hashlib.sha256()
+    for f in germs:
+        theta = rank0_reduce(f)
+        line = theta if theta is REGULAR else \
+            json.dumps(mapgerm_to_dict(theta), sort_keys=True)
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == REDUCE_FINGERPRINT
 
 
 # ---------------------------------------------------------------- miniversal
