@@ -30,14 +30,17 @@ manifold's (n, q) and domain (a surface in R^3 needs two 2pi-periodic
 parameters, one in R^4 must be a graph_surface), when the manifold is not
 immersed, when the seed density is so low that the diagonal band covers
 every pair (below 20 on a curve or a torus, below 10 on a graph_surface),
-when no pair off the band is left to draw, or on a floating-point overflow,
-division by zero or invalid operation.  A NaN or infinite manifold
-parameter, coefficient or grid value, a number that overflows to infinity
-anywhere in an input file, a graph_surface whose exponent is not two
-non-negative integers, whose halfwidth is not positive or which has a term
-of total degree above 64, a germ with a dimension below 1, a germ order
-outside 0..64 and a graph-pair term of total degree above 64 are
-INPUT_PARSE.  All three bounds are the budget
+when it is above the pair scheme's budget (4096 on a curve, 48 on a torus
+or sampled surface, 64 on a graph_surface), when no pair off the band is
+left to draw, or on a floating-point overflow, division by zero or invalid
+operation.  A NaN or infinite manifold parameter, coefficient or grid
+value, a number that overflows to infinity anywhere in an input file, a
+samples payload whose ``n`` is not the integer 1 or 2 or whose ``q``, when
+given, is not the length of the grid's last axis, a graph_surface whose
+exponent is not two non-negative integers, whose halfwidth is not positive
+or which has a term of total degree above 64, a germ with a dimension
+below 1, a germ order outside 0..64 and a graph-pair term of total degree
+above 64 are INPUT_PARSE.  All three bounds are the budget
 ``germ_algebra.MAX_TERM_DEGREE``: the exact engine's cost grows with a
 germ's order, and an A8 germ at order 10**6 runs past a minute.
 ``classify``, ``contact`` and ``mu`` report INFINITE for infinite

@@ -415,10 +415,15 @@ def manifold_from_dict(payload: dict) -> ParametricManifold:
             ]
             return graph_surface(comps, payload.get("halfwidth", 1.0))
         if kind == "samples":
+            n, q = payload.get("n", 1), payload.get("q")
+            if type(n) is not int or n not in (1, 2):
+                raise ValueError(f"samples field 'n' must be 1 or 2, got {n!r}")
             grid = np.asarray(payload["grid"], dtype=float)
-            if int(payload.get("n", 1)) == 1:
-                return sampled_curve(grid)
-            return sampled_surface(grid)
+            M = (sampled_curve if n == 1 else sampled_surface)(grid)
+            if q is not None and (type(q) is not int or q != M.q):
+                raise ValueError(f"samples field 'q' must equal the grid's "
+                                 f"last axis {M.q}, got {q!r}")
+            return M
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed manifold payload: {exc}") from exc
     raise ValueError(f"unknown manifold kind {kind!r}")
@@ -837,15 +842,17 @@ def find_parallel_pairs(M: ParametricManifold,
     (or than the box, for graphs), which would leave no pair.  The default
     density is 256 for curves and 24 / 16 for the surface schemes, whose pair sets
     are two- and three-dimensional, so their sample counts grow with a
-    power of the density instead of linearly.
+    power of the density instead of linearly.  A density above the budget
+    4096 / 48 / 64, where a search peaks near 0.6 / 0.3 / 1.2 GB, raises
+    DomainError before any grid is built.
     """
     shape = (M.n, M.q)
     if shape == (1, 2):
-        scheme, density = _pairs_curve, 256
+        scheme, density, budget = _pairs_curve, 256, 4096
     elif shape == (2, 3) and M.periods == (TWO_PI, TWO_PI):
-        scheme, density = _pairs_torus, 24
+        scheme, density, budget = _pairs_torus, 24, 48
     elif shape == (2, 4) and M.kind == "graph_surface":
-        scheme, density = _pairs_graph4, 16
+        scheme, density, budget = _pairs_graph4, 16, 64
     else:
         need = {(2, 3): "two 2pi-periodic parameters",
                 (2, 4): "a graph_surface"}.get(shape)
@@ -869,6 +876,9 @@ def find_parallel_pairs(M: ParametricManifold,
         raise DomainError(
             f"diagonal band {delta_diag:.6g} at density {grid_density} "
             f"exceeds {what} {reach:.6g} and covers every pair")
+    if grid_density > budget:
+        raise DomainError(f"grid density {grid_density} exceeds the "
+                          f"budget {budget} of this pair scheme")
     S, T, residuals, keys = scheme(M, grid_density, delta_diag)
     first = _first_of_each_key(keys, S, T)
     pairs = _pair_points(M, S[first], T[first], residuals[first])
@@ -1184,8 +1194,7 @@ def _land_on_band(M, lo, hi, delta, tol, iters=50):
             break
         mid, ok = _project_to_zero_many(M, 0.5 * (lo[live] + hi[live]), tol)
         live, mid = live[ok], mid[ok]
-        gap = np.fmod(np.abs(mid[:, 0] - mid[:, 1]), TWO_PI)
-        out = np.minimum(gap, TWO_PI - gap) >= delta
+        out = _toroidal_gaps(mid[:, :1], mid[:, 1:], (TWO_PI,))[:, 0] >= delta
         stay = ~(mid == np.where(out[:, None], lo[live], hi[live])).all(axis=1)
         live, mid, out = live[stay], mid[stay], out[stay]
         lo[live[out]] = mid[out]

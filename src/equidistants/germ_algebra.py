@@ -23,7 +23,7 @@ as FLINT's fmpq_poly does: the args are scaled by the lcm D of their
 denominators, the term c*x^e of p by E*D^(top - |e|) (E the lcm of p's
 denominators, top its highest degree), and each output is one
 Fraction(v, E*D^top).  A truncated power a^k over D^k is far from
-reduced when D is large, as for the solved coordinates of `rank0_reduce`
+reduced when D is large, as for the solved variables of `rank0_reduce`
 at order 12 and above, so past `_INTEGER_LOOP_BITS` bits of E*D^top the
 loop multiplies the Fractions as they are; the two ways' times crossed
 between 4,200 and 7,000 bits.
@@ -1128,7 +1128,8 @@ def ke_quotient_hilbert(f: MapGerm,
 
 
 def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
-    """Remove the regular part of f by exact linear changes and elimination.
+    """Remove the regular part of f by an exact linear change of the target
+    and elimination of the variables its linear part solves for.
 
     Returns a rank-0 germ (R^(s-r),0) -> (R^(t-r),0) with the same local
     algebra, where r is the rank of the linear part; REGULAR if r = t.
@@ -1146,63 +1147,44 @@ def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
     if r == 0:
         return f
     polys = f.polys()
-    new_comps: List[Poly] = []
+    comps: List[Poly] = []
     for row in m:
         acc: Poly = {}
         for j, c in enumerate(row[s:]):
             if c:
                 acc = p_add(acc, p_scale(polys[j], c))
-        new_comps.append(acc)
-    # Source side: the linear parts w_i of the first r components become new
-    # coordinates alongside the non-pivot variables.  Row reduction left
-    # w_i = x_{pivot_i} + (non-pivot tail), so the change inverts by hand.
-    nonpivot = [j for j in range(s) if j not in pivot_cols]
-    relabel = {col: i for i, col in enumerate(pivot_cols)}
-    for i, j in enumerate(nonpivot):
-        relabel[j] = r + i
-    args_old_to_new: List[Poly] = []
-    for j in range(s):
-        i = relabel[j]
-        expr: Poly = {unit_exp(i, s): Fraction(1)}
-        if i < r:
-            for jj in nonpivot:
-                if m[i][jj]:
-                    expr[unit_exp(relabel[jj], s)] = -m[i][jj]
-        args_old_to_new.append(expr)
-    relabeled = [
-        p_compose(p, args_old_to_new, s, order) for p in new_comps
-    ]
-    # Now component i (i < r) reads w_i + P_i(w, x), P_i in m^2.  Solve
-    # w = W(x) by iteration in graded passes.  Let every term of P that
-    # holds some w have degree >= j + 1.  If W is right through degree d,
-    # then w_i = W_i - (W_i + P_i(W, x)) is right through degree d + j,
-    # and that jet reads only the (d + j)-jets of relabeled[i] and W; so
-    # each pass composes those jets at order d + j, up to the full order.
-    # The last pass leaves the unique fixed point of the full-order
-    # iteration; with no w in P, one full-order pass is exact.
-    j = min((sum(e) - 1 for i in range(r) for e in relabeled[i]
-             if any(e[:r]) and e != unit_exp(i, s)), default=order)
-    x_block = [{unit_exp(i, s): Fraction(1)} for i in range(r, s)]
-    W = [dict() for _ in range(r)]  # type: List[Poly]
-    d = 1   # W = 0 is right through degree 1, since W is in m^2
+        comps.append(acc)
+    # Source side: component i < r reads x_{pivot_i} - rest_i(x), rest_i
+    # free of x_{pivot_i}, with y the non-pivot variables.  Solve for
+    # x_{pivot_i} = W_i(y) by W_i <- rest_i(W, y) from the linear solution,
+    # right through degree 1.  If every term of rest holding a pivot
+    # variable has degree >= j + 1 (j >= 1: a reduced row has no other
+    # pivot) and W is right through degree d, a pass leaves it right
+    # through d + j, reading only the (d + j)-jets of rest and W; so the
+    # passes compose at orders stepping by j up to the full order, and the
+    # last leaves the unique fixed point.  The reduced germ is components
+    # r.. with W substituted: every composition is in the s - r y-variables.
+    nonpivot = [c for c in range(s) if c not in pivot_cols]
+    rest = [{e: -c for e, c in comps[i].items() if e != unit_exp(p, s)}
+            for i, p in enumerate(pivot_cols)]
+    sub = {c: {unit_exp(i, s - r): Fraction(1)}
+           for i, c in enumerate(nonpivot)}
+    for i, p in enumerate(pivot_cols):
+        sub[p] = {unit_exp(k, s - r): -m[i][c]
+                  for k, c in enumerate(nonpivot) if m[i][c]}
+    j = min((sum(e) - 1 for q in rest for e in q
+             if any(e[p] for p in pivot_cols)), default=order)
+    d = 1
     while d < order:
-        d = min(order, d + max(j, 1))
-        args = list(W) + x_block
-        W = [p_add(W[i], p_scale(p_compose(
-            {e: c for e, c in relabeled[i].items() if sum(e) <= d},
-            args, s, d), Fraction(-1))) for i in range(r)]
-    args = list(W) + x_block
-    reduced = [p_compose(relabeled[i], args, s, order) for i in range(r, t)]
-    # Drop the eliminated variables: remaining polys only involve x-block.
-    out_polys: List[Poly] = []
-    for p in reduced:
-        q: Poly = {}
-        for exp, c in p.items():
-            if any(exp[i] for i in range(r)):
-                raise ArithmeticError("elimination left a regular variable")
-            q[exp[r:]] = c
-        out_polys.append(q)
-    return MapGerm.from_polys(out_polys, s - r, order)
+        d = min(order, d + j)
+        args = [sub[c] for c in range(s)]
+        for p, q in zip(pivot_cols, rest):
+            sub[p] = p_compose({e: c for e, c in q.items() if sum(e) <= d},
+                               args, s - r, d)
+    args = [sub[c] for c in range(s)]
+    return MapGerm.from_polys(
+        [p_compose(comps[i], args, s - r, order) for i in range(r, t)],
+        s - r, order)
 
 
 def random_k_move(f: MapGerm, seed: int) -> MapGerm:

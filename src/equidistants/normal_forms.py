@@ -23,10 +23,11 @@ A germ with a regular part is reduced to rank 0 first, from its 7-jet
 when the germ's order is above 7.  The contact ladder is then run on
 rungs 4..6 only, and the whole germ is reduced, with the full ladder,
 only when those rungs find no zero of the Hilbert function.  This cannot
-change a label: the reduction commutes with truncation; rung D reads only
-the (D+1)-jet of the reduced germ; every ladder cap is at least 6, so the
-full ladder starts with the same three rungs; and the pencil, the cubic
-and the ideal Hilbert prefix read at most the 3-jet.  Graph-pair contact
+change a label: the reduction commutes with truncation, as the pivot
+variables it solves for have no constant term; rung D reads only the
+(D+1)-jet of the reduced germ; every ladder cap is at least 6, so the full
+ladder starts with the same three rungs; and the pencil, the cubic and the
+ideal Hilbert prefix read at most the 3-jet.  Graph-pair contact
 germs arrive at order 12 with long rational coefficients, and nearly all
 of them certify on the 7-jet.
 
@@ -751,8 +752,9 @@ def recognize(f: MapGerm) -> GermClass:
     the 7-jet is reduced and its contact ladder run on rungs 4..6 only;
     the whole germ is reduced, and the full ladder run, only when those
     rungs find no zero of h.  The labels are those of the whole germ:
-      * `rank0_reduce` commutes with truncation, since its linear change,
-        compositions and fixed-point passes each map d-jets to d-jets;
+      * `rank0_reduce` commutes with truncation: the pivot variables it
+        solves for are series without constant term, so their d-jets and
+        the reduced germ's read only the d-jet of f;
       * rung D reads only the generators' terms of degree <= D, the
         (D+1)-jet of the reduced germ, so rungs 4..6 read its 7-jet;
       * every cap is >= 6, so the full ladder's first rungs are the same

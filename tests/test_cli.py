@@ -732,6 +732,38 @@ def test_trace_seed_density_reaches_the_surface_pair_search(tmp_path, payload, d
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("payload, density", [
+    (ellipse(2, 1).to_dict(), "4097"), (ellipse(2, 1).to_dict(), "200000"),
+    (graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}]).to_dict(), "65"),
+    (graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}]).to_dict(), "128"),
+], ids=["curve-4097", "curve-200000", "graph-65", "graph-128"])
+def test_trace_rejects_a_seed_density_above_the_schemes_budget(tmp_path, payload, density):
+    # the budgets are 4096 for curves and 64 for graph surfaces; at 128 the
+    # graph scheme built (16384, 16384) arrays and ended in a MemoryError
+    # traceback under this address-space limit
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps(payload))
+    proc = run_capped("trace", "--input", str(path), "--lambda", "1/2",
+                      "--out", str(tmp_path / "o"), "--seed-density", density)
+    assert_one_line_failure(proc, 3, "DOMAIN")
+    assert f"grid density {density} exceeds the budget" in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [("n", 7), ("n", 1.9), ("q", 2)])
+def test_trace_of_samples_with_a_bad_n_or_q_is_a_parse_error(tmp_path, field, value):
+    payload = clifford_payload()
+    payload["grid"] = [[point[:3] for point in row] for row in payload["grid"]]
+    payload["q"] = 3
+    payload[field] = value
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(payload))
+    proc = run_subprocess("trace", "--input", str(path), "--lambda", "1/2",
+                          "--out", str(tmp_path / "o"))
+    assert_one_line_failure(proc, 2, "INPUT_PARSE")
+    assert f"samples field '{field}'" in proc.stderr
+
+
 @pytest.mark.parametrize("lam, golden", [("1/2", "oval_lambda_0_5.csv"),
                                          ("3/10", "oval_lambda_0_3.csv")])
 def test_trace_reproduces_the_golden_oval_csv(capsys, tmp_path, lam, golden):

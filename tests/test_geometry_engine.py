@@ -403,6 +403,25 @@ def test_malformed_manifold_payloads_are_rejected():
     for payload in bad:
         with pytest.raises(ValueError):
             manifold_from_dict(payload)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 0), ("n", -3), ("n", 7), ("n", 1.9), ("n", 2.0), ("n", True),
+    ("n", "2"), ("q", 4), ("q", 3.0), ("q", None),
+])
+def test_a_samples_payload_needs_n_of_1_or_2_and_the_grids_q(field, value):
+    # the sampled torus is a surface in R^3; every one of these values
+    # used to build a curve or a surface anyway, or went unread
+    payload = sampled_torus().to_dict()
+    assert (payload["n"], payload["q"]) == (2, 3)
+    assert manifold_from_dict(payload).n == 2
+    payload[field] = value
+    if value is None:
+        del payload[field]
+        assert manifold_from_dict(payload).q == 3
+        return
+    with pytest.raises(ValueError, match=f"samples field '{field}'"):
+        manifold_from_dict(payload)
     with pytest.raises(ValueError):
         manifold_from_json("{not json")
 
@@ -462,6 +481,17 @@ def test_a_graph_grid_without_an_interval_is_a_domain_error(density):
     M = graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}])
     with pytest.raises(DomainError, match=f"grid density {density}"):
         find_parallel_pairs(M, density)
+
+
+@pytest.mark.parametrize("M, budget", [
+    (ellipse(2.0, 1.0), 4096), (torus(2.0, 0.5), 48),
+    (graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}]), 64),
+], ids=["curve", "torus", "graph"])
+def test_a_density_above_the_schemes_budget_is_a_domain_error(M, budget):
+    # raised before any grid is built, so the call returns at once
+    with pytest.raises(DomainError, match=f"density {budget + 1} exceeds "
+                                          f"the budget {budget}"):
+        find_parallel_pairs(M, budget + 1)
 
 
 def test_a_graph_band_wider_than_the_box_is_a_domain_error():
