@@ -1147,13 +1147,13 @@ def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
     if r == 0:
         return f
     polys = f.polys()
-    comps: List[Poly] = []
+    new_comps: List[Poly] = []
     for row in m:
         acc: Poly = {}
         for j, c in enumerate(row[s:]):
             if c:
                 acc = p_add(acc, p_scale(polys[j], c))
-        comps.append(acc)
+        new_comps.append(acc)
     # Source side: component i < r reads x_{pivot_i} - rest_i(x), rest_i
     # free of x_{pivot_i}, with y the non-pivot variables.  Solve for
     # x_{pivot_i} = W_i(y) by W_i <- rest_i(W, y) from the linear solution,
@@ -1165,7 +1165,7 @@ def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
     # last leaves the unique fixed point.  The reduced germ is components
     # r.. with W substituted: every composition is in the s - r y-variables.
     nonpivot = [c for c in range(s) if c not in pivot_cols]
-    rest = [{e: -c for e, c in comps[i].items() if e != unit_exp(p, s)}
+    rest = [{e: -c for e, c in new_comps[i].items() if e != unit_exp(p, s)}
             for i, p in enumerate(pivot_cols)]
     sub = {c: {unit_exp(i, s - r): Fraction(1)}
            for i, c in enumerate(nonpivot)}
@@ -1183,7 +1183,7 @@ def rank0_reduce(f: MapGerm) -> Union[MapGerm, str]:
                                args, s - r, d)
     args = [sub[c] for c in range(s)]
     return MapGerm.from_polys(
-        [p_compose(comps[i], args, s - r, order) for i in range(r, t)],
+        [p_compose(new_comps[i], args, s - r, order) for i in range(r, t)],
         s - r, order)
 
 

@@ -750,11 +750,11 @@ def test_trace_rejects_a_seed_density_above_the_schemes_budget(tmp_path, payload
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("field, value", [("n", 7), ("n", 1.9), ("q", 2)])
+@pytest.mark.parametrize("field, value", [("n", 7), ("n", 1.9), ("q", 3)])
 def test_trace_of_samples_with_a_bad_n_or_q_is_a_parse_error(tmp_path, field, value):
-    payload = clifford_payload()
-    payload["grid"] = [[point[:3] for point in row] for row in payload["grid"]]
-    payload["q"] = 3
+    th = [2 * math.pi * i / 16 for i in range(16)]
+    payload = {"kind": "samples", "n": 1, "q": 2,
+               "grid": [[math.cos(t), math.sin(t)] for t in th]}
     payload[field] = value
     path = tmp_path / "samples.json"
     path.write_text(json.dumps(payload))
