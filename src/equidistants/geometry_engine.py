@@ -35,6 +35,7 @@ COEFF_CLIP = 1e-9
 SNAP_DENOMINATOR = 10 ** 12
 TWO_PI = 2.0 * math.pi
 _REFINE_ROWS = 4096     # torus pairs refined together; bounds their jets
+_SCAN_PAIRS = 1 << 14   # grid pairs scanned, or brackets bisected, together
 _PAIR_TOL = 1e-10       # residual bound of a located pair
 
 
@@ -261,7 +262,11 @@ class _SampledGrid:
 
     def __init__(self, grid: np.ndarray, n: int):
         grid = np.asarray(grid, dtype=float)
-        if grid.ndim != n + 1 or min(grid.shape[:n]) < 7:
+        if grid.ndim != n + 1:
+            raise ValueError(f"sampled {'curve' if n == 1 else 'surface'} "
+                             f"(n = {n}) needs a grid array of rank {n + 1}, "
+                             f"got rank {grid.ndim}")
+        if min(grid.shape[:n]) < 7:
             raise ValueError("sampled curve needs at least 7 grid points"
                              if n == 1 else
                              "sampled surface needs a 7x7 grid at least")
@@ -621,10 +626,27 @@ def _pair_points(M, S, T, residuals=None):
         np.asarray(residuals, dtype=float).tolist())]
 
 
+def _row_blocks(rows, width):
+    """Slices of at most _SCAN_PAIRS // width rows (one at least), so that a
+    block of a rows x width scan holds at most _SCAN_PAIRS entries.  Every
+    scan is row-wise, so its hits, taken block by block, are those of the
+    whole array in the row-major order of np.nonzero."""
+    step = max(1, _SCAN_PAIRS // width)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def _first_of_each_key(keys, S, T):
     """Rows holding the first occurrence of each distinct key row, ordered
-    lexicographically by (S, T) as sorting the (s, t) tuples orders them."""
-    _, first = np.unique(keys, axis=0, return_index=True)
+    lexicographically by (S, T) as sorting the (s, t) tuples orders them.
+
+    Each key row packs into one integer, its row-major index in the box that
+    spans the columns' ranges, which orders the packed keys as the rows;
+    ravel_multi_index raises ValueError when the box has more cells than an
+    intp counts.  `initial=0` gives an empty key set a box of one cell."""
+    low = keys.min(axis=0, initial=0)
+    box = keys.max(axis=0, initial=0) - low + 1
+    packed = np.ravel_multi_index(tuple((keys - low).T), tuple(box))
+    _, first = np.unique(packed, return_index=True)
     cols = np.column_stack([S[first], T[first]])
     return first[np.lexsort(cols.T[::-1])]
 
@@ -635,23 +657,27 @@ def _pairs_curve(M, density, delta):
     bracket along s is the transpose of one along t, and its root is the
     exact mirror (t, s).  The mirrors follow in the order a scan along s
     meets their brackets, which decides the first hit of each key."""
-    thetas = np.arange(density) * (TWO_PI / density)
+    index = np.arange(density)
+    thetas = index * (TWO_PI / density)
     T = _curve_tangents(M, thetas)
-    G = _cross2(T[:, None], T[None, :])
     norms = np.linalg.norm(T, axis=1)
-    G = G / (norms[:, None] * norms[None, :])
     spacing = TWO_PI / density
-    didx = np.abs(np.subtract.outer(np.arange(density), np.arange(density)))
-    didx = np.minimum(didx, density - didx)
-    banned = didx * spacing < delta
-
-    # G[i, j] is the value at the bracket's low end t = thetas[j]
-    Gr = np.roll(G, -1, axis=1)
-    ti, tj = np.nonzero((G * Gr < 0) & ~banned & ~np.roll(banned, -1, axis=1))
+    hits = []
+    for rows in _row_blocks(density, density):
+        G = _cross2(T[rows, None], T[None, :])
+        G = G / (norms[rows, None] * norms[None, :])
+        didx = np.abs(np.subtract.outer(index[rows], index))
+        didx = np.minimum(didx, density - didx)
+        banned = didx * spacing < delta
+        # G[i, j] is the value at the bracket's low end t = thetas[j]
+        Gr = np.roll(G, -1, axis=1)
+        i, j = np.nonzero((G * Gr < 0) & ~banned & ~np.roll(banned, -1, axis=1))
+        hits.append((i + rows.start, j, G[i, j]))
+    ti, tj, glo = (np.concatenate(c) for c in zip(*hits))
     fixed, lo = thetas[ti], thetas[tj]
     Tf = _curve_tangents(M, fixed)
     root = _bisect_lockstep(lambda x: _cross2(Tf, _curve_tangents(M, x)),
-                            lo, lo + spacing, G[ti, tj], 80)
+                            lo, lo + spacing, glo, 80)
     mirror = np.lexsort((ti, tj))
     S = np.concatenate([fixed, root[mirror]])
     T = np.concatenate([root, fixed[mirror]])
@@ -720,23 +746,19 @@ def _pairs_torus(M, density, delta):
     P = flat.shape[0]
     spacing = TWO_PI / density
     coords = np.stack([U.ravel(), V.ravel()], axis=1)
-    # blocked all-pairs scan keeps memory at O(block * P)
-    block = max(1, 4_000_000 // P)
-    cand_rows = []
-    for lo_i in range(0, P, block):
-        hi_i = min(lo_i + block, P)
-        cross = np.cross(flat[lo_i:hi_i, None, :], flat[None, :, :])
+    cand = []
+    for rows in _row_blocks(P, P):
+        cross = np.cross(flat[rows, None, :], flat[None, :, :])
         mis = np.linalg.norm(cross, axis=-1)
-        du = np.abs(coords[lo_i:hi_i, None, 0] - coords[None, :, 0])
-        dv = np.abs(coords[lo_i:hi_i, None, 1] - coords[None, :, 1])
+        du = np.abs(coords[rows, None, 0] - coords[None, :, 0])
+        dv = np.abs(coords[rows, None, 1] - coords[None, :, 1])
         du = np.minimum(du, TWO_PI - du)
         dv = np.minimum(dv, TWO_PI - dv)
         near = np.maximum(du, dv) < delta
         hits = np.argwhere((mis < 2.0 * spacing) & ~near)
-        hits[:, 0] += lo_i
-        cand_rows.append(hits)
-    cand = np.vstack(cand_rows) if cand_rows else np.empty((0, 2), dtype=int)
-    cand = cand[cand[:, 0] < cand[:, 1]]
+        hits[:, 0] += rows.start
+        cand.append(hits[hits[:, 0] < hits[:, 1]])
+    cand = np.vstack(cand)
 
     # Gauss-Newton on the rows whose residual is still >= _PAIR_TOL (a dropped
     # row would take zero steps); a block's 41st pass reads its last residual
@@ -782,23 +804,32 @@ def _pairs_graph4(M, density, delta):
     # between consecutive grid nodes of the other t-coordinate.  G[i, 0]
     # holds det(J_f(t) - J_f(s_i)) over t = (axis[a], axis[b]), G[i, 1] its
     # transpose; nonzero() lists them in (i, fixed_axis, a, b) order
-    D = [Jf[None, :, c] - Jf[:, None, c] for c in range(4)]
-    dets = (D[0] * D[3] - D[1] * D[2]).reshape(-1, density, density)
-    G = np.stack([dets, dets.transpose(0, 2, 1)], axis=1)
-    sign = np.signbit(G)
-    si, fax, a, b = np.nonzero(sign[..., :-1] != sign[..., 1:])
+    hits = []
+    for rows in _row_blocks(len(Jf), len(Jf)):
+        D = [Jf[None, :, c] - Jf[rows, None, c] for c in range(4)]
+        dets = (D[0] * D[3] - D[1] * D[2]).reshape(-1, density, density)
+        G = np.stack([dets, dets.transpose(0, 2, 1)], axis=1)
+        sign = np.signbit(G)
+        i, fax, a, b = np.nonzero(sign[..., :-1] != sign[..., 1:])
+        hits.append((i + rows.start, fax, a, b, G[i, fax, a, b]))
+    si, fax, a, b, glo = (np.concatenate(c) for c in zip(*hits))
     fix = axis[a]
     sj = Jf[si]
 
-    def det_at(x):
-        t1 = np.where(fax == 0, fix, x)
-        t2 = np.where(fax == 0, x, fix)
+    def det_at(x, k):
+        t1 = np.where(fax[k] == 0, fix[k], x)
+        t2 = np.where(fax[k] == 0, x, fix[k])
         b11, b12, b21, b22 = _graph_jac_entries(M, t1, t2)
-        return ((b11 - sj[:, 0]) * (b22 - sj[:, 3])
-                - (b12 - sj[:, 1]) * (b21 - sj[:, 2]))
+        sk = sj[k]
+        return ((b11 - sk[:, 0]) * (b22 - sk[:, 3])
+                - (b12 - sk[:, 1]) * (b21 - sk[:, 2]))
 
-    root = _bisect_lockstep(det_at, axis[b], axis[b + 1], G[si, fax, a, b], 60)
-    res = np.abs(det_at(root))
+    # each bracket bisects alone, so blocks of them move no root
+    root, res = np.empty(len(si)), np.empty(len(si))
+    for k in _row_blocks(len(si), 1):
+        root[k] = _bisect_lockstep(functools.partial(det_at, k=k), axis[b[k]],
+                                   axis[b[k] + 1], glo[k], 60)
+        res[k] = np.abs(det_at(root[k], k))
     T1 = np.where(fax == 0, fix, root)
     T2 = np.where(fax == 0, root, fix)
 
@@ -842,9 +873,14 @@ def find_parallel_pairs(M: ParametricManifold,
     (or than the box, for graphs), which would leave no pair.  The default
     density is 256 for curves and 24 / 16 for the surface schemes, whose pair sets
     are two- and three-dimensional, so their sample counts grow with a
-    power of the density instead of linearly.  A density above the budget
-    4096 / 48 / 64, where a search peaks near 0.6 / 0.3 / 1.2 GB, raises
-    DomainError before any grid is built.
+    power of the density instead of linearly.  Every scan, and the graph
+    scheme's bisection, runs in blocks of at most _SCAN_PAIRS grid pairs
+    or brackets, so at its budget a search peaks near 50 / 85 / 270 MB in
+    a fresh process.  The budgets 4096 / 48 / 64 bound time, since a scan
+    grows with the square of a curve's density and the fourth power of a
+    surface's: at the budget a search takes about 0.4 / 1.4 / 4.5 s on a
+    2-core machine.  A density above its budget raises DomainError before
+    any grid is built.
     """
     shape = (M.n, M.q)
     if shape == (1, 2):

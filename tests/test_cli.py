@@ -764,6 +764,22 @@ def test_trace_of_samples_with_a_bad_n_or_q_is_a_parse_error(tmp_path, field, va
     assert f"samples field '{field}'" in proc.stderr
 
 
+def test_trace_of_a_surface_grid_without_n_names_the_rank_mismatch(tmp_path):
+    # with no 'n' the payload is read as a curve, and its 7x7x3 grid has 49
+    # points, so the error names the array's rank and not a short axis
+    th = [2 * math.pi * i / 7 for i in range(7)]
+    grid = [[[(2 + 0.5 * math.cos(v)) * math.cos(u),
+              (2 + 0.5 * math.cos(v)) * math.sin(u), 0.5 * math.sin(v)]
+             for v in th] for u in th]
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"kind": "samples", "grid": grid}))
+    proc = run_subprocess("trace", "--input", str(path), "--lambda", "1/2",
+                          "--out", str(tmp_path / "o"))
+    assert_one_line_failure(proc, 2, "INPUT_PARSE")
+    assert "sampled curve (n = 1) needs a grid array of rank 2, got rank 3" \
+        in proc.stderr
+
+
 @pytest.mark.parametrize("lam, golden", [("1/2", "oval_lambda_0_5.csv"),
                                          ("3/10", "oval_lambda_0_3.csv")])
 def test_trace_reproduces_the_golden_oval_csv(capsys, tmp_path, lam, golden):

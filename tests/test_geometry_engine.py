@@ -9,6 +9,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -855,6 +858,66 @@ def test_torus_refinement_blocks_leave_the_pairs_unchanged(monkeypatch):
     want = find_parallel_pairs(M, 16, delta_diag=0.6)
     monkeypatch.setattr(ge, "_REFINE_ROWS", 97)
     assert_same_pairs(find_parallel_pairs(M, 16, delta_diag=0.6), want)
+
+
+@pytest.mark.parametrize("block", [97, 3000])
+@pytest.mark.parametrize("make, density, delta", [
+    (oval, 128, None), (oval, 256, None), (lambda: torus(2.0, 0.5), 24, None),
+    (lambda: sampled_torus(), 12, 3.0),
+    (lambda: graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}]),
+     16, None),
+], ids=["oval-128", "oval-256", "torus-24", "sampled-torus-12", "graph4-16"])
+def test_scan_blocks_leave_the_pairs_unchanged(monkeypatch, make, density,
+                                               delta, block):
+    # every scan row and every bracket is computed alone, so the block size
+    # moves no bit.  97 scans one grid row a block and bisects the graph's
+    # brackets 97 at a time; 3000 scans 5-23 rows a block, with a partial
+    # last block in each of these grids
+    M = make()
+    want = find_parallel_pairs(M, density, delta_diag=delta)
+    monkeypatch.setattr(ge, "_SCAN_PAIRS", block)
+    assert_same_pairs(find_parallel_pairs(M, density, delta_diag=delta), want)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+@pytest.mark.parametrize("make, density, count", [
+    ("fourier_oval(a=[0.0, 0.0, 0.2])", 4096, 16176),
+    ("torus(2.0, 0.5)", 48, 33788),
+], ids=["oval-4096", "torus-48"])
+def test_pair_search_peak_memory_stays_bounded_at_the_budget(make, density,
+                                                             count):
+    # a fresh process reads its own peak.  Its VmHWM starts at exec, where
+    # ru_maxrss keeps the spawning process's peak (over 200 MB from a full
+    # pytest run).  Scanned in blocks of _SCAN_PAIRS these peak near 50 and
+    # 85 MB (a bare import is about 40 MB); one pass over the whole grid
+    # peaked at 583 and 284 MB
+    code = ("from equidistants import find_parallel_pairs, fourier_oval, torus\n"
+            f"pairs = find_parallel_pairs({make}, {density})\n"
+            "print(len(pairs), next(line.split()[1] for line in "
+            "open('/proc/self/status') if line.startswith('VmHWM:')))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ge.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env, check=True)
+    pairs, peak_kib = map(int, proc.stdout.split())
+    assert pairs == count
+    assert peak_kib <= 150 * 1024
+
+
+def test_packed_keys_keep_the_first_row_of_each_key():
+    # against np.unique over key rows, with negative columns as the graph
+    # scheme's keys have, repeated rows, and an empty key set
+    rng = np.random.default_rng(5)
+    keys = rng.integers(-15, 9, size=(3000, 3))
+    keys[1500:] = keys[rng.integers(0, 1500, 1500)]
+    S, T = rng.permutation(3000) * 1.0, np.zeros(3000)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    want = first[np.argsort(S[first])]
+    assert np.array_equal(ge._first_of_each_key(keys, S, T), want)
+    empty = ge._first_of_each_key(np.empty((0, 4), dtype=np.int64),
+                                  np.empty(0), np.empty(0))
+    assert empty.shape == (0,) and empty.dtype.kind == "i"
 
 
 def test_min_norm_step_matches_pinv():
