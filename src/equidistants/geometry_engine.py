@@ -336,7 +336,7 @@ class ParametricManifold:
     def derivative(self, params, alpha):
         """`jet(params, |alpha|)[alpha]`.  No code of the package calls it;
         it stays only because the benchmark's tracer patches it on the class
-        (ROADMAP item 11)."""
+        (ROADMAP item 13)."""
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.n or any(a < 0 for a in alpha):
             raise ValueError(f"bad derivative multi-index {alpha}")
@@ -450,10 +450,7 @@ def tangent_frame(M: ParametricManifold, params) -> np.ndarray:
     """Rows are the first partial derivatives at `params` (an n x q frame)."""
     J = M.jet(params, 1)
     frame = np.stack([J[unit_exp(i, M.n)] for i in range(M.n)])
-    sv = np.linalg.svd(frame, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= TAU_RANK * sv[0]:
-        raise ImmersionError(
-            f"tangent frame drops rank at {params}: singular values {sv}")
+    _check_immersed(frame[None], [params])
     return frame
 
 
@@ -575,10 +572,20 @@ def _toroidal_gaps(A, B, periods):
 
 
 def _rank_drops(frames):
-    """Stacked frames whose rank drops by the rule of `tangent_frame`, and
-    their singular values."""
+    """Stacked frames whose rank drops, zero or with a least singular value
+    at most TAU_RANK times the largest, and their singular values."""
     sv = np.linalg.svd(frames, compute_uv=False)
     return (sv[:, 0] == 0.0) | (sv[:, -1] <= TAU_RANK * sv[:, 0]), sv
+
+
+def _check_immersed(frames, params):
+    """Raise ImmersionError at the first stacked frame whose rank drops;
+    params[i] are the parameters of frames[i]."""
+    bad, sv = _rank_drops(frames)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ImmersionError(f"tangent frame drops rank at {params[i]}: "
+                             f"singular values {sv[i]}")
 
 
 def _pair_points(M, S, T, residuals=None):
@@ -603,6 +610,9 @@ def _pair_points(M, S, T, residuals=None):
     m = len(S)
     F = np.stack([J[unit_exp(i, n)] for i in range(n)], axis=1)
     Fs, Ft = F[:m], F[m:]
+    # the pairs keep a copy of the positions, and the jet is freed
+    X = J[(0,) * n].copy()
+    del J
     distinct = (_toroidal_gaps(Sa, Ta, M.periods) > 1e-12).any(axis=1)
     bad_s, sv_s = _rank_drops(Fs)
     bad_t, sv_t = _rank_drops(Ft)
@@ -620,9 +630,8 @@ def _pair_points(M, S, T, residuals=None):
     if residuals is None:
         Ts, Tt = Fs[:, 0], Ft[:, 0]
         residuals = np.abs(_cross2(Ts, Tt)) / (_norm2(Ts) * _norm2(Tt))
-    A, B = J[(0,) * n][:m], J[(0,) * n][m:]
     return [PairPoint(*row) for row in zip(
-        S, T, A, B, deg.tolist(), codim.tolist(),
+        S, T, X[:m], X[m:], deg.tolist(), codim.tolist(),
         np.asarray(residuals, dtype=float).tolist())]
 
 
@@ -728,12 +737,8 @@ def _pairs_torus(M, density, delta):
     U, V = np.meshgrid(us, us, indexing="ij")
     J = M.jet((U, V), 1)
     Tu, Tv = J[1, 0], J[0, 1]
-    bad, sv = _rank_drops(np.stack([Tu, Tv], axis=-2).reshape(-1, 2, M.q))
-    if bad.any():
-        k = int(np.argmax(bad))
-        at = (float(U.flat[k]), float(V.flat[k]))
-        raise ImmersionError(
-            f"tangent frame drops rank at {at}: singular values {sv[k]}")
+    _check_immersed(np.stack([Tu, Tv], axis=-2).reshape(-1, 2, M.q),
+                    list(zip(U.ravel().tolist(), V.ravel().tolist())))
     ev = M._ev
     if isinstance(ev, _Torus) and ev.R <= ev.r:
         # the circle cos v = -R/r, where d/du vanishes, can miss the grid
@@ -1807,11 +1812,14 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
         raise ValueError("need order >= 2 to carry curvature data")
     if M.kind == "samples" and order > 3:
         raise ValueError("sampled grids carry derivatives up to order 3")
-    Fa = tangent_frame(M, pair.s)
-    Fb_scaled = -(1 - lam) / lam * tangent_frame(M, pair.t)
-    B = _adapted_basis(Fa, Fb_scaled, k, q)
+    # both ends from one jet pass; the frames are its first partials
+    ends = np.array([pair.s, pair.t], dtype=float).reshape(2, n)
+    J = M.jet(tuple(ends.T.copy()), order)
+    Ja, Jb = J[..., 0, :], J[..., 1, :]
+    F = np.stack([J[unit_exp(i, n)] for i in range(n)], axis=1)
+    _check_immersed(F, (pair.s, pair.t))
+    B = _adapted_basis(F[0], -(1 - lam) / lam * F[1], k, q)
     Binv = np.linalg.inv(B)
-    Ja, Jb = M.jet(pair.s, order), M.jet(pair.t, order)
     a = Ja[(0,) * n]
 
     # the chart is centred at a, so the first series has no constant term

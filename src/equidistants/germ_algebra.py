@@ -82,32 +82,30 @@ one certified elimination.
 The elimination runs over F_p for a 61-bit prime p and every result is
 proved over Q.  Each generator is scaled to integer coefficients, and a
 prime dividing a denominator is skipped.  The rank of the integer rows
-mod p is at most their rank over Q.  From the echelon form mod p, each
-free column j gives a kernel vector that is 1 at j and 0 above j.  Those
-vectors are lifted p-adically (Dixon's method).  The elimination
-records, for each pivot it works, its source row, the inverse it was
-normalised by and the multipliers that reduced it; so mod p the worked
-source rows are the record's lower triangle times the unit upper
-triangular pivot rows.  Digit k >= 1 takes the residual of the worked
-source rows on the vector so far, divided by p^k, forward-substitutes it
-through the multipliers and back-substitutes it through the pivot tails;
-the vector gains that correction times p^k, and no further elimination
-is made.  At each modulus p^(k+1) the vectors are lifted to Q by Wang's
-rational reconstruction, and the lift is accepted only when every
-integer row annihilates every lifted vector in exact integer arithmetic.
-A vector of the row space led by column j has a nonzero product with a
-vector whose last nonzero entry is at j, so no free column mod p is a
-pivot over Q; with the rank bound the two pivot sets, and h, are equal.
+mod p is at most their rank over Q.  In the reduced echelon form mod p,
+each free column j gives a kernel vector that is 1 at j, nonzero
+elsewhere only at pivots c < j, and so 0 above j.  The vectors are lifted
+to Q by Wang's rational reconstruction, and the lift is accepted only
+when every integer row annihilates every lifted vector in exact integer
+arithmetic.  A vector of the row space led by column j has a nonzero
+product with a vector whose last nonzero entry is at j, so no free column
+mod p is a pivot over Q; with the rank bound the two pivot sets, and h,
+are equal.
 
-That proof needs every lifted vector to be 0 above its free column.  The
-p-adic kernel of the worked rows need not be, when p is unlucky: a
-correction can land on a pivot above j.  Such a digit refuses the prime,
-and the next prime is eliminated.  If the pivot sets mod p and over Q
-agree, the vector over Q led by j solves the worked rows, which are
-invertible mod p on the pivot columns, so it is the p-adic solution and
-no digit is refused.  A lift that runs out of its `_DIGITS` = 8 digits,
-about the modulus that eight primes reach together, refuses the prime
-too.  The Fraction elimination runs once every prime is refused.
+When the lift fails, because an entry is too tall for the modulus or p is
+unlucky, the next prime is eliminated, and primes with the same pivots
+join by the Chinese remainder theorem.  A prime's key is (-rank, sorted
+pivot columns).  Column j is a pivot when the columns up to j have a
+higher rank than those before j, and mod p each of those ranks can only
+drop, so a prime whose pivots differ from those over Q has fewer pivots
+or later ones, and a larger key.  A prime whose key is smaller than the
+best so far restarts the residues r, one with a larger key is skipped,
+and one with an equal key e joins by r <- r + M*((e - r)*M^-1 mod p) and
+M <- M*p.  The joined kernel vectors keep the shape of each prime's, 1 at
+j and nonzero elsewhere only at pivots c < j, so the proof above holds at
+the modulus M; the key only chooses what to join, and a wrong choice
+costs primes, never an answer.  Eight primes reach a modulus near 2^488,
+and the Fraction elimination runs once every prime is spent.
 
 The modular elimination skips rows that commuting generators make
 redundant: the Koszul criterion, the weakest form of Faugere's F5
@@ -125,10 +123,10 @@ by induction on the signature the kept rows span the built rows over Q.
 Ideals qualify in every generator; tangent modules in their f_j*e_r
 generators and in any partial-derivative column that sits in one slot.
 
-Only the kept rows are eliminated mod p and recorded for the lift.  The
-span holds over Q; mod p it fails when p divides c, so the certificate
-does not trust the criterion.  Every built row must annihilate the lifted
-vectors, and the rank bound reads rank_p(kept) <= rank_Q(kept) <=
+Only the kept rows are eliminated mod p.  The span holds over Q; mod p
+it fails when p divides c, so the certificate does not trust the
+criterion.  Every built row must annihilate the lifted vectors, and the
+rank bound reads rank_p(kept) <= rank_Q(kept) <=
 rank_Q(built), which needs only that the kept rows are among the built
 ones.  The cutoff at the first full degree d needs the same two facts.
 Let W be the pivots worked mod p and L_Q the pivots of the built rows over
@@ -544,10 +542,6 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 # the product of two stays a small Python int.
 _PRIMES = tuple(2 ** 61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391))
 
-# The most p-adic digits one prime lifts: p^8 is about the modulus that
-# the eight primes reach together.
-_DIGITS = len(_PRIMES)
-
 # The tail of a pivot that the cutoff of `_eliminate_mod` enters unworked.
 _NO_TAIL = (array("q"), array("q"))
 
@@ -671,59 +665,31 @@ class _Rows:
         return True
 
 
-class _Echelon(dict):
-    """Echelon form mod p: {lead column: (columns, values)} of each pivot
-    row past its lead, whose value is 1; columns ascend.
-
-    It also records the elimination for the p-adic lift.  `worked` lists
-    each worked pivot in the order it was made, as (column, source row of
-    `_Rows.rows`, the inverse that normalised it, end of its multipliers).
-    The multipliers are pairs (lead, c) kept in `leads` and `mults`: the
-    row was reduced by c times the pivot row of lead, in that order.  So
-    mod p the source row is inverse^-1 times its pivot row plus the sum of
-    c times those rows.
-    """
-
-    __slots__ = ("p", "worked", "leads", "mults")
-
-    def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-        self.worked: List[Tuple[int, Tuple[int, array], int, int]] = []
-        self.leads = array("q")
-        self.mults = array("q")
-
-
-def _eliminate_mod(rows: _Rows, p: int) -> _Echelon:
-    """Echelon form mod p of the kept rows, with its record (see
-    `_Echelon`).
+def _eliminate_mod(rows: _Rows, p: int) -> Dict[int, Tuple[array, array]]:
+    """Echelon form mod p of the kept rows: {lead column: (columns,
+    values)} of each pivot row past its lead, whose value is 1; columns
+    ascend.
 
     A row is a dict only while it is reduced; entries grow unreduced and
     are taken mod p when they lead or when the row becomes a pivot.  Once
     the pivots fill every column of a degree d, every column of degree
     >= d is a pivot (see the module docstring): those columns enter with
-    an empty tail and no record, and `top` drops below them, so a row
-    whose lead passes `top` is spent.  Only the tails of the columns above
-    `top` differ from the full elimination, and no free column lies past
-    them.  A spent row or a row reduced to zero drops its multipliers.
+    an empty tail, and `top` drops below them, so a row whose lead passes
+    `top` is spent.  Only the tails of the columns above `top` differ from
+    the full elimination, and no free column lies past them.
     """
-    pivots = _Echelon(p)
-    worked, leads, mults = pivots.worked, pivots.leads, pivots.mults
-    note_lead, note_mult = leads.append, mults.append
+    pivots: Dict[int, Tuple[array, array]] = {}
     unfilled = rows.hilbert(())
     first = list(accumulate(unfilled, initial=0))
     top = len(rows.keys) - 1
-    for src in rows.kept:
-        gi, cols = src
+    for gi, cols in rows.kept:
         if cols[0] > top:
             break
         row = dict(zip(cols, rows.coeffs[gi]))
         get = row.get
-        mark = len(leads)
         while row:
             lead = min(row)
             if lead > top:
-                del leads[mark:], mults[mark:]
                 break
             c = row[lead] % p
             if not c:
@@ -737,7 +703,6 @@ def _eliminate_mod(rows: _Rows, p: int) -> _Echelon:
                 kept = [kv for kv in kept if kv[1]]
                 pivots[lead] = (array("q", [k for k, _ in kept]),
                                 array("q", [v for _, v in kept]))
-                worked.append((lead, src, inv, len(leads)))
                 d = rows.degree[lead]
                 unfilled[d] -= 1
                 if not unfilled[d]:
@@ -746,12 +711,8 @@ def _eliminate_mod(rows: _Rows, p: int) -> _Echelon:
                     top = first[d] - 1
                 break
             del row[lead]
-            note_lead(lead)
-            note_mult(c)
             for k, v in zip(*piv):
                 row[k] = get(k, 0) - c * v
-        else:
-            del leads[mark:], mults[mark:]
     return pivots
 
 
@@ -777,18 +738,19 @@ def _eliminate_exact(rows: _Rows) -> set:
     return set(pivots)
 
 
-def _back_substitute(pivots: Dict[int, Tuple[array, array]],
-                     rhs: Dict[int, Dict[int, int]], p: int,
-                     free=()) -> Dict[int, Dict[int, int]]:
-    """{pivot c: {free j: u}} with u at c plus the tail of c times u equal
-    to the right-hand side at c, mod p, for every free j: the pivot rows
-    are unit upper triangular on the pivot columns.  The right-hand side
-    at c is rhs[c] plus the entries of c's tail at the columns in `free`;
-    entries that vanish are left out."""
+def _free_entries(pivots: Dict[int, Tuple[array, array]], free: set,
+                  p: int) -> Dict[int, Dict[int, int]]:
+    """{pivot c: {free j: entry}} of the reduced echelon form mod p.
+
+    The kernel vector of free column j is 1 at j, minus these entries at
+    the pivots c < j, and 0 at every other column: above j in particular.
+    Back substitution: the pivot rows are unit upper triangular on the
+    pivot columns, and entries that vanish are left out.
+    """
     out: Dict[int, Dict[int, int]] = {}
     for c in sorted(pivots, reverse=True):
         cols, vals = pivots[c]
-        acc = dict(rhs.get(c, ()))
+        acc: Dict[int, int] = {}
         for k, v in zip(cols, vals):
             u = out.get(k)
             if u:
@@ -802,55 +764,19 @@ def _back_substitute(pivots: Dict[int, Tuple[array, array]],
     return out
 
 
-def _free_entries(pivots: Dict[int, Tuple[array, array]], free: set,
-                  p: int) -> Dict[int, Dict[int, int]]:
-    """{pivot c: {free j: entry}} of the reduced echelon form mod p.
-
-    The kernel vector of free column j is 1 at j, minus these entries at
-    the pivots c < j, and 0 at every other column: above j in particular.
-    """
-    return _back_substitute(pivots, {}, p, free)
-
-
-def _forward(ech: _Echelon, rho: Dict[int, Dict[int, int]]
-             ) -> Dict[int, Dict[int, int]]:
-    """Replay the recorded elimination on right-hand sides rho, given per
-    worked pivot for its source row: {pivot c: {free j: z}} with the pivot
-    rows times u equal to z whenever the source rows times u equal rho."""
-    p, leads, mults = ech.p, ech.leads, ech.mults
-    z: Dict[int, Dict[int, int]] = {}
-    lo = 0
-    for c, _, inv, hi in ech.worked:
-        acc = dict(rho.get(c, ()))
-        for i in range(lo, hi):
-            u = z.get(leads[i])
-            if u:
-                m = mults[i]
-                for j, w in u.items():
-                    acc[j] = acc.get(j, 0) - m * w
-        lo = hi
-        acc = {j: v * inv % p for j, v in acc.items() if v % p}
-        if acc:
-            z[c] = acc
-    return z
-
-
-def _residual(rows: _Rows, ech: _Echelon, rho: Dict[int, Dict[int, int]],
-              digit: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
-    """(rho - source row times digit) / p on every worked source row; the
-    division is exact because the digit solves the rows mod p."""
-    p = ech.p
+def _crt(residues: Dict[int, Dict[int, int]], modulus: int,
+         entries: Dict[int, Dict[int, int]], p: int
+         ) -> Dict[int, Dict[int, int]]:
+    """The residues mod modulus*p that are `residues` mod `modulus` and
+    `entries` mod p; a missing entry is 0."""
+    inv = pow(modulus, -1, p)
     out: Dict[int, Dict[int, int]] = {}
-    for c, (gi, cols), _, _ in ech.worked:
-        acc = dict(rho.get(c, ()))
-        for k, a in zip(cols, rows.coeffs[gi]):
-            u = digit.get(k)
-            if u:
-                for j, w in u.items():
-                    acc[j] = acc.get(j, 0) - a * w
-        acc = {j: v // p for j, v in acc.items() if v}
-        if acc:
-            out[c] = acc
+    for c in residues.keys() | entries.keys():
+        old, new = residues.get(c, {}), entries.get(c, {})
+        acc = out[c] = {}
+        for j in old.keys() | new.keys():
+            r = old.get(j, 0)
+            acc[j] = r + modulus * ((new.get(j, 0) - r) * inv % p)
     return out
 
 
@@ -888,51 +814,30 @@ def _lift(residues: Dict[int, Dict[int, int]], modulus: int,
     return kernel
 
 
-def _kernel_lifts(rows: _Rows, ech: _Echelon) -> bool:
-    """Whether the kernel of the echelon form mod p lifts p-adically to
-    vectors over Q that every integer row annihilates, each led by its
-    free column (see the module docstring).
+def _certified_pivots(rows: _Rows, first: Optional[dict] = None) -> set:
+    """Pivot columns of the rows over Q, proved from eliminations mod
+    primes whose kernels the Chinese remainder theorem joins.
 
-    Digit 0 is the reduced echelon form.  Each further digit forward- and
-    back-substitutes the residual of the worked source rows, divided by the
-    modulus, through the record.  A digit at a pivot above its free column
-    refuses the prime, and so does running out of digits.
+    `first` is the elimination already made mod the first usable prime.
+    See the module docstring for the certificate and for the key by which
+    a prime restarts, joins or skips the residues; the Fraction
+    elimination runs when every prime is spent.
     """
-    p = ech.p
-    free = set(range(len(rows.keys))).difference(ech)
-    residues = _free_entries(ech, free, p)
-    # The vector of j is 1 at j minus the residues; the first residual
-    # takes that 1 as an entry -1 of digit 0.
-    digit = {**residues, **{j: {j: -1} for j in free}}
-    rho, modulus = {}, p
-    for n in range(_DIGITS):
-        if n:
-            rho = _residual(rows, ech, rho, digit)
-            digit = _back_substitute(ech, _forward(ech, rho), p)
-            if any(c > j for c, u in digit.items() for j in u):
-                return False
-            for c, u in digit.items():
-                entries = residues[c] = dict(residues.get(c, ()))
-                for j, v in u.items():
-                    entries[j] = entries.get(j, 0) + modulus * v
+    best = None
+    for n, p in enumerate(rows.primes()):
+        ech = first if n == 0 and first is not None else _eliminate_mod(rows, p)
+        key = (-len(ech), sorted(ech))
+        if best is not None and key > best:
+            continue
+        free = set(range(len(rows.keys))).difference(ech)
+        entries = _free_entries(ech, free, p)
+        if best is None or key < best:
+            best, residues, modulus = key, entries, p
+        else:
+            residues = _crt(residues, modulus, entries, p)
             modulus *= p
         kernel = _lift(residues, modulus, free)
         if kernel is not None and rows.annihilate(kernel):
-            return True
-    return False
-
-
-def _certified_pivots(rows: _Rows, first: Optional[_Echelon] = None) -> set:
-    """Pivot columns of the rows over Q, proved from one elimination mod p.
-
-    `first` is the elimination already made mod the first usable prime.
-    See the module docstring for the certificate; a prime whose lift is
-    refused is dropped for the next, and the Fraction elimination runs
-    when every prime is spent.
-    """
-    for n, p in enumerate(rows.primes()):
-        ech = first if n == 0 and first is not None else _eliminate_mod(rows, p)
-        if _kernel_lifts(rows, ech):
             return set(ech)
     return _eliminate_exact(rows)
 

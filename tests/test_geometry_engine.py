@@ -540,6 +540,19 @@ def test_pair_degrees_match_the_rank_of_each_stacked_frame(make):
         assert parallelism(M, p.s, p.t) == (p.deg_k, p.codim)
 
 
+@pytest.mark.parametrize("make", [
+    oval, lambda: graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}]),
+], ids=["oval", "graph4"])
+def test_pair_points_keep_only_the_cloud_positions(make):
+    # each a and b is a row of one (2m, q) array of positions, not a view
+    # of the order-1 jet whose first partials gave the frames
+    M = make()
+    pairs = find_parallel_pairs(M)
+    base = pairs[0].a.base
+    assert base.base is None and base.ndim == 2 and base.shape[1] == M.q
+    assert all(p.a.base is base and p.b.base is base for p in pairs)
+
+
 def test_pair_point_checks_the_degree_codimension_identity():
     C = ellipse(1.0, 1.0)
     a, b = C.position(0.0), C.position(math.pi)

@@ -761,51 +761,80 @@ def test_ladder_replay_climbs_past_the_rung_where_mod_p_stopped():
     assert _local_report(f)[:2] == (7, (1,) * 7)
 
 
-def test_tall_coefficients_need_more_than_one_digit(monkeypatch):
-    # the kernel vector of the free monomial y1^2 holds c: 2^40 + 15 is
-    # past the one-digit reconstruction bound of about 2^30, and 2^600 + 1
-    # past the bound of about 2^243 at the cap of eight 61-bit digits
-    def tall(c):
-        return germ([{(0, 1): 1, (2, 0): -c}, {(3, 0): 1}], 2)
-
-    fallbacks = []
-    exact = ga._eliminate_exact
-
-    def spy(rows):
-        fallbacks.append(rows.order)
-        return exact(rows)
-
-    monkeypatch.setattr(ga, "_eliminate_exact", spy)
-    report = (3, (1, 1, 1), ((0, 0), (1, 0), (2, 0)), True)
-    assert _local_report(tall(2 ** 40 + 15)) == report
-    assert fallbacks == []
-    monkeypatch.setattr(ga, "_PRIMES", ga._PRIMES[:1])
-    assert _local_report(tall(2 ** 40 + 15)) == report
-    assert fallbacks == []
-    assert _local_report(tall(2 ** 600 + 1)) == report
-    assert fallbacks == [4]
-
-
-def test_the_lead_rule_refuses_the_lift_of_an_unlucky_prime(monkeypatch):
-    # mod P1 the ideal is (y1^2, y2^2) and y2 is free with kernel vector
-    # e_y2; over Q the row y1^2 + P1*y2 asks for a correction at y1^2, a
-    # pivot above y2, so the lift mod P1 is refused and the next prime
-    # certifies the pivots of the Fraction oracle
-    f = germ([{(2, 0): 1, (0, 1): P1}, {(0, 2): 1}], 2)
-    rows = ga._Rows(ga._ideal_gens(f), 2, 1, 4)
-    assert not ga._kernel_lifts(rows, ga._eliminate_mod(rows, P1))
-    oracle_pivots = ga._eliminate_exact(rows)
+def _spy_primes(monkeypatch):
+    """The primes `_eliminate_mod` runs on, in order, and the rows of every
+    Fraction fallback, as two lists that grow while the spies stay."""
     used, fallbacks = [], []
-    eliminate = ga._eliminate_mod
+    eliminate, exact = ga._eliminate_mod, ga._eliminate_exact
 
-    def spy(rows, p):
+    def spy_mod(rows, p):
         used.append(p)
         return eliminate(rows, p)
 
-    monkeypatch.setattr(ga, "_eliminate_mod", spy)
-    monkeypatch.setattr(ga, "_eliminate_exact", fallbacks.append)
+    def spy_exact(rows):
+        fallbacks.append(rows.order)
+        return exact(rows)
+
+    monkeypatch.setattr(ga, "_eliminate_mod", spy_mod)
+    monkeypatch.setattr(ga, "_eliminate_exact", spy_exact)
+    return used, fallbacks
+
+
+def test_tall_coefficients_need_more_than_one_prime(monkeypatch):
+    # the kernel vector of the free monomial y1^2 holds c: 2^40 + 15 is
+    # past the one-prime reconstruction bound of about 2^30 and inside the
+    # two-prime bound of about 2^60, and 2^600 + 1 is past the bound of
+    # about 2^243 that all eight 61-bit primes reach
+    def tall(c):
+        return germ([{(0, 1): 1, (2, 0): -c}, {(3, 0): 1}], 2)
+
+    used, fallbacks = _spy_primes(monkeypatch)
+    report = (3, (1, 1, 1), ((0, 0), (1, 0), (2, 0)), True)
+    assert _local_report(tall(2 ** 40 + 15)) == report
+    assert used == list(ga._PRIMES[:2]) and fallbacks == []
+    used.clear()
+    assert _local_report(tall(2 ** 600 + 1)) == report
+    assert used == list(ga._PRIMES) and fallbacks == [4]
+    # one prime alone cannot reach 2^40 + 15 now that the modulus grows
+    # only across primes, so the Fraction elimination answers
+    monkeypatch.setattr(ga, "_PRIMES", ga._PRIMES[:1])
+    fallbacks.clear()
+    assert _local_report(tall(2 ** 40 + 15)) == report
+    assert fallbacks == [4]
+
+
+def _unlucky_rows():
+    """Rows at truncation 4 of an ideal that P1 makes unlucky: mod P1 it
+    is (y1^2, y2^2) and y2 is free with kernel vector e_y2; over Q the
+    row y1^2 + P1*y2 leads with y2, and the kernel vector of y1^2 is -1/P1
+    at y2, which needs three 61-bit moduli."""
+    f = germ([{(2, 0): 1, (0, 1): P1}, {(0, 2): 1}], 2)
+    return ga._Rows(ga._ideal_gens(f), 2, 1, 4)
+
+
+def test_a_prime_with_earlier_pivots_restarts_the_residues(monkeypatch):
+    # mod P1 the lift e_y2 is refused, since the row y1^2 + P1*y2 does not
+    # annihilate it; mod the next prime y2 is a pivot, so that prime's key
+    # is smaller, its residues replace P1's and the primes after it join
+    rows = _unlucky_rows()
+    oracle_pivots = ga._eliminate_exact(rows)
+    used, fallbacks = _spy_primes(monkeypatch)
     assert ga._certified_pivots(rows) == oracle_pivots
-    assert used == [P1, ga._PRIMES[1]] and fallbacks == []
+    assert used == list(ga._PRIMES[:4]) and fallbacks == []
+
+
+def test_a_prime_with_later_pivots_is_skipped(monkeypatch):
+    # the unlucky P1 comes second: its key is larger than the first
+    # prime's, so it is skipped, and the third and fourth primes join the
+    # first; had P1 restarted the residues, the third prime would restart
+    # them again and a fifth would be needed
+    rows = _unlucky_rows()
+    oracle_pivots = ga._eliminate_exact(rows)
+    P2, *rest = ga._PRIMES[1:]
+    monkeypatch.setattr(ga, "_PRIMES", (P2, P1, *rest))
+    used, fallbacks = _spy_primes(monkeypatch)
+    assert ga._certified_pivots(rows) == oracle_pivots
+    assert used == [P2, P1, *rest[:2]] and fallbacks == []
 
 
 # ------------------------------------------- cutoff at the first full degree
@@ -879,16 +908,18 @@ def test_ring_dims_of_the_slowest_bench_pair():
     assert dims.hilberts == ((1, 3, 4, 3, 1),) * 3
 
 
-def test_no_certificate_runs_a_second_elimination(monkeypatch):
+def test_only_three_certificates_run_a_second_elimination(monkeypatch):
     # every elimination of the bench rings is mod the first usable prime,
-    # once per set of rows: each certificate lifts the ladder's echelon
+    # once per set of rows, except that the three rings of (3,6,3) pair
+    # seed 0 hold kernel entries too tall for one modulus: each of their
+    # certificates joins one elimination mod the second prime by the CRT
     eliminated = weakref.WeakSet()
     second = []
     eliminate = ga._eliminate_mod
 
     def spy(rows, p):
         if rows in eliminated or p != rows.primes()[0]:
-            second.append((len(rows.keys), p))
+            second.append((combo, seed, rows.order, len(rows.keys), p))
         eliminated.add(rows)
         return eliminate(rows, p)
 
@@ -900,7 +931,10 @@ def test_no_certificate_runs_a_second_elimination(monkeypatch):
             if (combo, seed) == ((3, 6, 3), 0):
                 assert dims.dimensions == (12, 12, 12)
                 assert dims.hilberts == ((1, 3, 4, 3, 1),) * 3
-    assert second == []
+    P2 = ga._PRIMES[1]
+    assert second == [((3, 6, 3), 0, 5, 462, P2),
+                      ((3, 6, 3), 0, 5, 56, P2),
+                      ((3, 6, 3), 0, 5, 56, P2)]
 
 
 def test_ring_dims_of_the_pair_that_took_eleven_seconds():
@@ -1127,7 +1161,7 @@ def test_an_axis_proved_local_algebra_lists_the_ladders_h_and_basis(
     assert len(rep.basis) == sum(rep.hilbert)
 
 
-# ROADMAP item 1: the ladder ends at cap + 2 (14 and 10 here) before the
+# ROADMAP item 2: the ladder ends at cap + 2 (14 and 10 here) before the
 # first zero of h (degrees 17 and 13), so these finite germs read INFINITE.
 LADDER_TOO_SHORT = [
     pytest.param(germ([{(10, 0): 1, (0, 10): 1}], 2, order=12), 81,
