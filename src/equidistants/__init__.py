@@ -41,9 +41,9 @@ _EXPORTS = {
         "ImmersionError", "PairPoint", "ParametricManifold", "classify_pair",
         "detect_singularities", "ellipse", "find_parallel_pairs",
         "fourier_oval", "graph_surface", "manifold_from_dict",
-        "manifold_from_json", "parallelism", "sampled_curve",
-        "sampled_surface", "tangent_frame", "taylor_germ_at_pair", "torus",
-        "trace_equidistant", "write_branches_csv", "write_branches_svg",
+        "manifold_from_json", "sampled_curve", "sampled_surface",
+        "taylor_germ_at_pair", "torus", "trace_equidistant",
+        "write_branches_csv", "write_branches_svg",
     ),
     "germ_algebra": (
         "INFINITE", "REGULAR", "InfiniteCodimensionError",

@@ -9,12 +9,14 @@ Subcommands bind the exact and numerical engines to files and stdout:
     ringdims    the three local ring dimensions attached to a graph pair
     mu          Ke-codimension of a polynomial map-germ
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 mathematical
-error.  Every non-zero exit writes one machine-readable line to stderr whose
-first token names the failure (USAGE, INPUT_PARSE, NOT_NICE_DIMENSIONS,
-DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED).  Each engine
-error carries its own code, the CLI raises USAGE and INPUT_PARSE itself, and
-``main`` alone writes the line, so any other exception is a bug.
+Exit codes: 0 success, 1 usage error, 2 input or output error, 3
+mathematical error.  Every non-zero exit writes one machine-readable line to
+stderr whose first token names the failure (USAGE, INPUT_PARSE, OUTPUT,
+NOT_NICE_DIMENSIONS, DOMAIN, DEGENERATE_LAMBDA, INFINITE, UNRECOGNIZED).
+Each engine error carries its own code, the CLI raises USAGE, INPUT_PARSE
+and OUTPUT itself, and ``main`` alone writes the line, so any other
+exception is a bug.  OUTPUT is an unwritable ``trace --out`` file (no CSV
+is left without its SVG) or a stdout closed early.
 
 Lambda values are exact rational strings ("1/2", "3") for the algebra
 commands; ``trace`` also accepts decimals, but not ``nan`` or ``inf``
@@ -61,6 +63,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -228,8 +231,15 @@ def _cmd_trace(args) -> int:
         branches = ge._detect_branches(branches)
     csv_path = args.out + ".csv"
     svg_path = args.out + ".svg"
-    ge.write_branches_csv(branches, csv_path)
-    ge.write_branches_svg(branches, svg_path)
+    path = csv_path
+    try:
+        ge.write_branches_csv(branches, csv_path)
+        path = svg_path
+        ge.write_branches_svg(branches, svg_path)
+    except OSError as exc:
+        if path == svg_path:
+            os.remove(csv_path)  # no CSV without its SVG
+        raise _Failure("OUTPUT", "cannot write {}: {}".format(path, exc.strerror or exc), EXIT_INPUT)
     summaries = []
     for i, branch in enumerate(branches):
         labels = [a.label for a in branch.annotations]
@@ -394,7 +404,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError as exc:
+        # on devnull, the interpreter's final flush of stdout cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code, detail, status = "OUTPUT", "stdout closed: {}".format(exc.strerror or exc), EXIT_INPUT
     except _Failure as exc:
         code, detail, status = exc.code, str(exc), exc.status
     except InfiniteCodimensionError as exc:

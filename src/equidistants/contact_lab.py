@@ -251,10 +251,6 @@ class RingDims(NamedTuple):
         return (self.pi.dimension, self.kappa.dimension,
                 self.theta.dimension)
 
-    @property
-    def hilberts(self) -> tuple:
-        return (self.pi.hilbert, self.kappa.hilbert, self.theta.hilbert)
-
 
 def local_ring_dims(gp: GraphPair, lam=None,
                     order: Optional[int] = None) -> RingDims:

@@ -256,9 +256,10 @@ def _poly_deriv_sum(coeffs: np.ndarray, powers, m: int) -> np.ndarray:
 class _SampledGrid:
     """A closed curve (n = 1) or surface (n = 2) sampled on a grid that is
     2pi-periodic in each parameter.  Each point reads the 7 (or 7x7) grid
-    values nearest to it; the interpolant's coefficients come from an
-    einsum along the last parameter axis and, on a surface, a matmul along
-    the first (the BLAS call of a single `L @ line` on each point)."""
+    values nearest to it.  The interpolant's coefficients along the last
+    parameter axis are computed once per grid node, at construction; on a
+    surface a matmul along the first axis follows (the BLAS call of a single
+    `L @ line` on each point)."""
 
     def __init__(self, grid: np.ndarray, n: int):
         grid = np.asarray(grid, dtype=float)
@@ -274,25 +275,31 @@ class _SampledGrid:
             raise ValueError("sampled grid values must be finite")
         self.grid, self.n = grid, n
         self.h = tuple(TWO_PI / size for size in grid.shape[:n])
+        # the coefficients along the last axis of the 7 values centred on
+        # each node, (7,) + grid.shape: 7 times the grid's floats
+        size = grid.shape[-2]
+        near = (np.arange(size)[:, None] + np.arange(-3, 4)) % size
+        self.coeffs = np.einsum("pk,n...kq->pn...q", _LAGRANGE_INV,
+                                np.take(grid, near, axis=-2))
 
     def jet(self, params, top):
         params = np.broadcast_arrays(*(np.asarray(p, dtype=float)
                                        for p in params))
-        n, index, powers = self.n, [], []
+        n, index, powers = self.n, [slice(None)], []
         for axis, (x, h) in enumerate(zip(params, self.h)):
             x = x.ravel()
             idx = np.rint(x / h).astype(int)
             tau = x / h - idx
-            rows = (idx[:, None] + np.arange(-3, 4)) % self.grid.shape[axis]
-            index.append(rows.reshape((-1,) + (1,) * axis + (7,)
-                                      + (1,) * (n - 1 - axis)))
+            # a surface reads the 7 rows around the node along its first axis
+            idx = (idx[:, None] + np.arange(-3, 4) if axis < n - 1
+                   else idx.reshape((-1,) + (1,) * (n - 1)))
+            index.append(idx % self.grid.shape[axis])
             # tau broadcasts against the coefficient arrays of its axis:
             # (N, 7, q) along v on a surface, (N, q) otherwise
             powers.append(_tau_powers(tau.reshape((-1,) + (1,) * (axis + 1)),
                                       6))
-        block = self.grid[tuple(index)]                 # (N,) + (7,)*n + (q,)
-        c = np.einsum("pk,n...kq->pn...q", _LAGRANGE_INV, block)
-        out = np.zeros((top + 1,) * n + block.shape[:1] + block.shape[-1:])
+        c = self.coeffs[tuple(index)]             # (7, N) + (7,)*(n-1) + (q,)
+        out = np.zeros((top + 1,) * n + c.shape[1:2] + c.shape[-1:])
         for j in range(top + 1):
             line = _poly_deriv_sum(c, powers[-1], j)
             if n == 1:
@@ -443,15 +450,7 @@ def manifold_from_json(text: str) -> ParametricManifold:
 
 
 # --------------------------------------------------------------------------
-# frames and parallelism
-
-
-def tangent_frame(M: ParametricManifold, params) -> np.ndarray:
-    """Rows are the first partial derivatives at `params` (an n x q frame)."""
-    J = M.jet(params, 1)
-    frame = np.stack([J[unit_exp(i, M.n)] for i in range(M.n)])
-    _check_immersed(frame[None], [params])
-    return frame
+# locating weakly parallel pairs
 
 
 def _toroidal_dist(a: float, b: float, period: Optional[float]) -> float:
@@ -459,19 +458,6 @@ def _toroidal_dist(a: float, b: float, period: Optional[float]) -> float:
         return abs(a - b)
     d = math.fmod(abs(a - b), period)
     return min(d, period - d)
-
-
-def parallelism(M: ParametricManifold, s, t) -> Tuple[int, int]:
-    """Degree and codimension of (weak) parallelism of the pair (s, t).
-
-    r is the numerical rank of the stacked 2n x q frame; the degree is
-    2n - r and the codimension q - r.  `_pair_points` makes the checks:
-    s and t must be distinct and M immersed at both, and the `PairPoint`
-    it builds enforces 2n - deg = q - codim.  codim = 0 means not weakly
-    parallel.
-    """
-    p = _pair_points(M, [s], [t])[0]
-    return p.deg_k, p.codim
 
 
 @dataclass
@@ -500,10 +486,6 @@ class PairPoint:
     def lambda_point(self, lam: float) -> np.ndarray:
         lam = float(lam)
         return lam * self.a + (1.0 - lam) * self.b
-
-
-# --------------------------------------------------------------------------
-# locating weakly parallel pairs
 
 
 def _curve_tangents(M, thetas):
@@ -593,7 +575,7 @@ def _pair_points(M, S, T, residuals=None):
 
     Frames and positions come from one jet of order 1; immersion
     checks and the rank of each stacked 2n x q frame come from stacked
-    SVDs, which run the LAPACK call of `tangent_frame` on each matrix, so
+    SVDs, which give each matrix the singular values of its own SVD, so
     the result is that of pair-by-pair construction.  Errors are raised for
     the first offending pair: parameters that are not distinct, then a
     rank drop at s, then at t.  Without `residuals`, a plane-curve pair gets
@@ -1679,13 +1661,6 @@ def _annotate(M, lam, index, Z, found, label, expected):
 # the float-to-exact bridge
 
 
-def _factorial_multi(alpha):
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
-
-
 def _series_invert(A, n, order):
     L = np.array([[A[i].get(unit_exp(j, n), 0.0) for j in range(n)]
                   for i in range(n)])
@@ -1754,7 +1729,7 @@ def _chart_series(J, Binv, const, scale, n, order):
     xi = [dict() for _ in range(len(Binv))]
     for alpha in monomials_upto(n, order):
         vec = scale * J[alpha] if sum(alpha) else const
-        w = Binv @ (vec / _factorial_multi(alpha))
+        w = Binv @ (vec / math.prod(map(math.factorial, alpha)))
         for r in range(len(Binv)):
             if w[r] != 0.0:
                 xi[r][alpha] = float(w[r])

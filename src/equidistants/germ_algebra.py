@@ -409,44 +409,23 @@ def monomials_upto(source_dim: int, order: int) -> List[Exponent]:
 
 
 @dataclass(frozen=True)
-class JetPoly:
-    """A polynomial truncated at total degree `order` in `source_dim` vars."""
-
-    source_dim: int
-    order: int
-    coeffs: Mapping[Exponent, Fraction]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", canonical(self.coeffs, self.source_dim, self.order)
-        )
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.source_dim, Fraction(0))
-
-    def __str__(self) -> str:
-        return format_poly(dict(self.coeffs))
-
-
-@dataclass(frozen=True)
 class MapGerm:
-    """Map-germ (R^s,0) -> (R^t,0): t truncated polynomials without constants."""
+    """Map-germ (R^s,0) -> (R^t,0): t polynomials without constants, each a
+    canonical dict truncated at total degree `order`."""
 
     source_dim: int
     target_dim: int
     order: int
-    components: Tuple[JetPoly, ...]
+    components: Tuple[Poly, ...]
 
     def __post_init__(self) -> None:
         _check_order(self.order)
-        comps = tuple(self.components)
+        comps = tuple(canonical(c, self.source_dim, self.order)
+                      for c in self.components)
         if len(comps) != self.target_dim:
             raise ValueError("component count does not match target_dim")
-        for c in comps:
-            if c.source_dim != self.source_dim or c.order != self.order:
-                raise ValueError("component dims/order disagree with germ")
-            if c.constant_term() != 0:
-                raise ValueError("germ components must vanish at the origin")
+        if any((0,) * self.source_dim in c for c in comps):
+            raise ValueError("germ components must vanish at the origin")
         object.__setattr__(self, "components", comps)
 
     @staticmethod
@@ -456,46 +435,28 @@ class MapGerm:
             # never truncate away the caller's own monomials
             top = max((sum(e) for p in polys for e in p), default=0)
             order = max(default_order(source_dim), top)
-        comps = tuple(JetPoly(source_dim, order, dict(p)) for p in polys)
-        return MapGerm(source_dim, len(comps), order, comps)
-
-    @staticmethod
-    def identity(dim: int, order: Optional[int] = None) -> "MapGerm":
-        if order is None:
-            order = default_order(dim)
-        polys = [{unit_exp(i, dim): Fraction(1)} for i in range(dim)]
-        return MapGerm.from_polys(polys, dim, order)
-
-    @staticmethod
-    def zero(source_dim: int, target_dim: int,
-             order: Optional[int] = None) -> "MapGerm":
-        if order is None:
-            order = default_order(source_dim)
-        return MapGerm.from_polys([{} for _ in range(target_dim)],
-                                  source_dim, order)
+        return MapGerm(source_dim, len(polys), order, tuple(polys))
 
     def polys(self) -> List[Poly]:
-        return [dict(c.coeffs) for c in self.components]
+        return [dict(c) for c in self.components]
 
     def max_degree(self) -> int:
         """Highest total degree of any stored monomial (0 when zero)."""
-        return max(
-            (sum(e) for c in self.components for e in c.coeffs), default=0
-        )
+        return max((sum(e) for c in self.components for e in c), default=0)
 
     def linear_matrix(self) -> List[List[Fraction]]:
         """t x s matrix of degree-1 coefficients."""
         rows = []
         for comp in self.components:
             row = [Fraction(0)] * self.source_dim
-            for exp, c in comp.coeffs.items():
+            for exp, c in comp.items():
                 if sum(exp) == 1:
                     row[exp.index(1)] = c
             rows.append(row)
         return rows
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
+        return "(" + ", ".join(format_poly(c) for c in self.components) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -1164,7 +1125,7 @@ def mapgerm_to_dict(f: MapGerm) -> dict:
         "components": [
             [
                 {"coeff": _coeff_str(c), "exponents": list(exp)}
-                for exp, c in sorted(comp.coeffs.items())
+                for exp, c in sorted(comp.items())
             ]
             for comp in f.components
         ],
@@ -1208,7 +1169,7 @@ def mapgerm_from_dict(data: Mapping) -> MapGerm:
             f"map-germ dimensions must be >= 1, got source_dim={s}, "
             f"target_dim={t}")
     polys = polys_from_payload(comps, t, "map-germ")
-    return MapGerm(s, t, order, tuple(JetPoly(s, order, p) for p in polys))
+    return MapGerm(s, t, order, tuple(polys))
 
 
 def mapgerm_to_json(f: MapGerm) -> str:

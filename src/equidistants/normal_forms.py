@@ -612,8 +612,8 @@ def _cubic_root_structure(c):
 def _pencil_profile(f: MapGerm) -> str:
     """Discrete real invariant of the pencil of quadratic parts."""
     s = f.source_dim
-    q1 = _quadratic_matrix(f.components[0].coeffs, s)
-    q2 = _quadratic_matrix(f.components[1].coeffs, s)
+    q1 = _quadratic_matrix(f.components[0], s)
+    q2 = _quadratic_matrix(f.components[1], s)
     flat1 = [q1[i][j] for i in range(s) for j in range(i, s)]
     flat2 = [q2[i][j] for i in range(s) for j in range(i, s)]
     dim_w = matrix_rank([flat1, flat2])
@@ -692,7 +692,7 @@ def _restricted_cubic(f: MapGerm):
     """Binary cubic of the degree-3 part restricted to the Hessian kernel
     of a one-component germ with Hessian corank 2."""
     s = f.source_dim
-    rows = _quadratic_matrix(f.components[0].coeffs, s)
+    rows = _quadratic_matrix(f.components[0], s)
     # rational kernel basis from the reduced rows
     pivots = _row_reduce(rows, s)
     basis = []
@@ -706,7 +706,7 @@ def _restricted_cubic(f: MapGerm):
         basis.append(v)
     if len(basis) != 2:
         raise ArithmeticError("kernel is not two-dimensional")
-    cubic = {e: c for e, c in f.components[0].coeffs.items() if sum(e) == 3}
+    cubic = {e: c for e, c in f.components[0].items() if sum(e) == 3}
     args = []
     for i in range(s):
         args.append({

@@ -4,7 +4,8 @@ Tests use them to state properties of the engines: the tuple-keyed jet
 product and composition that the packed kernel replaced, the one-point
 continuation march that the lockstep marcher replaced, contact-group
 composition and miniversal bases of map-germs, the swap and the
-lambda-reflection of graph pairs, a resampled branch and the rank of the
+lambda-reflection of graph pairs, the tangent frame at a point and the
+parallelism degrees of a pair, a resampled branch and the rank of the
 lambda-point map along it, and a reset of the memoized codimensions.
 """
 
@@ -18,17 +19,18 @@ from equidistants.geometry_engine import (
     TWO_PI,
     EquidistantBranch,
     PairPoint,
+    ParametricManifold,
+    _check_immersed,
     _cross2,
     _g_grad,
+    _pair_points,
     _project_to_zero_many,
     _toroidal_dist,
     _wrap_pi,
-    tangent_frame,
 )
 from equidistants.germ_algebra import (
     INFINITE,
     InfiniteCodimensionError,
-    JetPoly,
     MapGerm,
     Poly,
     _analysis_cap,
@@ -36,6 +38,7 @@ from equidistants.germ_algebra import (
     _tangent_gens,
     monomials_upto,
     p_compose,
+    unit_exp,
 )
 from equidistants.normal_forms import _computed_mu
 
@@ -175,7 +178,7 @@ def jet_compose(f: MapGerm, g: MapGerm) -> MapGerm:
 
 
 def _raw_mapgerm(source_dim: int, target_dim: int, order: int,
-                 comps: Tuple[JetPoly, ...]) -> MapGerm:
+                 comps: Tuple[Poly, ...]) -> MapGerm:
     # Deformation directions may carry constant terms, which the MapGerm
     # origin check rejects; build those tuples without running validation.
     germ = object.__new__(MapGerm)
@@ -201,9 +204,8 @@ def miniversal_basis(f: MapGerm,
             if (slot, m) not in pivots:
                 polys: List[Poly] = [dict() for _ in range(f.target_dim)]
                 polys[slot][m] = Fraction(1)
-                comps = tuple(JetPoly(f.source_dim, f.order, p) for p in polys)
                 out.append(_raw_mapgerm(f.source_dim, f.target_dim,
-                                        f.order, comps))
+                                        f.order, tuple(polys)))
     return out
 
 
@@ -293,6 +295,27 @@ def densify_branch(branch: EquidistantBranch,
     return EquidistantBranch(
         lam=lam, manifold=M, samples=samples, sigmas=sigmas,
         status=branch.status, degenerate=branch.degenerate)
+
+
+def tangent_frame(M: ParametricManifold, params) -> np.ndarray:
+    """Rows are the first partial derivatives at `params` (an n x q frame)."""
+    J = M.jet(params, 1)
+    frame = np.stack([J[unit_exp(i, M.n)] for i in range(M.n)])
+    _check_immersed(frame[None], [params])
+    return frame
+
+
+def parallelism(M: ParametricManifold, s, t) -> Tuple[int, int]:
+    """Degree and codimension of (weak) parallelism of the pair (s, t).
+
+    r is the numerical rank of the stacked 2n x q frame; the degree is
+    2n - r and the codimension q - r.  `_pair_points` makes the checks:
+    s and t must be distinct and M immersed at both, and the `PairPoint`
+    it builds enforces 2n - deg = q - codim.  codim = 0 means not weakly
+    parallel.
+    """
+    p = _pair_points(M, [s], [t])[0]
+    return p.deg_k, p.codim
 
 
 def projection_rank_residuals(branch: EquidistantBranch) -> np.ndarray:

@@ -151,7 +151,7 @@ def test_mu_of_u7_exceeds_seven():
     syms = sympy.symbols("y1 y2 y3")
     u7 = normal_form(parse_label("U7"), 3)
     assert ke_codimension(u7) == 7
-    comps = [sympy.Poly.from_dict(dict(c.coeffs), *syms).as_expr()
+    comps = [sympy.Poly.from_dict(c, *syms).as_expr()
              for c in u7.components]
     assert comps == [syms[0]**2 + syms[1] * syms[2], syms[0] * syms[1] + syms[2]**3]
     assert oracle.ke_dimension(comps, syms, 5) == 7

@@ -668,6 +668,45 @@ def test_trace_numeric_options_fail_on_one_line(tmp_path, ellipse_path, option, 
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_trace_out_in_a_missing_directory_is_one_output_line(capsys, tmp_path, ellipse_path):
+    prefix = str(tmp_path / "missing" / "x")
+    code, out, err = run(capsys, "trace", "--input", ellipse_path,
+                         "--lambda", "0.3", "--out", prefix)
+    assert code == 2 and out == ""
+    assert err.startswith("OUTPUT cannot write {}.csv: ".format(prefix))
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_trace_leaves_no_csv_when_its_svg_cannot_be_written(capsys, tmp_path, ellipse_path):
+    (tmp_path / "x.svg").mkdir()
+    code, out, err = run(capsys, "trace", "--input", ellipse_path,
+                         "--lambda", "0.3", "--out", str(tmp_path / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("OUTPUT cannot write {}: ".format(tmp_path / "x.svg"))
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # a result larger than the pipe buffer fails in `print`, a short one in
+    # the final flush
+    ("enumerate", "--n", "3", "--q", "6", "--json"),
+    ("enumerate", "--n", "2", "--q", "4"),
+], ids=["long", "short"])
+def test_a_closed_stdout_is_one_output_line(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "equidistants.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("OUTPUT ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("halfwidth", [0, -1, math.nan, math.inf])
 def test_trace_of_a_graph_without_a_finite_positive_halfwidth_is_a_parse_error(tmp_path, halfwidth):
     # json writes and reads NaN and Infinity

@@ -34,6 +34,7 @@ from equidistants.contact_lab import MAX_TERM_DEGREE
 EXIT_OF = {
     "USAGE": 1,
     "INPUT_PARSE": 2,
+    "OUTPUT": 2,
     "NOT_NICE_DIMENSIONS": 3,
     "DOMAIN": 3,
     "DEGENERATE_LAMBDA": 3,

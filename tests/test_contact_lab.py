@@ -307,7 +307,7 @@ def test_ring_dims_on_cusp_pair():
     gp = curve_pair({(2,): 1, (3,): 1}, {(2,): -1}, lam=half)
     rd = local_ring_dims(gp)
     assert rd.dimensions == (3, 3, 3)
-    assert rd.hilberts == ((1, 1, 1),) * 3
+    assert rd.pi.hilbert == rd.kappa.hilbert == rd.theta.hilbert == (1, 1, 1)
     theta = reduce_to_theta(lambda_contact_from_pair(gp), 1, 2)
     assert local_algebra(theta).dimension == 3
 

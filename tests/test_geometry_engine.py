@@ -17,7 +17,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from api_extras import densify_branch, projection_rank_residuals, scalar_march
+from api_extras import (
+    densify_branch,
+    parallelism,
+    projection_rank_residuals,
+    scalar_march,
+    tangent_frame,
+)
 from engine_oracle import fcompose, node_candidates
 from equidistants.cli import main as cli_main
 from equidistants.contact_lab import contact_map, graphpair_to_json
@@ -40,10 +46,8 @@ from equidistants.geometry_engine import (
     graph_surface,
     manifold_from_dict,
     manifold_from_json,
-    parallelism,
     sampled_curve,
     sampled_surface,
-    tangent_frame,
     taylor_germ_at_pair,
     torus,
     trace_equidistant,

@@ -104,7 +104,7 @@ def test_local_algebra_explicit_low_order_still_exact():
 
 
 def test_local_algebra_zero_germ_is_infinite():
-    rep = local_algebra(MapGerm.zero(2, 1))
+    rep = local_algebra(germ([{}], 2))
     assert rep.dimension == INFINITE
 
 
@@ -199,7 +199,7 @@ def test_ke_quotient_hilbert_sums_to_codimension():
 
 def test_ke_nonisolated_cases_are_infinite():
     assert ke_codimension(germ([{(2, 0): 1}, {(1, 1): 1}], 2)) == INFINITE
-    assert ke_codimension(MapGerm.zero(2, 2)) == INFINITE
+    assert ke_codimension(germ([{}, {}], 2)) == INFINITE
     # cube on the middle variable leaves a singular line through the origin
     f = germ([{(2, 0, 0): 1, (0, 3, 0): 1}, {(0, 2, 0): 1, (1, 0, 1): 1}], 3)
     assert ke_codimension(f) == INFINITE
@@ -214,10 +214,10 @@ def test_ke_isolated_variant_of_the_nonisolated_pair():
 
 
 def test_corank_values():
-    assert corank(MapGerm.identity(3)) == 0
+    assert corank(germ([{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}], 3)) == 0
     assert corank(germ([{(1, 0): 1}, {(0, 3): 1}], 2)) == 1
     assert corank(germ([{(1, 1): 1}, {(2, 0): 1, (0, 2): 1}], 2)) == 2
-    assert corank(MapGerm.zero(3, 2)) == 3
+    assert corank(germ([{}, {}], 3)) == 3
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -254,7 +254,7 @@ def test_a_germ_built_in_code_keeps_the_order_budget(order):
 
 
 def test_reduce_full_rank_is_regular():
-    assert rank0_reduce(MapGerm.identity(2)) is REGULAR
+    assert rank0_reduce(germ([{(1, 0): 1}, {(0, 1): 1}], 2)) is REGULAR
     assert rank0_reduce(germ([{(1, 0): 1, (0, 2): 1}], 2)) is REGULAR
 
 
@@ -281,7 +281,7 @@ def test_reduce_preserves_algebra_and_codimension():
             if sum(e) >= 2:
                 a[e] = a.get(e, 0) + rng.choice([1, -1, Fraction(1, 2)])
         coupled = {}
-        for exps, c in base.components[0].coeffs.items():
+        for exps, c in base.components[0].items():
             coupled[exps + (0, 0)] = c
         extra = tuple(rng.randint(0, 1) for _ in range(4))
         if sum(extra) >= 2:
@@ -363,7 +363,7 @@ def test_miniversal_count_matches_codimension():
 
 def test_miniversal_rejects_infinite():
     with pytest.raises(ArithmeticError):
-        miniversal_basis(MapGerm.zero(2, 1))
+        miniversal_basis(germ([{}], 2))
 
 
 # ---------------------------------------------------------------- jet_compose
@@ -475,13 +475,13 @@ def test_compose_pinned_value():
     outer = germ([{(2,): 1}], 1, order=3)
     inner = germ([{(1,): 1, (2,): 1}], 1, order=3)
     composed = jet_compose(outer, inner)
-    assert composed.components[0].coeffs == {(2,): 1, (3,): 2}
+    assert composed.components[0] == {(2,): 1, (3,): 2}
 
 
 def test_compose_identity_laws():
     f = germ([{(1, 1): 1}, {(2, 0): 1, (0, 2): 1}], 2)
-    assert jet_compose(f, MapGerm.identity(2, order=f.order)) == f
-    assert jet_compose(MapGerm.identity(2, order=f.order), f) == f
+    assert jet_compose(f, germ([{(1, 0): 1}, {(0, 1): 1}], 2, f.order)) == f
+    assert jet_compose(germ([{(1, 0): 1}, {(0, 1): 1}], 2, f.order), f) == f
 
 
 def _random_small_germ(rng, s, t, order):
@@ -560,7 +560,7 @@ def test_json_coefficient_forms():
         ]],
     }
     f = mapgerm_from_dict(d)
-    assert f.components[0].coeffs == {(2,): Fraction(1, 2), (3,): -3}
+    assert f.components[0] == {(2,): Fraction(1, 2), (3,): -3}
     back = mapgerm_to_dict(f)
     assert mapgerm_from_dict(back) == f
 
@@ -905,7 +905,8 @@ def test_cutoff_pivots_equal_the_full_elimination_on_tangent_modules():
 def test_ring_dims_of_the_slowest_bench_pair():
     dims = local_ring_dims(random_graph_pair(3, 6, 3, seed=0), Fraction(1, 3))
     assert dims.dimensions == (12, 12, 12)
-    assert dims.hilberts == ((1, 3, 4, 3, 1),) * 3
+    assert dims.pi.hilbert == dims.kappa.hilbert == dims.theta.hilbert \
+        == (1, 3, 4, 3, 1)
 
 
 def test_only_three_certificates_run_a_second_elimination(monkeypatch):
@@ -930,7 +931,8 @@ def test_only_three_certificates_run_a_second_elimination(monkeypatch):
                                    Fraction(1, 3))
             if (combo, seed) == ((3, 6, 3), 0):
                 assert dims.dimensions == (12, 12, 12)
-                assert dims.hilberts == ((1, 3, 4, 3, 1),) * 3
+                assert dims.pi.hilbert == dims.kappa.hilbert \
+                    == dims.theta.hilbert == (1, 3, 4, 3, 1)
     P2 = ga._PRIMES[1]
     assert second == [((3, 6, 3), 0, 5, 462, P2),
                       ((3, 6, 3), 0, 5, 56, P2),
@@ -1126,7 +1128,7 @@ def _spy_eliminations(monkeypatch):
 # two-component germ that does not depend on z.
 AXIS_DEGENERATE = [
     pytest.param(germ([{(2, 1): 1}], 2), id="x2y"),
-    pytest.param(MapGerm.zero(2, 1), id="zero"),
+    pytest.param(germ([{}], 2), id="zero"),
     pytest.param(germ([{(2, 0, 0): 1, (0, 2, 0): 1}, {(1, 1, 0): 1}], 3),
                  id="cylinder"),
 ]

@@ -41,12 +41,11 @@ PUBLIC = [
     "ke_codimension", "ke_quotient_hilbert", "lambda_contact_from_pair",
     "local_algebra", "local_ring_dims", "manifold_from_dict",
     "manifold_from_json", "mapgerm_from_dict", "mapgerm_from_json",
-    "mapgerm_to_dict", "mapgerm_to_json", "normal_form", "parallelism",
-    "parse_label", "pi_tilde_local", "random_graph_pair", "random_k_move",
-    "rank0_reduce", "recognize", "reduce_to_theta", "sampled_curve",
-    "sampled_surface", "stable_singularities", "tangent_frame",
-    "taylor_germ_at_pair", "torus", "trace_equidistant",
-    "write_branches_csv", "write_branches_svg",
+    "mapgerm_to_dict", "mapgerm_to_json", "normal_form", "parse_label",
+    "pi_tilde_local", "random_graph_pair", "random_k_move", "rank0_reduce",
+    "recognize", "reduce_to_theta", "sampled_curve", "sampled_surface",
+    "stable_singularities", "taylor_germ_at_pair", "torus",
+    "trace_equidistant", "write_branches_csv", "write_branches_svg",
 ]
 
 # Runs the CLI on argv and prints, as its last line, the exit code and the
