@@ -18,6 +18,7 @@ is one INPUT_PARSE line.
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -296,3 +297,29 @@ def test_trace_keeps_the_contract(workdir, case, lam, step, density):
 def test_enumerate_keeps_the_contract(n, q, json_out):
     run_contract(["enumerate", "--n=" + n, "--q=" + q]
                  + (["--json"] if json_out else []))
+
+
+# sha256 of the CSV and SVG that `trace --lambda 1/2` writes for the torus
+# cloud (7,378 pairs) and the 7x7 sampled torus cloud (7,464 pairs)
+SURFACE_TRACE_BYTES = {
+    "torus": (
+        "31ceaa1f38dd9f5e3661c447d23075e77a0bea12a0a6851a3c246a0f806ec90a",
+        "6f5389185df345ead6ce7ebc232eeea344616f20e1dfd043501bdf025c2dfe01"),
+    "sampled": (
+        "d473e199497c81f9bc886886ccb9c16fcadd6e4f93ecb50fde1047408df3e697",
+        "a65633454a7ba791527d740808b2606384a19752c259c1fa8f461b7680f3580e"),
+}
+
+
+@pytest.mark.parametrize("name, payload", [
+    ("torus", {"kind": "torus", "R": 2.0, "r": 0.5}),
+    ("sampled", {"kind": "samples", "n": 2, "q": 3, "grid": _torus_grid(7)}),
+])
+def test_surface_trace_keeps_its_frozen_bytes(workdir, name, payload):
+    path = write_input(workdir, json.dumps(payload))
+    out = os.path.join(str(workdir), "cloud_" + name)
+    assert run_contract(["trace", "--input", path, "--lambda=1/2",
+                         "--out", out]) == (0, "")
+    for ext, want in zip((".csv", ".svg"), SURFACE_TRACE_BYTES[name]):
+        with open(out + ext, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == want
