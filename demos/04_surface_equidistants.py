@@ -23,12 +23,12 @@ from equidistants import (
 def cloud_summary(name, manifold, lam):
     branch = trace_equidistant(manifold, lam)[0]
     print("{}: {} weakly parallel pairs at lambda = {}".format(name, len(branch), lam))
-    degs = Counter(p.deg_k for p in find_parallel_pairs(manifold))
+    pairs = find_parallel_pairs(manifold)
+    degs = Counter(p.deg_k for p in pairs)
     print("  chord degeneracy histogram: {}".format(dict(sorted(degs.items()))))
     rng = random.Random(0)
-    pairs = [p for p, _ in rng.sample(branch.samples, 12)]
     labels = Counter()
-    for pair in pairs:
+    for pair in rng.sample(pairs, 12):
         try:
             labels[classify_pair(manifold, pair, lam).label] += 1
         except (ArithmeticError, ValueError) as exc:

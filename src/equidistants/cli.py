@@ -34,8 +34,9 @@ immersed, when the seed density is so low that the diagonal band covers
 every pair (below 20 on a curve or a torus, below 10 on a graph_surface),
 when it is above the pair scheme's budget (4096 on a curve, 48 on a torus
 or sampled surface, 64 on a graph_surface), when no pair off the band is
-left to draw, or on a floating-point overflow, division by zero or invalid
-operation.  A NaN or infinite manifold parameter, coefficient or grid
+left to draw, when a curve's step is below about 2.07e-9 (the walk's cell
+keys overflow int64), or on a floating-point overflow, division by zero or
+invalid operation.  A NaN or infinite manifold parameter, coefficient or grid
 value, a number that overflows to infinity anywhere in an input file, a
 samples payload whose ``n`` is not the integer 1 or 2 or whose ``q``, when
 given, is not the length of the grid's last axis, a graph_surface whose

@@ -570,7 +570,7 @@ def _check_immersed(frames, params):
                              f"singular values {sv[i]}")
 
 
-def _pair_points(M, S, T, residuals=None):
+def _pair_points(M, S, T, residuals):
     """PairPoints of M at the parameters S and T, built in one pass.
 
     Frames and positions come from one jet of order 1; immersion
@@ -578,8 +578,7 @@ def _pair_points(M, S, T, residuals=None):
     SVDs, which give each matrix the singular values of its own SVD, so
     the result is that of pair-by-pair construction.  Errors are raised for
     the first offending pair: parameters that are not distinct, then a
-    rank drop at s, then at t.  Without `residuals`, a plane-curve pair gets
-    its normalized |g|.
+    rank drop at s, then at t.
     """
     if not len(S):
         return []
@@ -609,9 +608,6 @@ def _pair_points(M, S, T, residuals=None):
     sv = np.linalg.svd(np.concatenate([Fs, Ft], axis=1), compute_uv=False)
     rank = np.sum(sv > TAU_RANK * sv[:, :1], axis=1)
     deg, codim = 2 * n - rank, M.q - rank
-    if residuals is None:
-        Ts, Tt = Fs[:, 0], Ft[:, 0]
-        residuals = np.abs(_cross2(Ts, Tt)) / (_norm2(Ts) * _norm2(Tt))
     return [PairPoint(*row) for row in zip(
         S, T, X[:m], X[m:], deg.tolist(), codim.tolist(),
         np.asarray(residuals, dtype=float).tolist())]
@@ -925,24 +921,26 @@ class Annotation:
 class EquidistantBranch:
     """One connected piece of an affine lambda-equidistant.
 
-    `samples` pairs each located PairPoint with its lambda-point
-    x = lam*a + (1-lam)*b; `sigmas` is cumulative continuation arclength in
-    parameter space.  `status` is closed | open | step_failure | cloud.
+    Row i is one pair: parameters s[i], t[i] (floats for curves, rows of n
+    for surfaces), points a[i], b[i] on M and the lambda-point points[i] =
+    lam*a[i] + (1-lam)*b[i].  `sigmas` is cumulative continuation arclength
+    in parameter space.  `status` is closed | open | step_failure | cloud.
     """
 
     lam: float
     manifold: ParametricManifold
-    samples: List[Tuple[PairPoint, np.ndarray]]
+    s: np.ndarray
+    t: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    points: np.ndarray
     sigmas: np.ndarray
     status: str
     degenerate: bool = False
     annotations: List[Annotation] = field(default_factory=list)
 
-    def points(self) -> np.ndarray:
-        return np.array([x for _, x in self.samples])
-
     def __len__(self):
-        return len(self.samples)
+        return len(self.points)
 
 
 def _solve_rows(J, rhs):
@@ -1016,26 +1014,26 @@ class _Marches:
     `np.dot`, which round like the `@` and `np.linalg.norm` of one
     2-vector (a plain a0*b0 + a1*b1 may not: BLAS may fuse it).  The rest
     is scalar float arithmetic per row, in the order of a march run alone.
-    So rows never mix, a row may be suspended and resumed between passes,
-    and `result(r)` is the march of Z0[r] whatever the schedule.  Only the
-    rows in `start` (all by default) start at once; `resume` starts any
-    other.
+    So rows never mix, and a march depends only on its start: `start`
+    starts rows at Z0, `drop` stops live rows and forgets their points, and
+    `result(r)` is the march of Z0[r] whatever the schedule.
     """
 
-    def __init__(self, M, Z0, signs, step, delta, tol, max_steps,
-                 start=None):
+    def __init__(self, M, Z0, signs, step, delta, tol, max_steps):
         self.M, self.step, self.delta, self.tol = M, step, delta, tol
         self.max_steps = max_steps
         self.Z0 = np.array(Z0, dtype=float).reshape(-1, 2)
         self.signs = np.asarray(signs, dtype=float).tolist()
         self.pts = {}                       # row -> its points, once started
         self.ends = [None] * len(self.Z0)   # (closed, failed, band) once done
-        self.rows, self.parked = [], {}
-        self.resume(range(len(self.Z0)) if start is None else start)
+        self.rows = []
 
-    def _start(self, rids):
-        """Start the rows rids: the tangent at the start, oriented by the
-        row's sign, and the first predicted point."""
+    def start(self, rids):
+        """Start the rows among `rids` with no points (never started, or
+        dropped) at Z0: the oriented tangent and the first predicted point."""
+        rids = [r for r in rids if r not in self.pts]
+        if not rids:
+            return
         Z = self.Z0[rids]
         _, gs, gt, _ = _g_grad(self.M, Z[:, 0], Z[:, 1])
         for rid, (x0, y0), d in zip(rids, Z.tolist(), self._tangents(
@@ -1083,7 +1081,7 @@ class _Marches:
     def run(self, watch=None):
         """Pass until no row is live.  After each pass, `watch(rows, points,
         finished)` sees the rows that took a step with their new points and
-        the rows that finished; it returns rows to suspend."""
+        the rows that finished; it returns rows to drop."""
         while self.rows:
             self.step_once(watch)
 
@@ -1121,7 +1119,7 @@ class _Marches:
         if finished:
             self.rows = [r for r in rows if self.ends[r.rid] is None]
         if watch is not None and (moved or finished):
-            self.suspend(watch(moved, new, finished))
+            self.drop(watch(moved, new, finished))
 
     def _next_step(self, r):
         r.h, r.tries = self.step, 0
@@ -1180,25 +1178,14 @@ class _Marches:
                 r.zx, r.zy, (r.dx, r.dy) = r.x, r.y, d
                 self._next_step(r)
 
-    def suspend(self, rids):
-        """Park the live rows among `rids`; `resume` continues them."""
+    def drop(self, rids):
+        """Stop the live rows among `rids` and forget their points."""
         if rids:
             rids = set(rids)
-            keep = []
             for r in self.rows:
                 if r.rid in rids:
-                    self.parked[r.rid] = r
-                else:
-                    keep.append(r)
-            self.rows = keep
-
-    def resume(self, rids):
-        """Continue the parked rows among `rids`, and start the others that
-        have not started yet."""
-        new = [r for r in rids if r not in self.pts]
-        self.rows += [self.parked.pop(r) for r in rids if r in self.parked]
-        if new:
-            self._start(new)
+                    del self.pts[r.rid]
+            self.rows = [r for r in self.rows if r.rid not in rids]
 
 
 def _land_on_band(M, lo, hi, delta, tol, iters=50):
@@ -1225,25 +1212,39 @@ def _land_on_band(M, lo, hi, delta, tol, iters=50):
     return lo
 
 
+def _lambda_points(lam, A, B):
+    """lam*A + (1-lam)*B, row by row; NonFiniteEquidistantError where a
+    point leaves the finite floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = lam * A + (1 - lam) * B
+    if not np.isfinite(X).all():
+        raise NonFiniteEquidistantError(
+            f"lambda = {lam} sends traced points outside the floats")
+    return X
+
+
 def _branches_from_paths(M, lam, paths):
-    """One EquidistantBranch per (path, status), with the PairPoints of
-    every path built in one `_pair_points` pass."""
+    """One EquidistantBranch per (path, status), with the points of every
+    path from one jet pass of order 1.  ImmersionError names the first
+    pair whose frame drops rank, at s before t."""
     P = np.concatenate([np.array(path) for path, _ in paths]) % TWO_PI
-    pairs = _pair_points(M, P[:, 0], P[:, 1])
+    J = M.jet(np.concatenate([P[:, 0], P[:, 1]]), 1)
+    _check_immersed(J[1].reshape(2, -1, 1, M.q).swapaxes(0, 1)
+                    .reshape(-1, 1, M.q), P.ravel().tolist())
+    A_all, B_all = J[0].reshape(2, -1, M.q).copy()
+    X_all = _lambda_points(lam, A_all, B_all)
     out, start = [], 0
     for path, status in paths:
-        part, start = pairs[start:start + len(path)], start + len(path)
-        A = np.array([p.a for p in part])
-        B = np.array([p.b for p in part])
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = lam * A + (1 - lam) * B  # _check_finite reports overflow
+        rows, start = slice(start, start + len(path)), start + len(path)
+        A, B, X = A_all[rows], B_all[rows], X_all[rows]
         steps = np.linalg.norm(np.diff(np.array(path), axis=0), axis=1)
         sigmas = np.concatenate([[0.0], np.cumsum(steps)])
         scale = float(np.max(np.linalg.norm(A, axis=1))) or 1.0
         diam = float(np.max(np.ptp(X, axis=0)))
         out.append(EquidistantBranch(
-            lam=float(lam), manifold=M, samples=list(zip(part, X)),
-            sigmas=sigmas, status=status, degenerate=diam < 1e-8 * scale))
+            lam=float(lam), manifold=M, s=P[rows, 0], t=P[rows, 1], a=A,
+            b=B, points=X, sigmas=sigmas, status=status,
+            degenerate=diam < 1e-8 * scale))
     return out
 
 
@@ -1260,23 +1261,25 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     "cloud") with no branch structure.  `seed_density` is the pair-search
     grid density: 128 for curves when None, and the surface scheme's own
     default otherwise.  A lambda that sends a traced point outside the
-    finite floats raises NonFiniteEquidistantError, a DomainError.
+    finite floats raises NonFiniteEquidistantError, a DomainError; a
+    curve's step below about 2.07e-9 raises DomainError before any search.
 
-    The branches are decided by a sequential walk over the sorted seeds
-    (each pair and its swap): a seed whose grid cell, or whose projection's
-    cell, lies next to a point of an accepted branch is skipped; otherwise
-    its forward march, and its backward march unless the forward one
-    closes, make the next branch, with band ends landed on the band edge.
-    A march depends only on its seed and direction, so the marches run as
-    rows of one `_Marches`, one array pass per corrector iterate for all of
-    them, scheduled speculatively by one rule: whenever rows of two seeds
-    meet in a grid cell, the higher seed's rows are suspended.  The band
-    ends of this run land in one `_land_on_band` call, and then the walk
-    makes its one pass; a march it needs that has not finished is resumed,
-    run and landed in place.  The schedule decides what is computed, never
-    what a march returns, so every branch, point and bit is the one that
-    the walk gets from marches run one at a time.  The PairPoints of all
-    branches are built in one `_pair_points` pass.
+    The branches are decided by a sequential walk over the sorted distinct
+    seeds (each pair and its swap, projected once): a seed whose grid cell,
+    or whose projection's cell, lies next to a point of an accepted branch
+    is skipped; otherwise its forward march, and its backward march unless
+    the forward one closes, make the next branch, with band ends landed on
+    the band edge.  A march depends only on its seed and direction, so the
+    marches run as rows of one `_Marches`, one array pass per corrector
+    iterate for all of them, scheduled speculatively by one rule: whenever
+    rows of two seeds meet in a grid cell, the higher seed's rows stop and
+    their points are dropped.  The band ends of this run land in one
+    `_land_on_band` call, and then the walk makes its one pass; a march it
+    needs that has not finished starts again from its seed, runs and lands
+    in place.  The schedule decides what is computed, never what a march
+    returns, so every branch, point and bit is the one that the walk gets
+    from marches run one at a time.  The points of all branches come from
+    one jet pass.
     """
     lam = float(lam)
     if lam in (0.0, 1.0):
@@ -1284,30 +1287,34 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
                                     "reproduce M")
     if M.n != 1:
         pairs = find_parallel_pairs(M, seed_density)
-        with np.errstate(over="ignore", invalid="ignore"):
-            samples = [(p, p.lambda_point(lam)) for p in pairs]
-        branches = [EquidistantBranch(
-            lam=lam, manifold=M, samples=samples,
-            sigmas=np.zeros(len(samples)), status="cloud")]
-        _check_finite(branches)
-        return branches
+        S, T, A, B = (np.array([getattr(p, f) for p in pairs]).reshape(-1, w)
+                      for f, w in (("s", M.n), ("t", M.n), ("a", M.q),
+                                   ("b", M.q)))
+        return [EquidistantBranch(
+            lam=lam, manifold=M, s=S, t=T, a=A, b=B,
+            points=_lambda_points(lam, A, B), sigmas=np.zeros(len(A)),
+            status="cloud")]
+    # grid cells as int64 keys i * (ncells + 1) + j: a point's cell (i, j)
+    # may reach ncells, while marks wrap into 0..ncells-1, so every key is
+    # below (ncells + 1)^2, which must not pass 2^63
+    most = math.isqrt(1 << 63) - 1
+    if not TWO_PI / step <= most:
+        raise DomainError(f"step {step!r} is below {TWO_PI / most:.6g}: "
+                          f"the trace's int64 grid-cell keys would overflow")
+    ncells = math.ceil(TWO_PI / step)
     if seed_density is None:
         seed_density = 128
     delta, tol = 10.0 * TWO_PI / seed_density, 1e-12
     seeds = find_parallel_pairs(M, seed_density)
     seed_pts = [(float(p.s), float(p.t)) for p in seeds]
-    seed_pts += [(t, s) for s, t in seed_pts]
-    seed_pts.sort()
-    SP = np.array(seed_pts).reshape(-1, 2)
+    SP = np.array(sorted(set(seed_pts + [(t, s) for s, t in seed_pts])))
+    SP = SP.reshape(-1, 2)
     Z0, usable = _project_to_zero_many(M, SP, tol)
     usable &= ~(_toroidal_gaps(Z0[:, :1], Z0[:, 1:], (TWO_PI,))[:, 0]
                 < delta)
     if not usable.any():
         return []
 
-    # grid cells as keys i * (ncells + 1) + j: a point's cell (i, j) may
-    # reach ncells, while marks wrap into 0..ncells-1
-    ncells = int(math.ceil(TWO_PI / step))
     around = np.array([(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)])
 
     def cells(P):
@@ -1339,15 +1346,14 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
     lowest = np.min([first[(node[:, 0] + di) % seed_density,
                            (node[:, 1] + dj) % seed_density]
                      for di, dj in around], axis=0)
-    start = np.flatnonzero(lowest == np.arange(len(used))).tolist()
     march = _Marches(M, np.repeat(Z0[used], 2, axis=0),
-                     np.tile([1.0, -1.0], len(used)), step, delta, tol,
-                     40000, start=[2 * k for k in start])
+                     np.tile([1.0, -1.0], len(used)), step, delta, tol, 40000)
+    march.start((2 * np.flatnonzero(lowest == np.arange(len(used)))).tolist())
     owner = {}
 
     def watch(rows, points, finished):
         if finished:
-            march.resume([r + 1 for r in finished
+            march.start([r + 1 for r in finished
                           if r % 2 == 0 and not march.ends[r][0]])
         stop = []
         if not rows or len({r // 2 for r in march.live()}) < 2:
@@ -1361,7 +1367,7 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
         return stop
 
     live = march.live()
-    march.suspend(watch(live, [march.pts[r][0] for r in live], []))
+    march.drop(watch(live, [march.pts[r][0] for r in live], []))
     march.run(watch)
     landed = {}
 
@@ -1374,10 +1380,11 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
             landed.update(zip(ends, _land_on_band(M, lo, hi, delta, tol)))
 
     def finish(rows):
-        """Resume, run and land the rows among `rows` not finished yet."""
+        """Start again, run and land the rows among `rows` not finished
+        yet."""
         rows = [r for r in rows if not march.done(r)]
         if rows:
-            march.resume(rows)
+            march.start(rows)
             march.run()
             land(rows)
 
@@ -1405,16 +1412,7 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
         visited.update(marks(np.array(path)).tolist())
         if len(path) >= 2:
             paths.append((path, status))
-    branches = _branches_from_paths(M, lam, paths) if paths else []
-    _check_finite(branches)
-    return branches
-
-
-def _check_finite(branches):
-    for br in branches:
-        if br.samples and not np.isfinite(br.points()).all():
-            raise NonFiniteEquidistantError(
-                f"lambda = {br.lam} sends traced points outside the floats")
+    return _branches_from_paths(M, lam, paths) if paths else []
 
 
 def _wrap_pi(d):
@@ -1581,7 +1579,7 @@ def _detect_branches(branches):
     Returns the annotated branches in order."""
     tol = 1e-13
     out = [replace(br, annotations=[]) for br in branches]
-    work = [(k, br, np.array([[pp.s, pp.t] for pp, _ in br.samples]))
+    work = [(k, br, np.column_stack([br.s, br.t]))
             for k, br in enumerate(branches)
             if not (br.degenerate or br.status == "cloud" or len(br) < 4)]
     if not work:
@@ -1602,7 +1600,7 @@ def _detect_branches(branches):
         if len(b):
             annotations += _annotate(M, lam, b.tolist(), z_b, found_b,
                                      "A2_cusp", ("A", (2,)))
-        nodes = _find_node_candidates(br.points(), br.status == "closed",
+        nodes = _find_node_candidates(br.points, br.status == "closed",
                                       12, 0.15)
         if nodes:
             ends = np.array([spos for si, sj, _ in nodes for spos in (si, sj)])
@@ -1859,15 +1857,16 @@ def write_branches_csv(branches: Sequence[EquidistantBranch],
     join their components with ';')."""
     if not branches:
         raise ValueError("no branches to write")
-    q = next((len(br.samples[0][1]) for br in branches if br.samples), 0)
+    q = next((br.points.shape[1] for br in branches if len(br)), 0)
     header = ["branch_id", "sigma", "s", "t"] + \
         [f"x{i + 1}" for i in range(q)] + ["label"]
     lines = [",".join(header)]
     for bid, br in enumerate(branches):
         labels = {a.index: a.label for a in br.annotations}
-        for i, (pp, x) in enumerate(br.samples):
+        for i, (s, t, x) in enumerate(zip(br.s.tolist(), br.t.tolist(),
+                                          br.points.tolist())):
             row = [str(bid), _fmt(br.sigmas[i] if len(br.sigmas) else 0.0),
-                   _fmt_param(pp.s), _fmt_param(pp.t)]
+                   _fmt_param(s), _fmt_param(t)]
             row += [_fmt(c) for c in x]
             row.append(labels.get(i, ""))
             lines.append(",".join(row))
@@ -1885,14 +1884,14 @@ def write_branches_svg(branches: Sequence[EquidistantBranch],
     over the grey outline of a curve; cusps marked with circles, nodes with
     squares.  Only the first two ambient coordinates are drawn."""
     size, outline = 640, None
-    pts = [x[:2] for br in branches for _, x in br.samples]
+    pts = [br.points[:, :2] for br in branches]
     if branches and branches[0].manifold.n == 1:
         th = np.linspace(0, TWO_PI, 512)
         outline = np.asarray(branches[0].manifold.position((th,)))[:, :2]
-        pts.extend(outline)
-    if not pts:
+        pts.append(outline)
+    arr = np.concatenate(pts + [np.zeros((0, 2))])
+    if not len(arr):
         raise ValueError("no points to draw")
-    arr = np.array(pts)
     lo, hi = arr.min(axis=0), arr.max(axis=0)
     span = float(max(hi - lo)) or 1.0
     pad = 0.06 * span
@@ -1914,7 +1913,7 @@ def write_branches_svg(branches: Sequence[EquidistantBranch],
             'stroke-width="1"/>')
     for bid, br in enumerate(branches):
         color = _SVG_COLORS[bid % len(_SVG_COLORS)]
-        path_pts = " ".join(to_px(x[:2]) for _, x in br.samples)
+        path_pts = " ".join(to_px(x) for x in br.points[:, :2].tolist())
         parts.append(
             f'<polyline points="{path_pts}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>')

@@ -18,10 +18,8 @@ from equidistants.contact_lab import GraphPair, _check_lambda
 from equidistants.geometry_engine import (
     TWO_PI,
     EquidistantBranch,
-    PairPoint,
     ParametricManifold,
     _check_immersed,
-    _cross2,
     _g_grad,
     _pair_points,
     _project_to_zero_many,
@@ -239,8 +237,8 @@ def densify_branch(branch: EquidistantBranch,
     gap, which bounds the polyline's deviation from the underlying curve by
     gap^2 * max|x''(sigma)| / 8 even across cusps, where the point spacing
     degenerates.  Inserted parameters interpolate the polyline and are
-    projected back onto the parallel-pair equation; degree data is copied
-    from the bracketing coarse samples, annotations are dropped.
+    projected back onto the parallel-pair equation; annotations are
+    dropped.
     """
     if branch.status == "cloud" or len(branch) < 2:
         return branch
@@ -248,13 +246,13 @@ def densify_branch(branch: EquidistantBranch,
         raise ValueError("give target_spacing or max_sigma_gap")
     M = branch.manifold
     lam = branch.lam
-    Z = np.array([[pp.s, pp.t] for pp, _ in branch.samples])
+    Z = np.column_stack([branch.s, branch.t])
     # unwrap so linear interpolation never crosses the period seam
     Zu = Z.copy()
     for col in range(2):
         Zu[:, col] = Z[0, col] + np.concatenate(
             [[0.0], np.cumsum(_wrap_pi(np.diff(Z[:, col])))])
-    X = branch.points()
+    X = branch.points
     counts = np.ones(len(Zu) - 1, dtype=int)
     if target_spacing is not None:
         gaps = np.linalg.norm(np.diff(X, axis=0), axis=1)
@@ -280,21 +278,11 @@ def densify_branch(branch: EquidistantBranch,
     A = M.position((S,))
     B = M.position((T,))
     X = lam * A + (1 - lam) * B
-    Ts = M.derivative((S,), (1,))
-    Tt = M.derivative((T,), (1,))
-    res = np.abs(_cross2(Ts, Tt)) / (
-        np.linalg.norm(Ts, axis=1) * np.linalg.norm(Tt, axis=1))
-    deg0, cod0 = branch.samples[0][0].deg_k, branch.samples[0][0].codim
-    samples = [
-        (PairPoint(float(S[i] % TWO_PI), float(T[i] % TWO_PI), A[i], B[i],
-                   deg0, cod0, float(res[i])), X[i])
-        for i in range(len(S))
-    ]
     steps = np.hypot(np.diff(S), np.diff(T))
     sigmas = np.concatenate([[0.0], np.cumsum(steps)])
     return EquidistantBranch(
-        lam=lam, manifold=M, samples=samples, sigmas=sigmas,
-        status=branch.status, degenerate=branch.degenerate)
+        lam=lam, manifold=M, s=S % TWO_PI, t=T % TWO_PI, a=A, b=B, points=X,
+        sigmas=sigmas, status=branch.status, degenerate=branch.degenerate)
 
 
 def tangent_frame(M: ParametricManifold, params) -> np.ndarray:
@@ -314,7 +302,7 @@ def parallelism(M: ParametricManifold, s, t) -> Tuple[int, int]:
     it builds enforces 2n - deg = q - codim.  codim = 0 means not weakly
     parallel.
     """
-    p = _pair_points(M, [s], [t])[0]
+    p = _pair_points(M, [s], [t], [0.0])[0]
     return p.deg_k, p.codim
 
 
@@ -323,9 +311,9 @@ def projection_rank_residuals(branch: EquidistantBranch) -> np.ndarray:
     [lam*T(s); (1-lam)*T(t)] at every sample of the branch."""
     M, lam = branch.manifold, branch.lam
     out = np.empty(len(branch))
-    for i, (pp, _) in enumerate(branch.samples):
-        J = np.vstack([lam * tangent_frame(M, pp.s),
-                       (1 - lam) * tangent_frame(M, pp.t)])
+    for i, (s, t) in enumerate(zip(branch.s, branch.t)):
+        J = np.vstack([lam * tangent_frame(M, s),
+                       (1 - lam) * tangent_frame(M, t)])
         sv = np.linalg.svd(J, compute_uv=False)
         out[i] = sv[-1] / sv[0]
     return out

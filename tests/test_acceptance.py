@@ -302,7 +302,7 @@ def _polyline_segments(branches):
         if branch.status == "cloud" or branch.degenerate or len(branch) < 2:
             continue
         fine = densify_branch(branch, max_sigma_gap=SIGMA_GAP)
-        points = fine.points()
+        points = fine.points
         segments.append(points)
         if fine.status == "closed":
             segments.append(np.vstack([points[-1], points[0]]))
@@ -382,7 +382,7 @@ def curve_pipeline():
 def test_ellipse_midpoint_set_collapses_to_center(curve_pipeline):
     worst = 0.0
     for branch in curve_pipeline["ellipse_half"]:
-        worst = max(worst, float(np.linalg.norm(branch.points(), axis=1).max()))
+        worst = max(worst, float(np.linalg.norm(branch.points, axis=1).max()))
     assert worst <= 1e-6
 
 

@@ -668,6 +668,18 @@ def test_trace_numeric_options_fail_on_one_line(tmp_path, ellipse_path, option, 
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("step", ["1e-9", "1e-300"])
+def test_trace_rejects_a_step_whose_cell_keys_overflow(tmp_path, ellipse_path, step):
+    # the walk keys grid cells i * (ncells + 1) + j in int64, with ncells =
+    # ceil(2pi / step); below a step of about 2.07e-9 the keys pass 2^63
+    # and wrap.  1e-9 ran for minutes, 1e-300 failed in numpy's cast
+    proc = run_capped("trace", "--input", ellipse_path, "--lambda", "1/2",
+                      "--out", str(tmp_path / "x"), "--step", step)
+    assert_one_line_failure(proc, 3, "DOMAIN")
+    assert f"step {float(step)!r} is below 2.06" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_trace_out_in_a_missing_directory_is_one_output_line(capsys, tmp_path, ellipse_path):
     prefix = str(tmp_path / "missing" / "x")
     code, out, err = run(capsys, "trace", "--input", ellipse_path,

@@ -1108,7 +1108,7 @@ def test_ellipse_midpoint_set_collapses_to_the_center():
     br = branches[0]
     assert br.status == "closed"
     assert br.degenerate
-    assert np.max(np.abs(br.points())) <= 1e-6
+    assert np.max(np.abs(br.points)) <= 1e-6
 
 
 def test_ellipse_equidistant_is_a_scaled_ellipse():
@@ -1117,7 +1117,7 @@ def test_ellipse_equidistant_is_a_scaled_ellipse():
     assert len(branches) == 1
     br = branches[0]
     assert br.status == "closed" and not br.degenerate
-    X = br.points()
+    X = br.points
     on = (X[:, 0] / 0.4) ** 2 + (X[:, 1] / 0.2) ** 2
     assert np.max(np.abs(on - 1.0)) <= 1e-9
 
@@ -1141,7 +1141,7 @@ def test_trace_is_deterministic():
     two = trace_equidistant(ellipse(2.0, 1.0), 0.4)
     assert len(one) == len(two)
     for a, b in zip(one, two):
-        assert np.array_equal(a.points(), b.points())
+        assert np.array_equal(a.points, b.points)
 
 
 def sampled_oval():
@@ -1196,8 +1196,8 @@ def branches_fingerprint(branches):
     for br in branches:
         h.update(br.status.encode())
         put(br.sigmas)
-        for pp, x in br.samples:
-            put(pp.s, pp.t, pp.a, pp.b, x)
+        for row in zip(br.s, br.t, br.a, br.b, br.points):
+            put(*row)
         for ann in br.annotations:
             h.update(f"{ann.index}:{ann.label}".encode())
             if ann.pair is not None:
@@ -1297,11 +1297,11 @@ def test_oval_cli_trace_and_detection_stay_within_2350_evaluator_passes(
 
 
 def test_oval_cli_trace_stays_within_4500_row_passes(oval_cli_half):
-    # 4,459 with one suspension rule (rows of two seeds meet in a cell: the
-    # higher seed waits), every point of a suspended seed's last pass
+    # 4,459 with one stopping rule (rows of two seeds meet in a cell: the
+    # higher seed stops), every point of a stopped seed's last pass
     # claiming its cell; 4,543 when those points were skipped, 7,714 when
-    # only a seed that steps into a lower seed's cell waits, and 11,792
-    # when no seed ever waits
+    # only a seed that steps into a lower seed's cell stops, and 11,792
+    # when no seed ever stops
     calls, _ = oval_cli_half
     assert calls["row_passes"] <= 4500, calls["row_passes"]
 
@@ -1347,6 +1347,7 @@ def test_lockstep_marches_equal_the_scalar_march(curve):
     for Z, max_steps in ((Z0[::len(Z0) // 16], 60), (Z0[:1], 40000)):
         rows, signs = march_rows(Z)
         march = ge._Marches(M, rows, signs, 0.02, delta, 1e-12, max_steps)
+        march.start(range(len(rows)))
         march.run()
         for r, (z0, sign) in enumerate(zip(rows, signs)):
             ends.add(assert_march_is_scalar(march.result(r), M, z0, sign,
@@ -1356,45 +1357,81 @@ def test_lockstep_marches_equal_the_scalar_march(curve):
                                  else {"band"})
 
 
-def test_a_suspended_lockstep_row_resumes_where_it_stopped():
-    # rows parked mid-corrector while the others finish, then resumed
+def test_a_dropped_lockstep_row_started_again_equals_the_scalar_march():
+    # rows dropped mid-corrector while the others finish, then started
+    # again from their seeds
     M = oval()
     Z0, delta = usable_seeds(M)
     rows, signs = march_rows(Z0[::len(Z0) // 6][:6])
     march = ge._Marches(M, rows, signs, 0.02, delta, 1e-12, 80)
+    march.start(range(len(rows)))
     for _ in range(7):
         march.step_once()
-    parked = march.live()[::2]
-    taken = {r: list(march.pts[r]) for r in parked}
-    assert parked and min(map(len, taken.values())) > 1
-    march.suspend(parked)
-    assert not set(parked) & set(march.live())
+    dropped = march.live()[::2]
+    assert dropped and min(len(march.pts[r]) for r in dropped) > 1
+    march.drop(dropped)
+    assert not set(dropped) & (set(march.live()) | set(march.pts))
     march.run()
-    assert not any(march.done(r) for r in parked)
-    march.resume(parked)
-    assert all(march.pts[r] == taken[r] for r in parked)
+    assert not any(march.done(r) for r in dropped)
+    march.start(dropped)
     march.run()
     for r, (z0, sign) in enumerate(zip(rows, signs)):
         assert_march_is_scalar(march.result(r), M, z0, sign, delta, 80)
 
 
-def test_the_walk_resumes_every_march_it_needs(monkeypatch):
-    # every row is suspended after the first lockstep pass, so the walk
-    # resumes each march it reads, and the trace stays the same
-    step_once, resumed = ge._Marches.step_once, []
+def test_the_walk_starts_again_every_march_it_needs(monkeypatch):
+    # every row is dropped after each lockstep pass, so the walk starts
+    # again each march it reads, and the trace stays the same
+    step_once, start = ge._Marches.step_once, ge._Marches.start
+    dropped, again = set(), set()
 
     def stall(self, watch=None):
         step_once(self, watch)
         if watch is not None:
-            self.suspend(self.live())
+            dropped.update(self.live())
+            self.drop(self.live())
 
-    resume = ge._Marches.resume
+    def spy(self, rids):
+        rids = list(rids)
+        again.update(r for r in rids if r in dropped)
+        start(self, rids)
+
     monkeypatch.setattr(ge._Marches, "step_once", stall)
-    monkeypatch.setattr(ge._Marches, "resume",
-                        lambda self, rids: resumed.append(rids)
-                        or resume(self, rids))
+    monkeypatch.setattr(ge._Marches, "start", spy)
     assert trace_fingerprint(oval(), 0.5) == TRACE_FINGERPRINTS["oval", 0.5]
-    assert len(resumed) >= 7
+    assert len(again) >= 7
+
+
+def test_an_oval_trace_builds_pair_points_only_for_seeds_and_annotations(
+        monkeypatch):
+    # the branches hold arrays; the parent built 1,382 PairPoints here, 956
+    # of them for the branch samples
+    built = []
+    check = ge.PairPoint.__post_init__
+
+    def count(self):
+        built.append(1)
+        check(self)
+
+    seeds = len(find_parallel_pairs(oval(), 128))
+    monkeypatch.setattr(ge.PairPoint, "__post_init__", count)
+    branches = ge._detect_branches(trace_equidistant(oval(), 0.5))
+    pairs = sum(a.pair is not None for br in branches for a in br.annotations)
+    assert len(built) == seeds + pairs == 426
+
+
+def test_a_trace_projects_each_distinct_seed_once(monkeypatch):
+    # each pair and its swap are seeds; the parent projected 816 seed rows,
+    # of which 496 were distinct
+    calls, project = [], ge._project_to_zero_many
+
+    def spy(M, Z, *args):
+        calls.append(np.array(Z))
+        return project(M, Z, *args)
+
+    monkeypatch.setattr(ge, "_project_to_zero_many", spy)
+    trace_equidistant(oval(), 0.5)
+    assert len(np.unique(calls[0], axis=0)) == len(calls[0]) == 496
 
 
 def test_node_sweep_matches_the_loop_reference(oval_03):
@@ -1407,7 +1444,7 @@ def test_node_sweep_matches_the_loop_reference(oval_03):
             P[rng.integers(len(P))] = P[rng.integers(len(P))]
         walks.append(P)
     hits = 0
-    for P in walks + [br.points() for br in oval_03]:
+    for P in walks + [br.points for br in oval_03]:
         for closed in (False, True):
             for gap, min_sin in ((12, 0.15), (1, 0.0)):
                 want = node_candidates(P, closed, gap, min_sin)
@@ -1443,16 +1480,16 @@ def test_torus_trace_returns_a_midpoint_cloud():
     assert cloud.status == "cloud"
     assert len(cloud) > 1000
     R, r = 2.0, 0.5
-    for pp, x in cloud.samples:
+    for s, t, x in zip(cloud.s, cloud.t, cloud.points):
         rho = math.hypot(x[0], x[1])
         on_circle = abs(rho - R) < 1e-8 and abs(x[2]) < 1e-8
         at_origin = np.linalg.norm(x) < 1e-8
         on_sphere = abs(np.linalg.norm(x) - r) < 1e-8
-        parab = abs(math.cos(pp.s[1])) < 1e-8 \
-            and abs(math.cos(pp.t[1])) < 1e-8 \
+        parab = abs(math.cos(s[1])) < 1e-8 \
+            and abs(math.cos(t[1])) < 1e-8 \
             and min(abs(x[2]), abs(abs(x[2]) - r)) < 1e-8 \
             and rho <= R + 1e-8
-        assert on_circle or at_origin or on_sphere or parab, (pp.s, pp.t, x)
+        assert on_circle or at_origin or on_sphere or parab, (s, t, x)
 
 
 # ------------------------------------------------------------- densification
@@ -1461,16 +1498,17 @@ def test_torus_trace_returns_a_midpoint_cloud():
 def test_densify_branch_caps_the_requested_gaps(oval_03):
     main = max(oval_03, key=len)
     fine = densify_branch(main, max_sigma_gap=2e-3)
-    Z = np.array([[pp.s, pp.t] for pp, _ in fine.samples])
+    Z = np.column_stack([fine.s, fine.t])
     d = np.abs(np.diff(Z, axis=0))
     d = np.minimum(d, TWO_PI - d)
     sgap = np.hypot(d[:, 0], d[:, 1])
     assert np.max(sgap) <= 2e-3 * 1.0001
     assert fine.status == main.status
-    assert np.max([pp.residual for pp, _ in fine.samples]) <= 1e-9
+    g, _, _, scale = ge._g_grad(fine.manifold, fine.s, fine.t)
+    assert np.max(np.abs(g) / scale) <= 1e-9
 
     byx = densify_branch(main, target_spacing=1e-2)
-    gaps = np.linalg.norm(np.diff(byx.points(), axis=0), axis=1)
+    gaps = np.linalg.norm(np.diff(byx.points, axis=0), axis=1)
     assert np.max(gaps) <= 1.05e-2
     with pytest.raises(ValueError):
         densify_branch(main)
@@ -1479,9 +1517,8 @@ def test_densify_branch_caps_the_requested_gaps(oval_03):
 def test_closed_branch_densification_returns_to_its_start(oval_03):
     main = max(oval_03, key=len)
     fine = densify_branch(main, max_sigma_gap=5e-3)
-    first, last = fine.samples[0][0], fine.samples[-1][0]
-    assert tor_dist(first.s, last.s) < 1e-9
-    assert tor_dist(first.t, last.t) < 1e-9
+    assert tor_dist(fine.s[0], fine.s[-1]) < 1e-9
+    assert tor_dist(fine.t[0], fine.t[-1]) < 1e-9
 
 
 # ------------------------------------------------------ singularity reports
@@ -1774,8 +1811,9 @@ def test_csv_header_fits_the_rows_when_the_first_branch_is_empty(tmp_path):
     # q comes from the first branch with samples: with it read from the
     # empty first branch, the header had 5 fields and every row 7
     M = ellipse(2.0, 1.0)
-    empty = EquidistantBranch(lam=0.3, manifold=M, samples=[],
-                              sigmas=np.zeros(0), status="open")
+    none = np.zeros(0)
+    empty = EquidistantBranch(lam=0.3, manifold=M, s=none, t=none, a=none,
+                              b=none, points=none, sigmas=none, status="open")
     path = tmp_path / "empty_first.csv"
     write_branches_csv([empty, *trace_equidistant(M, 0.3)], str(path))
     lines = path.read_text().splitlines()
