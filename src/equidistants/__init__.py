@@ -38,12 +38,12 @@ _EXPORTS = {
     ),
     "geometry_engine": (
         "Annotation", "EquidistantBranch", "FrameAlignmentError",
-        "ImmersionError", "PairPoint", "ParametricManifold", "classify_pair",
-        "detect_singularities", "ellipse", "find_parallel_pairs",
-        "fourier_oval", "graph_surface", "manifold_from_dict",
-        "manifold_from_json", "sampled_curve", "sampled_surface",
-        "taylor_germ_at_pair", "torus", "trace_equidistant",
-        "write_branches_csv", "write_branches_svg",
+        "ImmersionError", "PairCloud", "PairPoint", "ParametricManifold",
+        "classify_pair", "detect_singularities", "ellipse",
+        "find_parallel_pairs", "fourier_oval", "graph_surface",
+        "manifold_from_dict", "manifold_from_json", "sampled_curve",
+        "sampled_surface", "taylor_germ_at_pair", "torus",
+        "trace_equidistant", "write_branches_csv", "write_branches_svg",
     ),
     "germ_algebra": (
         "INFINITE", "REGULAR", "InfiniteCodimensionError",

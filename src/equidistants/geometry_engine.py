@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -488,6 +488,34 @@ class PairPoint:
         return lam * self.a + (1.0 - lam) * self.b
 
 
+@dataclass(frozen=True, eq=False)
+class PairCloud(Sequence):
+    """Weakly parallel pairs as arrays, one row per pair: parameters s and
+    t, (m,) for curves and (m, n) for surfaces, points a and b (m, q), and
+    deg_k, codim and residual (m,).  An integer index builds that row's
+    PairPoint; a slice or a boolean mask gives a cloud."""
+
+    s: np.ndarray
+    t: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    deg_k: np.ndarray
+    codim: np.ndarray
+    residual: np.ndarray
+
+    def __len__(self):
+        return len(self.residual)
+
+    def __getitem__(self, i):
+        if isinstance(i, (slice, np.ndarray)):
+            return PairCloud(*(getattr(self, f.name)[i] for f in fields(self)))
+        s, t = self.s[i].tolist(), self.t[i].tolist()
+        if self.s.ndim == 2:
+            s, t = tuple(s), tuple(t)
+        return PairPoint(s, t, self.a[i], self.b[i], int(self.deg_k[i]),
+                         int(self.codim[i]), float(self.residual[i]))
+
+
 def _curve_tangents(M, thetas):
     return M.jet((np.asarray(thetas, dtype=float),), 1)[1]
 
@@ -553,64 +581,45 @@ def _toroidal_gaps(A, B, periods):
     return gaps
 
 
-def _rank_drops(frames):
-    """Stacked frames whose rank drops, zero or with a least singular value
-    at most TAU_RANK times the largest, and their singular values."""
-    sv = np.linalg.svd(frames, compute_uv=False)
-    return (sv[:, 0] == 0.0) | (sv[:, -1] <= TAU_RANK * sv[:, 0]), sv
-
-
 def _check_immersed(frames, params):
-    """Raise ImmersionError at the first stacked frame whose rank drops;
-    params[i] are the parameters of frames[i]."""
-    bad, sv = _rank_drops(frames)
+    """Raise ImmersionError at the first stacked frame whose rank drops,
+    zero or with a least singular value at most TAU_RANK times the largest;
+    params[i], n floats, are the parameters of frames[i]."""
+    sv = np.linalg.svd(frames, compute_uv=False)
+    bad = (sv[:, 0] == 0.0) | (sv[:, -1] <= TAU_RANK * sv[:, 0])
     if bad.any():
         i = int(np.argmax(bad))
-        raise ImmersionError(f"tangent frame drops rank at {params[i]}: "
+        at = np.ravel(params[i]).tolist()
+        at = at[0] if len(at) == 1 else tuple(at)
+        raise ImmersionError(f"tangent frame drops rank at {at}: "
                              f"singular values {sv[i]}")
 
 
 def _pair_points(M, S, T, residuals):
-    """PairPoints of M at the parameters S and T, built in one pass.
-
-    Frames and positions come from one jet of order 1; immersion
-    checks and the rank of each stacked 2n x q frame come from stacked
-    SVDs, which give each matrix the singular values of its own SVD, so
-    the result is that of pair-by-pair construction.  Errors are raised for
-    the first offending pair: parameters that are not distinct, then a
-    rank drop at s, then at t.
-    """
-    if not len(S):
-        return []
-    n = M.n
-    Sa = np.array(S, dtype=float).reshape(len(S), n)
-    Ta = np.array(T, dtype=float).reshape(len(T), n)
-    S, T = ([p[0] if n == 1 else tuple(p) for p in A.tolist()]
-            for A in (Sa, Ta))
-    J = M.jet(tuple(np.concatenate([Sa, Ta]).T.copy()), 1)
-    m = len(S)
+    """The PairCloud of M at the parameters S and T, from one jet of order
+    1 at s, t of each pair in turn and stacked SVDs, which give each frame
+    the singular values of its own SVD: every row is that of pair-by-pair
+    construction.  Any pair whose parameters are not distinct raises
+    ValueError before the first rank drop, at s before t, ImmersionError."""
+    n, m = M.n, len(residuals)
+    P = np.stack([np.reshape(S, (m, n)), np.reshape(T, (m, n))], axis=1,
+                 dtype=float)
+    gaps = _toroidal_gaps(P[:, 0], P[:, 1], M.periods)
+    if not (gaps > 1e-12).any(axis=1).all():
+        raise ValueError("parallelism needs distinct parameters")
+    P = P.reshape(2 * m, n)
+    J = M.jet(tuple(P.T.copy()), 1)
     F = np.stack([J[unit_exp(i, n)] for i in range(n)], axis=1)
-    Fs, Ft = F[:m], F[m:]
-    # the pairs keep a copy of the positions, and the jet is freed
-    X = J[(0,) * n].copy()
+    # the cloud keeps copies of the positions, and the jet is freed
+    A, B = (J[(0,) * n][k::2].copy() for k in (0, 1))
     del J
-    distinct = (_toroidal_gaps(Sa, Ta, M.periods) > 1e-12).any(axis=1)
-    bad_s, sv_s = _rank_drops(Fs)
-    bad_t, sv_t = _rank_drops(Ft)
-    bad = ~distinct | bad_s | bad_t
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not distinct[k]:
-            raise ValueError("parallelism needs distinct parameters")
-        at, sv = (S[k], sv_s[k]) if bad_s[k] else (T[k], sv_t[k])
-        raise ImmersionError(
-            f"tangent frame drops rank at {at}: singular values {sv}")
-    sv = np.linalg.svd(np.concatenate([Fs, Ft], axis=1), compute_uv=False)
+    _check_immersed(F, P)
+    sv = np.linalg.svd(F.reshape(m, 2 * n, M.q), compute_uv=False)
     rank = np.sum(sv > TAU_RANK * sv[:, :1], axis=1)
-    deg, codim = 2 * n - rank, M.q - rank
-    return [PairPoint(*row) for row in zip(
-        S, T, X[:m], X[m:], deg.tolist(), codim.tolist(),
-        np.asarray(residuals, dtype=float).tolist())]
+    shape = (m,) if n == 1 else (m, n)
+    return PairCloud(P[0::2].reshape(shape), P[1::2].reshape(shape), A, B,
+                     2 * n - rank, M.q - rank,
+                     np.array(residuals, dtype=float))
 
 
 def _row_blocks(rows, width):
@@ -715,8 +724,8 @@ def _pairs_torus(M, density, delta):
     U, V = np.meshgrid(us, us, indexing="ij")
     J = M.jet((U, V), 1)
     Tu, Tv = J[1, 0], J[0, 1]
-    _check_immersed(np.stack([Tu, Tv], axis=-2).reshape(-1, 2, M.q),
-                    list(zip(U.ravel().tolist(), V.ravel().tolist())))
+    coords = np.stack([U.ravel(), V.ravel()], axis=1)
+    _check_immersed(np.stack([Tu, Tv], axis=-2).reshape(-1, 2, M.q), coords)
     ev = M._ev
     if isinstance(ev, _Torus) and ev.R <= ev.r:
         # the circle cos v = -R/r, where d/du vanishes, can miss the grid
@@ -728,7 +737,6 @@ def _pairs_torus(M, density, delta):
     flat = N.reshape(-1, 3)
     P = flat.shape[0]
     spacing = TWO_PI / density
-    coords = np.stack([U.ravel(), V.ravel()], axis=1)
     cand = []
     for rows in _row_blocks(P, P):
         cross = np.cross(flat[rows, None, :], flat[None, :, :])
@@ -826,16 +834,15 @@ def _pairs_graph4(M, density, delta):
 
 def find_parallel_pairs(M: ParametricManifold,
                         grid_density: Optional[int] = None,
-                        delta_diag: Optional[float] = None) -> List[PairPoint]:
+                        delta_diag: Optional[float] = None) -> PairCloud:
     """Sample the weakly parallel pairs of M off the diagonal band.
 
     A scheme chosen by (n, q) and by the domain returns its refined
     candidates whose residual is at most 1e-10 as arrays (S, T, residuals,
     keys).  One tail then keeps the first hit of each key, so duplicates
     merge by parameter distance, orders the pairs lexicographically, builds
-    their PairPoints in one stacked pass (as pair-by-pair construction
-    would build them) and drops those that are not weakly parallel.  The
-    schemes:
+    their PairCloud in one stacked pass and keeps the weakly parallel rows
+    (codim > 0).  The schemes:
 
     * closed curves in R^2: sign changes of the stacked-tangent determinant
       along t on the grid, refined by lockstep bisection; the brackets
@@ -858,10 +865,10 @@ def find_parallel_pairs(M: ParametricManifold,
     are two- and three-dimensional, so their sample counts grow with a
     power of the density instead of linearly.  Every scan, and the graph
     scheme's bisection, runs in blocks of at most _SCAN_PAIRS grid pairs
-    or brackets, so at its budget a search peaks near 50 / 85 / 270 MB in
+    or brackets, so at its budget a search peaks near 40 / 60 / 185 MB in
     a fresh process.  The budgets 4096 / 48 / 64 bound time, since a scan
     grows with the square of a curve's density and the fourth power of a
-    surface's: at the budget a search takes about 0.4 / 1.4 / 4.5 s on a
+    surface's: at the budget a search takes about 0.35 / 1.2 / 3.8 s on a
     2-core machine.  A density above its budget raises DomainError before
     any grid is built.
     """
@@ -900,8 +907,8 @@ def find_parallel_pairs(M: ParametricManifold,
                           f"budget {budget} of this pair scheme")
     S, T, residuals, keys = scheme(M, grid_density, delta_diag)
     first = _first_of_each_key(keys, S, T)
-    pairs = _pair_points(M, S[first], T[first], residuals[first])
-    return [p for p in pairs if p.codim > 0]
+    cloud = _pair_points(M, S[first], T[first], residuals[first])
+    return cloud[cloud.codim > 0]
 
 
 # --------------------------------------------------------------------------
@@ -1225,18 +1232,15 @@ def _lambda_points(lam, A, B):
 
 def _branches_from_paths(M, lam, paths):
     """One EquidistantBranch per (path, status), with the points of every
-    path from one jet pass of order 1.  ImmersionError names the first
-    pair whose frame drops rank, at s before t."""
+    path from one `_pair_points` pass, which raises ImmersionError at the
+    first pair whose frame drops rank, at s before t."""
     P = np.concatenate([np.array(path) for path, _ in paths]) % TWO_PI
-    J = M.jet(np.concatenate([P[:, 0], P[:, 1]]), 1)
-    _check_immersed(J[1].reshape(2, -1, 1, M.q).swapaxes(0, 1)
-                    .reshape(-1, 1, M.q), P.ravel().tolist())
-    A_all, B_all = J[0].reshape(2, -1, M.q).copy()
-    X_all = _lambda_points(lam, A_all, B_all)
+    cloud = _pair_points(M, P[:, 0], P[:, 1], np.zeros(len(P)))
+    X_all = _lambda_points(lam, cloud.a, cloud.b)
     out, start = [], 0
     for path, status in paths:
         rows, start = slice(start, start + len(path)), start + len(path)
-        A, B, X = A_all[rows], B_all[rows], X_all[rows]
+        A, B, X = cloud.a[rows], cloud.b[rows], X_all[rows]
         steps = np.linalg.norm(np.diff(np.array(path), axis=0), axis=1)
         sigmas = np.concatenate([[0.0], np.cumsum(steps)])
         scale = float(np.max(np.linalg.norm(A, axis=1))) or 1.0
@@ -1286,13 +1290,10 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
         raise DegenerateLambdaError("lambda must avoid 0 and 1; those "
                                     "reproduce M")
     if M.n != 1:
-        pairs = find_parallel_pairs(M, seed_density)
-        S, T, A, B = (np.array([getattr(p, f) for p in pairs]).reshape(-1, w)
-                      for f, w in (("s", M.n), ("t", M.n), ("a", M.q),
-                                   ("b", M.q)))
+        c = find_parallel_pairs(M, seed_density)
         return [EquidistantBranch(
-            lam=lam, manifold=M, s=S, t=T, a=A, b=B,
-            points=_lambda_points(lam, A, B), sigmas=np.zeros(len(A)),
+            lam=lam, manifold=M, s=c.s, t=c.t, a=c.a, b=c.b,
+            points=_lambda_points(lam, c.a, c.b), sigmas=np.zeros(len(c)),
             status="cloud")]
     # grid cells as int64 keys i * (ncells + 1) + j: a point's cell (i, j)
     # may reach ncells, while marks wrap into 0..ncells-1, so every key is
@@ -1306,9 +1307,8 @@ def trace_equidistant(M: ParametricManifold, lam, step: float = 0.02,
         seed_density = 128
     delta, tol = 10.0 * TWO_PI / seed_density, 1e-12
     seeds = find_parallel_pairs(M, seed_density)
-    seed_pts = [(float(p.s), float(p.t)) for p in seeds]
-    SP = np.array(sorted(set(seed_pts + [(t, s) for s, t in seed_pts])))
-    SP = SP.reshape(-1, 2)
+    ST = np.column_stack([seeds.s, seeds.t])
+    SP = np.unique(np.concatenate([ST, ST[:, ::-1]]), axis=0)
     Z0, usable = _project_to_zero_many(M, SP, tol)
     usable &= ~(_toroidal_gaps(Z0[:, :1], Z0[:, 1:], (TWO_PI,))[:, 0]
                 < delta)
@@ -1637,8 +1637,7 @@ def _annotate(M, lam, index, Z, found, label, expected):
     pair and no class where `classify_pair` raised, and with a pair and the
     class it gave where that class disagreed."""
     at = Z[found] % TWO_PI
-    pairs = iter(_pair_points(M, at[:, 0].tolist(), at[:, 1].tolist(),
-                              np.zeros(len(at))))
+    pairs = iter(_pair_points(M, at[:, 0], at[:, 1], np.zeros(len(at))))
     out = []
     for i, hit in zip(index, found):
         if not hit:
@@ -1769,7 +1768,8 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
 
     The ambient chart sends a to the origin, spans the first tangent space
     by the (y, z) block and the lambda-reflected second tangent space by
-    the (y, v) block; both local graphs are Taylor-expanded to `order`.
+    the (y, v) block; both local graphs are Taylor-expanded to `order`,
+    which must lie in 2..MAX_TERM_DEGREE (ValueError before any jet).
     The reflection is baked into the second germ, so contact_map on the
     result measures the equidistant contact at the lambda-point.
     Coefficients snap to rationals; entries below a relative clip vanish.
@@ -1781,8 +1781,8 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
     n, q, k = M.n, M.q, pair.deg_k
     if k < 1:
         raise ValueError("pair is not weakly parallel (degree 0)")
-    if order < 2:
-        raise ValueError("need order >= 2 to carry curvature data")
+    if not 2 <= order <= MAX_TERM_DEGREE:
+        raise ValueError(f"bridge order {order} not in 2..{MAX_TERM_DEGREE}")
     if M.kind == "samples" and order > 3:
         raise ValueError("sampled grids carry derivatives up to order 3")
     # both ends from one jet pass; the frames are its first partials
@@ -1790,7 +1790,7 @@ def taylor_germ_at_pair(M: ParametricManifold, pair: PairPoint, lam,
     J = M.jet(tuple(ends.T.copy()), order)
     Ja, Jb = J[..., 0, :], J[..., 1, :]
     F = np.stack([J[unit_exp(i, n)] for i in range(n)], axis=1)
-    _check_immersed(F, (pair.s, pair.t))
+    _check_immersed(F, ends)
     B = _adapted_basis(F[0], -(1 - lam) / lam * F[1], k, q)
     Binv = np.linalg.inv(B)
     a = Ja[(0,) * n]

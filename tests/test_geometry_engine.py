@@ -4,6 +4,7 @@ equidistants, singularity detection against frozen brute-force goldens, and
 the float-to-rational bridge against exact contact classes."""
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -548,13 +549,57 @@ def test_pair_degrees_match_the_rank_of_each_stacked_frame(make):
     oval, lambda: graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}]),
 ], ids=["oval", "graph4"])
 def test_pair_points_keep_only_the_cloud_positions(make):
-    # each a and b is a row of one (2m, q) array of positions, not a view
-    # of the order-1 jet whose first partials gave the frames
+    # a and b hold their own rows, no view of the order-1 jet whose first
+    # partials gave the frames; a PairPoint's a and b are rows of them
     M = make()
     pairs = find_parallel_pairs(M)
-    base = pairs[0].a.base
-    assert base.base is None and base.ndim == 2 and base.shape[1] == M.q
-    assert all(p.a.base is base and p.b.base is base for p in pairs)
+    cloud = ge._pair_points(M, pairs.s, pairs.t, pairs.residual)
+    for X in (cloud.a, cloud.b):
+        assert X.base is None and X.shape == (len(pairs), M.q)
+    assert pairs[3].a.base is pairs.a and pairs[3].b.base is pairs.b
+
+
+@pytest.mark.parametrize("make", [
+    oval, lambda: torus(2.0, 0.5),
+    lambda: graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}]),
+], ids=["oval", "torus", "graph4"])
+def test_cloud_rows_are_the_pair_by_pair_pair_points(make):
+    # an int, a negative int, a slice and a mask give the PairPoints that
+    # `_pair_points` builds for each pair alone: the same bits and the same
+    # Python types (floats or tuples of floats, ints)
+    M = make()
+    cloud = find_parallel_pairs(M)
+    m = len(cloud)
+
+    def alone(i):
+        return ge._pair_points(M, [cloud.s[i]], [cloud.t[i]],
+                               [cloud.residual[i]])[0]
+
+    mask = np.arange(m) % 97 == 5
+    picked = cloud[3::m // 7], cloud[mask]
+    assert all(isinstance(c, ge.PairCloud) for c in picked)
+    got = [cloud[7], cloud[-1], *picked[0], *picked[1]]
+    want = [alone(7), alone(m - 1), *map(alone, range(3, m, m // 7)),
+            *map(alone, np.flatnonzero(mask))]
+    assert len(got) == len(want) > 10
+    for p, q in zip(got, want):
+        for f in dataclasses.fields(PairPoint):
+            x, y = getattr(p, f.name), getattr(q, f.name)
+            assert type(x) is type(y)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        assert {type(v) for v in np.ravel([p.s, p.t]).tolist()} == {float}
+
+
+def test_a_flat_graph_gives_an_empty_cloud_and_an_empty_cloud_branch():
+    # det(Df(t) - Df(s)) vanishes everywhere, so no grid line brackets a root
+    M = graph_surface([{(1, 0): 1.0}, {(0, 1): 1.0}])
+    cloud = find_parallel_pairs(M)
+    assert len(cloud) == 0 and list(cloud) == []
+    assert cloud.s.shape == cloud.t.shape == (0, 2)
+    assert cloud.a.shape == cloud.b.shape == (0, 4)
+    [branch] = trace_equidistant(M, 0.5)
+    assert branch.status == "cloud" and len(branch) == 0
+    assert branch.s.shape == (0, 2) and branch.points.shape == (0, 4)
 
 
 def test_pair_point_checks_the_degree_codimension_identity():
@@ -897,18 +942,22 @@ def test_scan_blocks_leave_the_pairs_unchanged(monkeypatch, make, density,
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
-@pytest.mark.parametrize("make, density, count", [
-    ("fourier_oval(a=[0.0, 0.0, 0.2])", 4096, 16176),
-    ("torus(2.0, 0.5)", 48, 33788),
-], ids=["oval-4096", "torus-48"])
+@pytest.mark.parametrize("make, density, count, bound_mib", [
+    ("fourier_oval(a=[0.0, 0.0, 0.2])", 4096, 16176, 150),
+    ("torus(2.0, 0.5)", 48, 33788, 150),
+    ("graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}])", 64,
+     187349, 200),
+], ids=["oval-4096", "torus-48", "graph4-64"])
 def test_pair_search_peak_memory_stays_bounded_at_the_budget(make, density,
-                                                             count):
+                                                             count, bound_mib):
     # a fresh process reads its own peak.  Its VmHWM starts at exec, where
     # ru_maxrss keeps the spawning process's peak (over 200 MB from a full
-    # pytest run).  Scanned in blocks of _SCAN_PAIRS these peak near 50 and
-    # 85 MB (a bare import is about 40 MB); one pass over the whole grid
-    # peaked at 583 and 284 MB
-    code = ("from equidistants import find_parallel_pairs, fourier_oval, torus\n"
+    # pytest run).  Scanned in blocks of _SCAN_PAIRS, into a PairCloud,
+    # these peak near 40, 60 and 185 MB (a bare import is about 40 MB); one
+    # pass over the whole grid peaked at 583 and 284 MB, and one PairPoint
+    # per pair at 44, 74 and 243 MB
+    code = ("from equidistants import find_parallel_pairs, fourier_oval, "
+            "graph_surface, torus\n"
             f"pairs = find_parallel_pairs({make}, {density})\n"
             "print(len(pairs), next(line.split()[1] for line in "
             "open('/proc/self/status') if line.startswith('VmHWM:')))\n")
@@ -919,7 +968,7 @@ def test_pair_search_peak_memory_stays_bounded_at_the_budget(make, density,
                           text=True, timeout=120, env=env, check=True)
     pairs, peak_kib = map(int, proc.stdout.split())
     assert pairs == count
-    assert peak_kib <= 150 * 1024
+    assert peak_kib <= bound_mib * 1024
 
 
 def test_packed_keys_keep_the_first_row_of_each_key():
@@ -1402,10 +1451,9 @@ def test_the_walk_starts_again_every_march_it_needs(monkeypatch):
     assert len(again) >= 7
 
 
-def test_an_oval_trace_builds_pair_points_only_for_seeds_and_annotations(
-        monkeypatch):
-    # the branches hold arrays; the parent built 1,382 PairPoints here, 956
-    # of them for the branch samples
+def test_an_oval_trace_builds_pair_points_only_for_annotations(monkeypatch):
+    # the seeds and branches are arrays; a PairPoint per seed made 426
+    # here, 408 of them for the seeds
     built = []
     check = ge.PairPoint.__post_init__
 
@@ -1413,11 +1461,10 @@ def test_an_oval_trace_builds_pair_points_only_for_seeds_and_annotations(
         built.append(1)
         check(self)
 
-    seeds = len(find_parallel_pairs(oval(), 128))
     monkeypatch.setattr(ge.PairPoint, "__post_init__", count)
     branches = ge._detect_branches(trace_equidistant(oval(), 0.5))
     pairs = sum(a.pair is not None for br in branches for a in br.annotations)
-    assert len(built) == seeds + pairs == 426
+    assert len(built) == pairs == 18
 
 
 def test_a_trace_projects_each_distinct_seed_once(monkeypatch):
@@ -1769,6 +1816,21 @@ def test_bridge_rejects_misaligned_pairs_and_bad_orders():
     regular = PairPoint(0.0, math.pi / 2, a, b, 0, 0, 0.0)
     with pytest.raises(ValueError):
         taylor_germ_at_pair(C, regular, "1/2")
+
+
+def test_bridge_rejects_an_order_above_the_budget_before_any_jet(
+        monkeypatch):
+    # with the check after the float bridge, orders 8, 12 and 16 took
+    # 0.12, 1.18 and 4.7 s on a torus pair, and order 65 ran past 110 s
+    M = torus(2.0, 0.5)
+    pair = find_parallel_pairs(M)[100]
+
+    def no_jet(self, params, top):
+        raise AssertionError("a jet was evaluated")
+
+    monkeypatch.setattr(ge.ParametricManifold, "jet", no_jet)
+    with pytest.raises(ValueError, match="2..64"):
+        classify_pair(M, pair, 0.5, order=ga.MAX_TERM_DEGREE + 1)
 
 
 def test_cusp_points_classify_as_the_expected_family(main_half):

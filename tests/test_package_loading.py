@@ -31,8 +31,8 @@ PUBLIC = [
     "Annotation", "DomainError", "EquidistantBranch", "FrameAlignmentError",
     "GermClass", "GraphPair", "INFINITE", "ImmersionError",
     "InfiniteCodimensionError", "LocalAlgebraReport", "MapGerm",
-    "NotNiceDimensionsError", "PairPoint", "ParametricManifold", "REGULAR",
-    "RingDims", "StableList", "StableRow", "UnrecognizedGermError",
+    "NotNiceDimensionsError", "PairCloud", "PairPoint", "ParametricManifold",
+    "REGULAR", "RingDims", "StableList", "StableRow", "UnrecognizedGermError",
     "catalogue", "classify_pair", "contact_map", "corank",
     "detect_singularities", "ellipse", "find_parallel_pairs", "format_poly",
     "format_stable_table", "fourier_oval", "graph_surface",
