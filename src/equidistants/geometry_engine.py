@@ -37,6 +37,7 @@ TWO_PI = 2.0 * math.pi
 _REFINE_ROWS = 4096     # torus pairs refined together; bounds their jets
 _SCAN_PAIRS = 1 << 14   # grid pairs scanned, or brackets bisected, together
 _PAIR_TOL = 1e-10       # residual bound of a located pair
+_GRAM_MARGIN = 1e-4     # a certified sigma_min / sigma_max bound, >> TAU_RANK
 
 
 class ImmersionError(DomainError):
@@ -584,12 +585,30 @@ def _toroidal_gaps(A, B, periods):
 def _check_immersed(frames, params):
     """Raise ImmersionError at the first stacked frame whose rank drops,
     zero or with a least singular value at most TAU_RANK times the largest;
-    params[i], n floats, are the parameters of frames[i]."""
-    sv = np.linalg.svd(frames, compute_uv=False)
+    params[i], n floats, are the parameters of frames[i].  A frame passes
+    without an SVD when n = 1 and 0 < |T|^2 < inf, or when n = 2 and its
+    Gram matrix G has a normal det G and sqrt(det G) / tr G, a lower bound
+    on sigma_min / sigma_max, finite and above _GRAM_MARGIN, so far above
+    TAU_RANK that rounding cannot pass a frame the SVD flags.  The others
+    take the stacked SVD in order, which names the first rank drop."""
+    F = np.moveaxis(frames, 0, -1)                  # (n, q, frames)
+    ok = np.zeros(len(frames), dtype=bool)
+    with np.errstate(all="ignore"):
+        if len(F) == 1:
+            g = sum(F[0] * F[0])
+            ok = (g > 0.0) & (g < np.inf)
+        elif len(F) == 2:
+            g11, g22 = sum(F[0] * F[0]), sum(F[1] * F[1])
+            det = g11 * g22 - sum(F[0] * F[1]) ** 2
+            bound = np.sqrt(det) / (g11 + g22)
+            ok = ((det >= np.finfo(float).tiny) & (bound > _GRAM_MARGIN)
+                  & (bound < np.inf))
+    check = np.flatnonzero(~ok)
+    sv = np.linalg.svd(frames[check], compute_uv=False)
     bad = (sv[:, 0] == 0.0) | (sv[:, -1] <= TAU_RANK * sv[:, 0])
     if bad.any():
         i = int(np.argmax(bad))
-        at = np.ravel(params[i]).tolist()
+        at = np.ravel(params[check[i]]).tolist()
         at = at[0] if len(at) == 1 else tuple(at)
         raise ImmersionError(f"tangent frame drops rank at {at}: "
                              f"singular values {sv[i]}")
@@ -688,67 +707,83 @@ def _pairs_curve(M, density, delta):
             keys)
 
 
-def _normal_cross(M, Z):
-    """r = nh(s) x nh(t) for unit normals nh at the rows (u_s, v_s, u_t, v_t)
-    of Z, and its Jacobian (rows, 3, 4) by d nh = (dn - nh (nh . dn)) / |n|."""
-    J = M.jet((Z[:, 0::2].T, Z[:, 1::2].T), 2)      # ends s, t on axis 2
-    n = np.cross(J[1, 0], J[0, 1])
-    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+def _cross(a, b):
+    """a x b over the first axis of (3, ...) arrays, in np.cross's order."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _unit_normals(J):
+    """(nh, d_u nh, d_v nh) by coordinate, (3, 3) + the points' shape, from
+    an order-2 jet J of a surface in R^3: nh = n / |n| for n = T_u x T_v and
+    d nh = (dn - nh (nh . dn)) / |n|.  `sum` adds as np.sum over an axis of
+    3 does, from 0.0 in order."""
+    J = np.moveaxis(J, -1, 2)
+    n = _cross(J[1, 0], J[0, 1])
+    norm = np.sqrt(sum(n * n))
     nh = n / norm
-    dnh = [(d - nh * np.sum(nh * d, axis=-1, keepdims=True)) / norm
-           for d in (np.cross(J[2, 0], J[0, 1]) + np.cross(J[1, 0], J[1, 1]),
-                     np.cross(J[1, 1], J[0, 1]) + np.cross(J[1, 0], J[0, 2]))]
-    cols = ([np.cross(d[0], nh[1]) for d in dnh]
-            + [np.cross(nh[0], d[1]) for d in dnh])
-    return np.cross(nh[0], nh[1]), np.stack(cols, axis=2)
+    return np.array([nh] + [(dn - nh * sum(nh * dn)) / norm for dn in (
+        _cross(J[2, 0], J[0, 1]) + _cross(J[1, 0], J[1, 1]),
+        _cross(J[1, 1], J[0, 1]) + _cross(J[1, 0], J[0, 2]))])
+
+
+def _normal_cross(M, Z, ends=None):
+    """r = nh(s) x nh(t) at the rows (u_s, v_s, u_t, v_t) of Z, (rows, 3),
+    and its Jacobian (rows, 3, 4), views of arrays held by coordinate, from
+    the `_unit_normals` (Ns, Nt) of the ends: `ends`, or one jet at both."""
+    Ns, Nt = ends or np.moveaxis(
+        _unit_normals(M.jet((Z[:, 0::2].T, Z[:, 1::2].T), 2)), 2, 0)
+    J = np.array([_cross(d, Nt[0]) for d in Ns[1:]]
+                 + [_cross(Ns[0], d) for d in Nt[1:]])
+    return _cross(Ns[0], Nt[0]).T, J.transpose(2, 1, 0)
 
 
 def _min_norm_step(J, r):
     """J^+ r of stacked 3x4 systems by modified Gram-Schmidt on the rows of J
     and forward substitution on r.  A row left with <= 1e-15 of the largest
     row norm drops with its equation, as pinv's cutoff drops it."""
-    cut = 1e-15 * np.linalg.norm(J, axis=2).max(axis=1)
+    J, r = np.ascontiguousarray(J.transpose(1, 2, 0)), r.T
+    cut = 1e-15 * np.max([np.sqrt(sum(w * w)) for w in J], axis=0)
     basis = []
-    for w, y in zip(J.transpose(1, 0, 2), r.T):
+    for w, y in zip(J, r):
         for q, c in basis:
-            proj = np.sum(w * q, axis=1)
-            w, y = w - proj[:, None] * q, y - proj * c
-        size = np.linalg.norm(w, axis=1)
+            proj = sum(w * q)
+            w, y = w - proj * q, y - proj * c
+        size = np.sqrt(sum(w * w))
         scale = (size > cut) / np.where(size > cut, size, 1.0)
-        basis.append((w * scale[:, None], y * scale))
-    return sum(c[:, None] * q for q, c in basis)
+        basis.append((w * scale, y * scale))
+    return sum(c * q for q, c in basis).T
 
 
 def _pairs_torus(M, density, delta):
+    """Gauss-Newton from the grid pairs whose normals are within 2 * spacing
+    of parallel.  One order-2 jet on the grid gives its immersion frames,
+    the scan's normals and the first pass, which gathers each end's normals
+    from the grid.  Rows never mix: no bit depends on _REFINE_ROWS."""
     us = np.arange(density) * (TWO_PI / density)
     U, V = np.meshgrid(us, us, indexing="ij")
-    J = M.jet((U, V), 1)
-    Tu, Tv = J[1, 0], J[0, 1]
+    J = M.jet((U, V), 2)
     coords = np.stack([U.ravel(), V.ravel()], axis=1)
-    _check_immersed(np.stack([Tu, Tv], axis=-2).reshape(-1, 2, M.q), coords)
+    _check_immersed(np.stack([J[1, 0], J[0, 1]], axis=-2).reshape(-1, 2, M.q),
+                    coords)
     ev = M._ev
     if isinstance(ev, _Torus) and ev.R <= ev.r:
         # the circle cos v = -R/r, where d/du vanishes, can miss the grid
         raise ImmersionError(
             f"torus with R={ev.R} <= r={ev.r} is not immersed where "
             f"cos v = -R/r")
-    N = np.cross(Tu, Tv)
-    N = N / np.linalg.norm(N, axis=-1, keepdims=True)
-    flat = N.reshape(-1, 3)
-    P = flat.shape[0]
+    N = _unit_normals(J).reshape(3, 3, -1)
+    P = N.shape[2]
     spacing = TWO_PI / density
     cand = []
     for rows in _row_blocks(P, P):
-        cross = np.cross(flat[rows, None, :], flat[None, :, :])
-        mis = np.linalg.norm(cross, axis=-1)
-        du = np.abs(coords[rows, None, 0] - coords[None, :, 0])
-        dv = np.abs(coords[rows, None, 1] - coords[None, :, 1])
-        du = np.minimum(du, TWO_PI - du)
-        dv = np.minimum(dv, TWO_PI - dv)
-        near = np.maximum(du, dv) < delta
-        hits = np.argwhere((mis < 2.0 * spacing) & ~near)
-        hits[:, 0] += rows.start
-        cand.append(hits[hits[:, 0] < hits[:, 1]])
+        # pairs i < j within 2 * spacing of parallel, then outside the band
+        cross = _cross(N[0, :, rows, None], N[0, :, None, rows.start + 1:])
+        i, j = np.nonzero(np.sqrt(sum(cross * cross)) < 2.0 * spacing)
+        i, j = i + rows.start, j + rows.start + 1
+        i, j = i[i < j], j[i < j]
+        gaps = _toroidal_gaps(coords[i], coords[j], M.periods).max(axis=1)
+        cand.append(np.column_stack([i, j])[~(gaps < delta)])
     cand = np.vstack(cand)
 
     # Gauss-Newton on the rows whose residual is still >= _PAIR_TOL (a dropped
@@ -757,8 +792,9 @@ def _pairs_torus(M, density, delta):
     rn = np.empty(len(Z))
     for lo in range(0, len(Z), _REFINE_ROWS):
         live = np.arange(lo, min(lo + _REFINE_ROWS, len(Z)))
+        ends = N[..., cand[live, 0]], N[..., cand[live, 1]]
         for it in range(41):
-            r, J = _normal_cross(M, Z[live])
+            r, J = _normal_cross(M, Z[live], ends if it == 0 else None)
             rn[live] = np.linalg.norm(r, axis=1)
             keep = rn[live] >= _PAIR_TOL
             if it == 40 or not keep.any():
@@ -859,18 +895,18 @@ def find_parallel_pairs(M: ParametricManifold,
 
     Any other manifold raises UnsupportedDimensionsError, a DomainError.
     A grid density below 2, which leaves no grid interval, raises
-    DomainError, and so does a diagonal band wider than half the period
-    (or than the box, for graphs), which would leave no pair.  The default
-    density is 256 for curves and 24 / 16 for the surface schemes, whose pair sets
-    are two- and three-dimensional, so their sample counts grow with a
-    power of the density instead of linearly.  Every scan, and the graph
-    scheme's bisection, runs in blocks of at most _SCAN_PAIRS grid pairs
-    or brackets, so at its budget a search peaks near 40 / 60 / 185 MB in
-    a fresh process.  The budgets 4096 / 48 / 64 bound time, since a scan
-    grows with the square of a curve's density and the fourth power of a
-    surface's: at the budget a search takes about 0.35 / 1.2 / 3.8 s on a
-    2-core machine.  A density above its budget raises DomainError before
-    any grid is built.
+    DomainError, and so does a diagonal band that is not positive (or NaN),
+    or wider than half the period (or than the box, for graphs), which
+    would leave no pair.  The default density is 256 for curves and 24 / 16
+    for the surface schemes, whose pair sets are two- and three-dimensional,
+    so their sample counts grow with a power of the density instead of
+    linearly.  Every scan, and the graph scheme's bisection, runs in blocks
+    of at most _SCAN_PAIRS grid pairs or brackets, so at its budget a search
+    peaks near 40 / 60 / 185 MB in a fresh process.  The budgets 4096 / 48 /
+    64 bound time, since a scan grows with the square of a curve's density
+    and the fourth power of a surface's: at the budget a search takes about
+    0.35 / 0.9 / 3.4 s on a 2-core machine.  A density above its budget
+    raises DomainError before any grid is built.
     """
     shape = (M.n, M.q)
     if shape == (1, 2):
@@ -893,6 +929,8 @@ def find_parallel_pairs(M: ParametricManifold,
     span = TWO_PI if M.periods[0] else 2 * M._ev.halfwidth
     if delta_diag is None:
         delta_diag = 10.0 * span / grid_density
+    if not delta_diag > 0:          # NaN too; an infinite band is too wide
+        raise DomainError(f"diagonal band {delta_diag!r} is not positive")
     # the largest distance from the diagonal
     if M.periods[0]:
         reach, what = span / 2, "half the period"

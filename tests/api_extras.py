@@ -7,6 +7,12 @@ composition and miniversal bases of map-germs, the swap and the
 lambda-reflection of graph pairs, the tangent frame at a point and the
 parallelism degrees of a pair, a resampled branch and the rank of the
 lambda-point map along it, and a reset of the memoized codimensions.
+
+It also keeps the formulations that faster ones replaced, as references:
+the torus residual and Jacobian and the minimum-norm step on (rows, 3)
+and (rows, 3, 4) arrays with np.cross, which the replacements match bit
+for bit, and the immersion check that takes an SVD of every frame, which
+the certificate matches in every raise and message.
 """
 
 from fractions import Fraction
@@ -16,8 +22,10 @@ import numpy as np
 
 from equidistants.contact_lab import GraphPair, _check_lambda
 from equidistants.geometry_engine import (
+    TAU_RANK,
     TWO_PI,
     EquidistantBranch,
+    ImmersionError,
     ParametricManifold,
     _check_immersed,
     _g_grad,
@@ -322,3 +330,50 @@ def projection_rank_residuals(branch: EquidistantBranch) -> np.ndarray:
 def clear_mu_cache() -> None:
     """Drop all memoized codimensions; they recompute on demand."""
     _computed_mu.cache_clear()
+
+
+def np_cross_normal_cross(M, Z):
+    """The torus residual r = nh(s) x nh(t) at the rows (u_s, v_s, u_t, v_t)
+    of Z and its Jacobian (rows, 3, 4) by d nh = (dn - nh (nh . dn)) / |n|,
+    with np.cross on (2, rows, 3) arrays: the reference for
+    `_normal_cross`."""
+    J = M.jet((Z[:, 0::2].T, Z[:, 1::2].T), 2)      # ends s, t on axis 2
+    n = np.cross(J[1, 0], J[0, 1])
+    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+    nh = n / norm
+    dnh = [(d - nh * np.sum(nh * d, axis=-1, keepdims=True)) / norm
+           for d in (np.cross(J[2, 0], J[0, 1]) + np.cross(J[1, 0], J[1, 1]),
+                     np.cross(J[1, 1], J[0, 1]) + np.cross(J[1, 0], J[0, 2]))]
+    cols = ([np.cross(d[0], nh[1]) for d in dnh]
+            + [np.cross(nh[0], d[1]) for d in dnh])
+    return np.cross(nh[0], nh[1]), np.stack(cols, axis=2)
+
+
+def rows_min_norm_step(J, r):
+    """J^+ r of stacked 3x4 systems by modified Gram-Schmidt on the rows of
+    J, with each system's rows as (systems, 4) arrays: the reference for
+    `_min_norm_step`."""
+    cut = 1e-15 * np.linalg.norm(J, axis=2).max(axis=1)
+    basis = []
+    for w, y in zip(J.transpose(1, 0, 2), r.T):
+        for q, c in basis:
+            proj = np.sum(w * q, axis=1)
+            w, y = w - proj[:, None] * q, y - proj * c
+        size = np.linalg.norm(w, axis=1)
+        scale = (size > cut) / np.where(size > cut, size, 1.0)
+        basis.append((w * scale[:, None], y * scale))
+    return sum(c[:, None] * q for q, c in basis)
+
+
+def svd_check_immersed(frames, params):
+    """The immersion check with an SVD of every frame: the reference for
+    `_check_immersed`, which must raise where it raises, at the same frame
+    and with the same message."""
+    sv = np.linalg.svd(frames, compute_uv=False)
+    bad = (sv[:, 0] == 0.0) | (sv[:, -1] <= TAU_RANK * sv[:, 0])
+    if bad.any():
+        i = int(np.argmax(bad))
+        at = np.ravel(params[i]).tolist()
+        at = at[0] if len(at) == 1 else tuple(at)
+        raise ImmersionError(f"tangent frame drops rank at {at}: "
+                             f"singular values {sv[i]}")

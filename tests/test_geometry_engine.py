@@ -20,9 +20,12 @@ import pytest
 
 from api_extras import (
     densify_branch,
+    np_cross_normal_cross,
     parallelism,
     projection_rank_residuals,
+    rows_min_norm_step,
     scalar_march,
+    svd_check_immersed,
     tangent_frame,
 )
 from engine_oracle import fcompose, node_candidates
@@ -480,6 +483,26 @@ def test_a_diagonal_band_covering_every_pair_is_a_domain_error(M, density):
         find_parallel_pairs(M, density)
     with pytest.raises(DomainError, match="diagonal band 3.2 at density 64"):
         find_parallel_pairs(M, 64, delta_diag=3.2)
+
+
+@pytest.mark.parametrize("band", [math.nan, -1.0, 0.0, -0.0])
+@pytest.mark.parametrize("make", [
+    lambda: fourier_oval(a=[0.0, 0.0, 0.2]), lambda: torus(2.0, 0.5),
+    lambda: graph_surface([{(2, 0): 1.0, (0, 2): 1.0}, {(1, 1): 1.0}]),
+], ids=["oval", "torus", "graph4"])
+def test_a_band_that_is_not_positive_is_a_domain_error(
+        monkeypatch, make, band):
+    # raised before any grid is built.  The surface searches ran their scan
+    # and refinement and then failed in `_pair_points` with a bare
+    # ValueError; on the oval a NaN band meant no band (1,006 pairs)
+    M = make()
+
+    def no_jet(self, params, top):
+        raise AssertionError("a jet was evaluated")
+
+    monkeypatch.setattr(ge.ParametricManifold, "jet", no_jet)
+    with pytest.raises(DomainError, match="is not positive"):
+        find_parallel_pairs(M, delta_diag=band)
 
 
 @pytest.mark.parametrize("density", [1, 0])
@@ -1038,6 +1061,134 @@ def test_torus_residual_jacobian_matches_central_differences(make):
                 - ge._normal_cross(M, Z - e)[0]) / (2 * h)
         err = np.linalg.norm(J[:, :, k] - diff, axis=1)
         assert (err <= 1e-6 * scale).all(), err.max()
+
+
+# the torus refinement's surfaces, at the grid densities searched here
+REFINE_SURFACES = {
+    "R2-r0.5": (lambda: torus(2.0, 0.5), 24),
+    "R1.5-r0.7": (lambda: torus(1.5, 0.7), 16),
+    "sampled": (sampled_torus, 12),
+}
+
+
+def refine_rows(density, seed):
+    """Rows (u_s, v_s, u_t, v_t): random ones, grid nodes, and points on
+    the axes, where jet entries and normal components are exact zeros of
+    either sign, and where some rows have s = t and so r = 0."""
+    rng = np.random.default_rng(seed)
+    Z = rng.uniform(0.0, TWO_PI, size=(400, 4))
+    Z[:100] = rng.integers(0, density, size=(100, 4)) * (TWO_PI / density)
+    Z[100:160] = rng.choice([0.0, -0.0, math.pi / 2, math.pi], size=(60, 4))
+    return Z
+
+
+def same_bits(got, want):
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes()
+               and np.shape(g) == np.shape(w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_SURFACES))
+def test_normal_cross_matches_the_np_cross_reference_bit_for_bit(name):
+    make, density = REFINE_SURFACES[name]
+    M = make()
+    Z = refine_rows(density, 7)
+    assert same_bits(ge._normal_cross(M, Z), np_cross_normal_cross(M, Z))
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_SURFACES))
+def test_the_first_pass_read_from_the_grid_is_a_direct_evaluation(name):
+    # the search's grid, its one order-2 jet, and the normals gathered at
+    # random node pairs, as the first Gauss-Newton pass gathers them
+    make, density = REFINE_SURFACES[name]
+    M = make()
+    us = np.arange(density) * (TWO_PI / density)
+    U, V = np.meshgrid(us, us, indexing="ij")
+    coords = np.stack([U.ravel(), V.ravel()], axis=1)
+    N = ge._unit_normals(M.jet((U, V), 2)).reshape(3, 3, -1)
+    pick = np.random.default_rng(13).integers(0, len(coords), size=(500, 2))
+    Z = np.hstack([coords[pick[:, 0]], coords[pick[:, 1]]])
+    got = ge._normal_cross(M, Z, (N[..., pick[:, 0]], N[..., pick[:, 1]]))
+    assert same_bits(got, np_cross_normal_cross(M, Z))
+    assert same_bits(got, ge._normal_cross(M, Z))
+    # the scan's normals are those of the order-1 jet the scan read before
+    J = M.jet((U, V), 1)
+    n = np.cross(J[1, 0], J[0, 1])
+    n = (n / np.linalg.norm(n, axis=-1, keepdims=True)).reshape(-1, 3)
+    assert same_bits([N[0].T], [n])
+
+
+def test_min_norm_step_matches_the_rows_reference_bit_for_bit():
+    rng = np.random.default_rng(23)
+    J = rng.normal(size=(300, 3, 4))
+    J[:50, 2] = 2.0 * J[:50, 0]                 # rank 2: one row drops
+    J[50:60, 1] = 0.0                           # a zero row drops
+    J[60:80, :, 1:3] = rng.choice([0.0, -0.0], size=(20, 3, 2))
+    J[80:85] = 0.0                              # every row drops
+    r = rng.normal(size=(300, 3))
+    r[60:100] = rng.choice([0.0, -0.0, 1.0], size=(40, 3))
+    assert same_bits([ge._min_norm_step(J, r)], [rows_min_norm_step(J, r)])
+    # and on the refinement's own systems, held by coordinate
+    for name, (make, density) in sorted(REFINE_SURFACES.items()):
+        r, J = ge._normal_cross(make(), refine_rows(density, 29))
+        want = rows_min_norm_step(np.ascontiguousarray(J),
+                                  np.ascontiguousarray(r))
+        assert same_bits([ge._min_norm_step(J, r)], [want]), name
+
+
+def certificate_frames(n, q, rng):
+    """n x q frames on both sides of every decision of the immersion check:
+    random ones, zero and rank 1, sigma_min / sigma_max at and near
+    TAU_RANK and at the certificate's margin, and frames so small that
+    their Gram matrix underflows, fully (1e-170) or into subnormal
+    products (1e-79), or so large that it overflows (1e160)."""
+    frames = [rng.normal(size=(n, q)) for _ in range(12)]
+    frames += [np.zeros((n, q)), np.full((n, q), np.inf)]   # inf passes
+    if n == 2:
+        frames.append(np.outer([1.0, -2.0], rng.normal(size=q)))
+        Q = np.linalg.qr(rng.normal(size=(q, q)))[0]
+        for ratio in (1e-9, 1e-8, 1.0000001e-8, 1e-7, 1e-5, 1e-4, 2e-4):
+            D = np.zeros((2, q))
+            D[0, 0], D[1, 1] = 1.0, ratio
+            frames.append(D @ Q)
+    scaled = [scale * f for scale in (1e-170, 1e-79, 1e160)
+              for f in frames[:3] + frames[-8:]]
+    return np.array(frames + scaled)
+
+
+def immersion_outcome(check, frames, params):
+    try:
+        check(frames, params)
+    except Exception as exc:                # noqa: BLE001 - compared below
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_the_immersion_certificate_agrees_with_the_svd_check(n, q):
+    # one frame at a time, then the whole stack in three orders: the same
+    # raise or none, at the same frame, with the same message; and no
+    # floating-point error the SVD check does not raise itself
+    rng = np.random.default_rng(31 + 10 * n + q)
+    frames = certificate_frames(n, q, rng)
+    params = rng.uniform(0.0, TWO_PI, size=(len(frames), n))
+    orders = [np.arange(len(frames))] + [rng.permutation(len(frames))
+                                         for _ in range(2)]
+    with np.errstate(all="raise"):
+        for i in range(len(frames)):
+            args = frames[i:i + 1], params[i:i + 1]
+            assert (immersion_outcome(ge._check_immersed, *args)
+                    == immersion_outcome(svd_check_immersed, *args)), i
+        for order in orders:
+            want = immersion_outcome(svd_check_immersed, frames[order],
+                                     params[order])
+            assert want is not None
+            assert immersion_outcome(ge._check_immersed, frames[order],
+                                     params[order]) == want
+            ok = [i for i in order if immersion_outcome(
+                svd_check_immersed, frames[i:i + 1], params[i:i + 1]) is None]
+            assert immersion_outcome(ge._check_immersed, frames[ok],
+                                     params[ok]) is None
 
 
 @functools.lru_cache(maxsize=None)
