@@ -42,14 +42,16 @@ samples payload whose ``n`` is not the integer 1 or 2 or whose ``q``, when
 given, is not the length of the grid's last axis, a graph_surface whose
 exponent is not two non-negative integers, whose halfwidth is not positive
 or which has a term of total degree above 64, a germ with a dimension
-below 1, a germ order outside 0..64 and a graph-pair term of total degree
+below 1, a germ order outside 0..64, a germ or graph-pair exponent that is
+not an integer (2.5 is not read as 2) and a graph-pair term of total degree
 above 64 are INPUT_PARSE.  All three bounds are the budget
 ``germ_algebra.MAX_TERM_DEGREE``: the exact engine's cost grows with a
 germ's order, and an A8 germ at order 10**6 runs past a minute.
 ``classify``, ``contact`` and ``mu`` report INFINITE for infinite
 Ke-codimension, and also for a finite germ whose quotient the truncation
-ladder does not exhaust by the cap + 2 (x^10 + y^10 at order 12); any
-other arithmetic failure is UNRECOGNIZED.
+ladder does not exhaust by the cap + 2 (x^10 + y^10 at order 12).  A germ
+of no catalogue class (a regular germ, an immersion such as (x, x^2)) and
+any other arithmetic failure are UNRECOGNIZED.
 
 ``ringdims --order`` is the truncation cap of the three local rings and
 must lie in 1..64, the budget ``MAX_TERM_DEGREE`` again (USAGE otherwise).

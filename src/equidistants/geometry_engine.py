@@ -454,11 +454,9 @@ def manifold_from_json(text: str) -> ParametricManifold:
 # locating weakly parallel pairs
 
 
-def _toroidal_dist(a: float, b: float, period: Optional[float]) -> float:
-    if period is None:
-        return abs(a - b)
-    d = math.fmod(abs(a - b), period)
-    return min(d, period - d)
+def _toroidal_dist(a: float, b: float) -> float:
+    d = math.fmod(abs(a - b), TWO_PI)
+    return min(d, TWO_PI - d)
 
 
 @dataclass
@@ -1195,7 +1193,7 @@ class _Marches:
         reach, turning = 1.2 * self.step, []
         for r, a, b in zip(rows, gs, gt):
             p = (r.x, r.y)
-            if _toroidal_dist(r.x, r.y, TWO_PI) < self.delta:
+            if _toroidal_dist(r.x, r.y) < self.delta:
                 self.ends[r.rid] = (False, False, ((r.zx, r.zy), p))
                 finished.append(r.rid)
                 continue
@@ -1204,8 +1202,8 @@ class _Marches:
             moved.append(r.rid)
             new.append(p)
             if len(pts) > 8 and \
-                    _toroidal_dist(r.x, r.x0, TWO_PI) < reach and \
-                    _toroidal_dist(r.y, r.y0, TWO_PI) < reach:
+                    _toroidal_dist(r.x, r.x0) < reach and \
+                    _toroidal_dist(r.y, r.y0) < reach:
                 pts.append((r.x0, r.y0))
                 self.ends[r.rid] = (True, False, None)
                 finished.append(r.rid)
@@ -1657,10 +1655,12 @@ def _detect_branches(branches):
 def _cusp_brackets(M, lam, Z, closed):
     """Sample indices i of a branch at which the velocity scalar, taken
     along the chord from each sample to the next, changes sign from sample
-    i to sample i + 1: a cusp lies between the two."""
+    i to sample i + 1: a cusp lies between the two.  The last sample of an
+    open branch has no next sample; its chord is the one that reaches it."""
     last = len(Z) - 1 if closed else len(Z)
-    nxt = (np.arange(last) + 1) % len(Z)
-    refs, _ = _unit_chords(Z[:last], Z[nxt])
+    refs, _ = _unit_chords(Z[:-1], Z[1:])
+    if not closed:
+        refs = np.concatenate([refs, refs[-1:]])
     hs = _cusp_velocity(M, lam, Z[:last], refs)
     pair_count = last if closed else last - 1
     i = np.arange(pair_count)
@@ -1727,7 +1727,8 @@ def _series_invert(A, n, order):
 def _adapted_basis(Fa, Fb, k, q):
     """Columns [Y | Z | U | V]: Y spans the common tangent directions, Z the
     rest of the first tangent space, V the rest of the second, U a
-    complement of their sum."""
+    complement of their sum.  The blocks are orthonormal, Z and V principal
+    vectors and U orthogonal to the rest: cond(B)^2 <= (1+S[k]) / (1-S[k])."""
     Qa = np.linalg.svd(Fa, full_matrices=False)[2]
     Qb = np.linalg.svd(Fb, full_matrices=False)[2]
     U_, S, Vt = np.linalg.svd(Qa @ Qb.T)
@@ -1751,10 +1752,7 @@ def _adapted_basis(Fa, Fb, k, q):
     _, sv, vt = np.linalg.svd(stacked)
     u_dim = q + k - 2 * n
     Ublock = vt[2 * n - k: 2 * n - k + u_dim]
-    B = np.vstack([Y, Z, Ublock, V]).T
-    if np.linalg.cond(B) > FRAME_COND_LIMIT:
-        raise FrameAlignmentError("ill-conditioned frame alignment")
-    return B
+    return np.vstack([Y, Z, Ublock, V]).T
 
 
 def _chart_series(J, Binv, const, scale, n, order):

@@ -245,8 +245,7 @@ def p_add(a: Poly, b: Poly) -> Poly:
 
 
 def p_scale(a: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return {}
+    """a times c, which must not be 0."""
     return {exp: v * c for exp, v in a.items()}
 
 
@@ -347,9 +346,6 @@ def p_diff(p: Poly, i: int) -> Poly:
             d[i] -= 1
             out[tuple(d)] = c * exp[i]
     return out
-
-
-_SUBS = "₀₁₂₃₄₅₆₇₈₉"
 
 
 def format_poly(p: Poly, names: Optional[Sequence[str]] = None) -> str:
@@ -1132,8 +1128,9 @@ def mapgerm_to_dict(f: MapGerm) -> dict:
 
 def polys_from_payload(payload, slots: int, name: str) -> List[Poly]:
     """The polynomials of a JSON component list, each a list of terms
-    {"coeff": rational string or number, "exponents": [...]}; any other
-    shape is a ValueError that names `name`."""
+    {"coeff": rational string or number, "exponents": [integers]}; any
+    other shape, a fractional exponent among them, is a ValueError that
+    names `name`."""
     if not isinstance(payload, list) or len(payload) != slots:
         raise ValueError(f"{name} must list {slots} components")
     polys: List[Poly] = []
@@ -1148,6 +1145,8 @@ def polys_from_payload(payload, slots: int, name: str) -> List[Poly]:
             except (KeyError, TypeError, ValueError, OverflowError,
                     ZeroDivisionError) as err:
                 raise ValueError(f"bad term in {name}: {item!r}") from err
+            if exps != tuple(item["exponents"]):
+                raise ValueError(f"non-integer exponent in {name}: {item!r}")
             p[exps] = p.get(exps, Fraction(0)) + c
         polys.append(p)
     return polys

@@ -312,13 +312,12 @@ def _table_polys(family: str, params: Tuple[int, ...], sign: str):
                     {(0, 2, 0): Fraction(1), (1, 0, 1): Fraction(1)}]
         return [{(2, 0, 0): Fraction(1), (0, 1, 2): Fraction(1)},
                 {(0, 2, 0): Fraction(1), (1, 0, 1): Fraction(1)}]
-    if family == "Z":
-        if params[0] == 9:
-            return [{(2, 0, 0): Fraction(1), (0, 0, 3): Fraction(1)},
-                    {(0, 2, 0): Fraction(1), (0, 0, 3): Fraction(1)}]
-        return [{(2, 0, 0): Fraction(1), (0, 1, 2): Fraction(1)},
+    # Z: GermClass admits no other family
+    if params[0] == 9:
+        return [{(2, 0, 0): Fraction(1), (0, 0, 3): Fraction(1)},
                 {(0, 2, 0): Fraction(1), (0, 0, 3): Fraction(1)}]
-    raise ValueError(f"unknown family {family!r}")
+    return [{(2, 0, 0): Fraction(1), (0, 1, 2): Fraction(1)},
+            {(0, 2, 0): Fraction(1), (0, 0, 3): Fraction(1)}]
 
 
 def normal_form(cls: GermClass, k: int) -> MapGerm:
@@ -468,8 +467,6 @@ class StableList:
 
 def stable_singularities(n: int, q: int) -> StableList:
     """Admissible germ classes per parallelism degree k, as published."""
-    if q <= n or q > 2 * n:
-        raise DomainError(f"need n < q <= 2n, got n={n}, q={q}")
     if not is_nice_dimensions(n, q):
         raise NotNiceDimensionsError(
             f"(n,q)=({n},{q}) is outside the nice range; no finite stable list"
@@ -488,10 +485,7 @@ def stable_singularities(n: int, q: int) -> StableList:
                 )))
             else:
                 kept.append(cls)
-        reason = row.reason
-        if not kept and reason is None:
-            reason = MU_EXCEEDS_Q
-        rows.append(StableRow(k, l, tuple(kept), reason, tuple(dropped)))
+        rows.append(StableRow(k, l, tuple(kept), row.reason, tuple(dropped)))
     return StableList(n, q, tuple(rows))
 
 
@@ -552,10 +546,9 @@ def _member(q1, q2, a: Fraction, b: Fraction):
 
 
 def _member_kind(m) -> str:
-    """'r2ell', 'r2hyp', 'r1', 'r0' or 'r3' for a symmetric 3x3 member."""
+    """'r2ell', 'r2hyp', 'r1' or 'r0' for a singular symmetric 3x3 member:
+    the pencil's members are taken at roots of det(a*Q1 + b*Q2)."""
     r = matrix_rank(m)
-    if r == 3:
-        return "r3"
     if r == 0:
         return "r0"
     if r == 1:
@@ -610,7 +603,8 @@ def _cubic_root_structure(c):
 
 
 def _pencil_profile(f: MapGerm) -> str:
-    """Discrete real invariant of the pencil of quadratic parts."""
+    """Discrete real invariant of the pencil of quadratic parts of a germ
+    in 2 or 3 variables."""
     s = f.source_dim
     q1 = _quadratic_matrix(f.components[0], s)
     q2 = _quadratic_matrix(f.components[1], s)
@@ -638,19 +632,17 @@ def _pencil_profile(f: MapGerm) -> str:
         if disc < 0:
             return "W2:roots0"
         return "W2:double"
-    if s == 3:
-        c = _cubic_coeffs(q1, q2)
-        if all(x == 0 for x in c):
-            return "cub:zero"
-        kind, root, other = _cubic_root_structure(c)
-        if kind == "simple":
-            return "cub:simple"
-        member = _member_kind(_member(q1, q2, root[0], root[1]))
-        if kind == "triple":
-            return f"cub:triple:{member}"
-        return (f"cub:dbl:{member}:"
-                + _member_kind(_member(q1, q2, other[0], other[1])))
-    return f"s{s}"
+    c = _cubic_coeffs(q1, q2)
+    if all(x == 0 for x in c):
+        return "cub:zero"
+    kind, root, other = _cubic_root_structure(c)
+    if kind == "simple":
+        return "cub:simple"
+    member = _member_kind(_member(q1, q2, root[0], root[1]))
+    if kind == "triple":
+        return f"cub:triple:{member}"
+    return (f"cub:dbl:{member}:"
+            + _member_kind(_member(q1, q2, other[0], other[1])))
 
 
 # Component-ideal Hilbert prefixes are compared only at low degree.  The
@@ -704,8 +696,6 @@ def _restricted_cubic(f: MapGerm):
         for r, col in enumerate(pivots):
             v[col] = -rows[r][j]
         basis.append(v)
-    if len(basis) != 2:
-        raise ArithmeticError("kernel is not two-dimensional")
     cubic = {e: c for e, c in f.components[0].items() if sum(e) == 3}
     args = []
     for i in range(s):
@@ -730,6 +720,9 @@ def _rank0(f: MapGerm) -> MapGerm:
     reduced = rank0_reduce(f)
     if reduced is REGULAR:
         raise UnrecognizedGermError("germ is regular; no singular class")
+    if reduced.source_dim == 0:
+        # every variable is solved for: f is an immersion
+        raise UnrecognizedGermError("germ is an immersion; no singular class")
     return reduced
 
 

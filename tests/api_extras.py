@@ -148,12 +148,12 @@ def scalar_march(M, z0, direction, step, delta, tol, max_steps):
         if hit is None:
             return pts, False, True, None
         nxt, gs, gt = hit
-        if _toroidal_dist(nxt[0], nxt[1], TWO_PI) < delta:
+        if _toroidal_dist(nxt[0], nxt[1]) < delta:
             return pts, False, False, (z, nxt)
         pts.append(nxt)
         if len(pts) > 8 and \
-                _toroidal_dist(nxt[0], z0[0], TWO_PI) < 1.2 * step and \
-                _toroidal_dist(nxt[1], z0[1], TWO_PI) < 1.2 * step:
+                _toroidal_dist(nxt[0], z0[0]) < 1.2 * step and \
+                _toroidal_dist(nxt[1], z0[1]) < 1.2 * step:
             pts.append(np.array(z0, dtype=float))
             return pts, True, False, None
         nd = _step_direction(gs, gt, d)

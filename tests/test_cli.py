@@ -214,6 +214,16 @@ def test_classify_out_of_catalogue_exits_3(capsys, tmp_path):
     assert err.startswith("UNRECOGNIZED")
 
 
+def test_classify_of_an_immersion_germ_exits_3(capsys, tmp_path):
+    # (x, x^2) reduces to a germ in no variable, which has no class: it
+    # used to print A1 mu=1, though the local algebra of A1 has dimension 2
+    path = tmp_path / "immersion.json"
+    path.write_text(mapgerm_to_json(germ([{(1,): 1}, {(2,): 1}], 1)))
+    code, out, err = run(capsys, "classify", "--germ", str(path))
+    assert (code, out) == (3, "")
+    assert err == "UNRECOGNIZED germ is an immersion; no singular class\n"
+
+
 # -------------------------------------------------------------- input parse
 
 
@@ -288,6 +298,26 @@ def test_malformed_germ_terms_are_parse_errors(tmp_path, command, components):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(blob))
     assert_one_line_failure(run_subprocess(command, "--germ", str(path)), 2, "INPUT_PARSE")
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.5])
+@pytest.mark.parametrize("command", ["classify", "mu", "contact", "ringdims"])
+def test_a_fractional_exponent_is_a_parse_error(capsys, tmp_path, command,
+                                                exponent):
+    # int() used to truncate it: y^2.5 classified as A1, and y^1.5 as regular
+    if command in ("classify", "mu"):
+        blob, flag = json.loads(mapgerm_to_json(germ([{(2,): 1}], 1))), "--germ"
+        blob["components"][0][0]["exponents"] = [exponent]
+    else:
+        blob, flag = json.loads(graphpair_to_json(curve_pair(
+            {(2,): 1}, {(2,): 1}, lam=Fraction(1, 2)))), "--input"
+        blob["phi"][0][0]["exponents"] = [exponent]
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, command, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("INPUT_PARSE ") and err.count("\n") == 1
+    assert "non-integer exponent" in err
 
 
 def test_malformed_manifold_exits_2(capsys, tmp_path):

@@ -370,6 +370,15 @@ def test_sampled_grids_reject_tiny_inputs():
         sampled_curve(np.zeros((5, 2)))
     with pytest.raises(ValueError):
         sampled_surface(np.zeros((4, 9, 3)))
+    with pytest.raises(ValueError, match="needs a grid array of rank 3, "
+                                         "got rank 2"):
+        sampled_surface(np.zeros((8, 3)))
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_graph_surface_rejects_a_coefficient_that_is_not_finite(c):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        graph_surface([{(2, 0): 1.0}, {(1, 1): c}])
 
 
 @pytest.mark.parametrize("halfwidth", [0, -1.0, math.nan, math.inf])
@@ -1336,6 +1345,16 @@ def test_oval_half_trace_has_the_frozen_branch_structure(oval_half):
         assert not br.degenerate
 
 
+@pytest.mark.parametrize("lam, step, message", [
+    (1e308, 0.02, "sends traced points outside the floats"),
+    (0.5, 1e-9, "is below 2.06"),
+])
+def test_a_trace_rejects_points_or_steps_it_cannot_represent(lam, step,
+                                                             message):
+    with pytest.raises(DomainError, match=message):
+        trace_equidistant(ellipse(2.0, 1.0), lam, step=step)
+
+
 def test_trace_is_deterministic():
     one = trace_equidistant(ellipse(2.0, 1.0), 0.4)
     two = trace_equidistant(ellipse(2.0, 1.0), 0.4)
@@ -1368,14 +1387,14 @@ TRACE_FINGERPRINTS = {
     ("ellipse", 0.41): "e4c5f72b08e0085d0ce86f69795efa894a2fba1665c08cdf786074cee166cde7",
     ("ellipse", 0.5): "41c026fc73fdedb2f67dc08e41c3afe2269423e17bf0aef32e7f7aaf22cee5af",
     ("ellipse", 0.7): "c58c871d77a74f734173120ba9f91c4f3bd8135c478f5b88c8b0d1c852fc90bf",
-    ("skew_oval", 0.3): "a4cff58c80e7c7c0f11261ce3d0c8127ff58d9c3a3b7f0b22df565e8538ad900",
-    ("skew_oval", 0.41): "9ef468bc133757e242f0fc43e7d23a7aa96c7e01ddef1c4e34575832509113f3",
-    ("skew_oval", 0.5): "7f95c42bb8bf6c9871d1706345e9741e32696da4bf596fc4922fbc922b19f43e",
-    ("skew_oval", 0.7): "b9f85e6cc9ad9f455f783f60e5ec423a40b9f1e448bd2a1d80bcc0a8eab4bcd0",
-    ("sampled_oval", 0.3): "3d46b6ba88a46e240b0f0da85b7430c3b905dec62a4579b00cea6cb829671d99",
-    ("sampled_oval", 0.41): "ac452d4d0c9da467d5f942867b9444b65dfc2c4c67eb240194e0c8d689b6f8af",
-    ("sampled_oval", 0.5): "de32124ef3e425127aa4a071e2e46032af1ba268262929156b7a1eac64e31d5b",
-    ("sampled_oval", 0.7): "d120240a41549321048c3bff8c515d643c9e72b9035307c23dbc68d33757331e",
+    ("skew_oval", 0.3): "faf6d7ae5dbbbac653ed52189b9b6673a295bf68b95b064cdb440d1bad069fdf",
+    ("skew_oval", 0.41): "3111765243caf2f3efe336ebf48860f58f5293d72e47726095a0e8970211e329",
+    ("skew_oval", 0.5): "ee6101a8d3fa6814ba236d1df1886141197375c698878fd30c06b4f944173485",
+    ("skew_oval", 0.7): "137e2284ff3cb7d71f9d262f06e56ad7ac4edb807be4ef66d950fdfc9fb67492",
+    ("sampled_oval", 0.3): "8e21bb8dd44748904189e99de14a2438080172c2b8815902af566aacb51b52be",
+    ("sampled_oval", 0.41): "9cb693f7f8d6acdd0ed7b1b7deb35696f4e12a98e69507e9fe569e348523c128",
+    ("sampled_oval", 0.5): "7f159c36fc289d0cc2cd952a6590355990c2ba3912e5fc0190b1aac166ca42fe",
+    ("sampled_oval", 0.7): "d62820f534a4c10b56a4a60dd03d5214db61e5dd392c4b772c7f2f145758026b",
 }
 
 
@@ -1409,6 +1428,19 @@ def branches_fingerprint(branches):
 def test_traces_keep_their_frozen_fingerprints(curve, lam):
     got = trace_fingerprint(TRACED_CURVES[curve](), lam)
     assert got == TRACE_FINGERPRINTS[curve, lam]
+
+
+@pytest.mark.parametrize("lam, nodes", [(0.5, 0), (0.3, 6)])
+def test_the_ends_of_open_skew_oval_branches_bracket_no_cusp(lam, nodes):
+    # the last sample of an open branch takes the chord that reaches it; the
+    # chord back to the branch's first sample flipped its velocity scalar
+    # and made 6 brackets that refinement failed, UNRESOLVED at index len - 2
+    branches = [detect_singularities(br) for br in
+                trace_equidistant(TRACED_CURVES["skew_oval"](), lam)]
+    labels = [a.label for br in branches for a in br.annotations]
+    assert labels.count("A2_cusp") == 10
+    assert labels.count("A1_node") == nodes
+    assert "UNRESOLVED" not in labels
 
 
 def cli_trace(tmp_path, M, lam):
@@ -1523,11 +1555,12 @@ def march_rows(Z):
     return np.repeat(Z, 2, axis=0), np.tile([1.0, -1.0], len(Z))
 
 
-def assert_march_is_scalar(got, M, z0, sign, delta, max_steps):
+def assert_march_is_scalar(got, M, z0, sign, delta, max_steps, step=0.02,
+                           tol=1e-12):
     """The lockstep march `got` equals the scalar march bit for bit."""
     pts, closed, failed, band = got
     want, w_closed, w_failed, w_band = scalar_march(
-        M, z0, sign, 0.02, delta, 1e-12, max_steps)
+        M, z0, sign, step, delta, tol, max_steps)
     assert np.array(pts).tobytes() == np.array(want).tobytes()
     assert (closed, failed) == (w_closed, w_failed)
     assert (band is None) == (w_band is None)
@@ -1540,11 +1573,13 @@ def assert_march_is_scalar(got, M, z0, sign, delta, max_steps):
 @pytest.mark.parametrize("curve", sorted(TRACED_CURVES))
 def test_lockstep_marches_equal_the_scalar_march(curve):
     # short marches from seeds all over the walk, both directions, as rows
-    # of one batch; then the whole march of the first seed each way
+    # of one batch; then the whole march of the first seed each way, and
+    # marches allowed no step, which end at their starts
     M = TRACED_CURVES[curve]()
     Z0, delta = usable_seeds(M)
     ends = set()
-    for Z, max_steps in ((Z0[::len(Z0) // 16], 60), (Z0[:1], 40000)):
+    for Z, max_steps in ((Z0[::len(Z0) // 16], 60), (Z0[:1], 40000),
+                         (Z0[:3], 0)):
         rows, signs = march_rows(Z)
         march = ge._Marches(M, rows, signs, 0.02, delta, 1e-12, max_steps)
         march.start(range(len(rows)))
@@ -1555,6 +1590,77 @@ def test_lockstep_marches_equal_the_scalar_march(curve):
     # the ellipse's one branch is closed and never reaches the band
     assert ends >= {"failed"} | ({"closed"} if curve == "ellipse"
                                  else {"band"})
+
+
+def spy_retries(monkeypatch):
+    """Record (march, row id, tries before this one) at every failed
+    corrector of a `_Marches`."""
+    seen, retry = [], ge._Marches._retry
+
+    def spy(self, r, finished):
+        seen.append((self, r.rid, r.tries))
+        retry(self, r, finished)
+
+    monkeypatch.setattr(ge._Marches, "_retry", spy)
+    return seen
+
+
+def test_marches_that_halve_their_step_equal_the_scalar_march(monkeypatch):
+    # at step 0.6 the oval's correctors fail 17 times, and each converges
+    # at half the step
+    M = oval()
+    seen = spy_retries(monkeypatch)
+    trace_equidistant(M, 0.5, step=0.6)
+    assert len(seen) == 17 and {tries for _, _, tries in seen} == {0}
+    checked = 0
+    for march, rid in {(march, rid) for march, rid, _ in seen}:
+        if march.done(rid):
+            checked += 1
+            assert_march_is_scalar(march.result(rid), M, march.Z0[rid],
+                                   march.signs[rid], march.delta,
+                                   march.max_steps, step=0.6)
+    assert checked == 8
+
+
+def test_a_march_fails_after_its_fifth_failed_corrector(monkeypatch):
+    # a corrector held to tol 0 never converges: the step halves four
+    # times, and the fifth failure ends the march at its start
+    M = oval()
+    Z0, delta = usable_seeds(M)
+    seen = spy_retries(monkeypatch)
+    march = ge._Marches(M, Z0[:1], [1.0], 0.02, delta, 0.0, 40000)
+    march.start([0])
+    march.run()
+    assert [tries for _, _, tries in seen] == [0, 1, 2, 3, 4]
+    assert assert_march_is_scalar(march.result(0), M, Z0[0], 1.0, delta,
+                                  40000, tol=0.0) == "failed"
+    assert len(march.result(0)[0]) == 1
+
+
+def test_solve_rows_solves_each_row_alone_around_a_singular_one():
+    J = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]],
+                  [[0.5, -1.0], [3.0, 0.25]]])
+    rhs = np.array([[1.0, 2.0], [1.0, 1.0], [-0.5, 4.0]])
+    x, singular = ge._solve_rows(J, rhs)
+    assert list(singular) == [1] and x[1].tolist() == [0.0, 0.0]
+    for i in (0, 2):
+        assert x[i].tobytes() == np.linalg.solve(J[i], rhs[i]).tobytes()
+
+
+def test_a_projection_out_of_iterates_keeps_rows_within_ten_times_tol():
+    # one Newton iterate from each row, then the last test at 10 * tol:
+    # the middle row passes it, and not tol itself
+    M, tol = oval(), 1e-12
+    Z0, _ = usable_seeds(M)
+    z = Z0[:1] + np.array([[1e-5, 0.0], [3e-6, 0.0], [1e-7, 0.0]])
+    Z, ok = ge._project_to_zero_many(M, z, tol, iters=1)
+    g, gs, gt, _ = ge._g_grad(M, z[:, 0], z[:, 1])
+    n2 = gs * gs + gt * gt
+    assert Z.tobytes() == np.column_stack([z[:, 0] - g * gs / n2,
+                                           z[:, 1] - g * gt / n2]).tobytes()
+    g, _, _, scale = ge._g_grad(M, Z[:, 0], Z[:, 1])
+    assert ok.tolist() == [False, True, True]
+    assert (np.abs(g) <= tol * scale).tolist() == [False, False, True]
 
 
 def test_a_dropped_lockstep_row_started_again_equals_the_scalar_march():
@@ -1959,14 +2065,41 @@ def test_bridge_rejects_misaligned_pairs_and_bad_orders():
     C = ellipse(1.0, 1.0)
     a, b = C.position(0.0), C.position(math.pi / 2)
     fake = PairPoint(0.0, math.pi / 2, a, b, 1, 1, 0.0)
-    with pytest.raises(FrameAlignmentError):
+    with pytest.raises(FrameAlignmentError,
+                       match="common tangent directions degenerate"):
         taylor_germ_at_pair(C, fake, "1/2")
+    # a torus pair's tangent planes coincide: its degree is 2, not 1
+    T = torus(2.0, 0.5)
+    pp = make_pair(T, (0.7, 1.1), (0.7 + math.pi, math.pi - 1.1))
+    flat = PairPoint(pp.s, pp.t, pp.a, pp.b, 1, 0, 0.0)
+    with pytest.raises(FrameAlignmentError,
+                       match="more parallel than its recorded degree"):
+        taylor_germ_at_pair(T, flat, "1/2")
     pp = make_pair(C, 0.0, math.pi)
     with pytest.raises(ValueError):
         taylor_germ_at_pair(C, pp, "1/2", order=1)
     regular = PairPoint(0.0, math.pi / 2, a, b, 0, 0, 0.0)
     with pytest.raises(ValueError):
         taylor_germ_at_pair(C, regular, "1/2")
+
+
+def test_a_kept_linear_term_of_a_graph_function_fails_the_alignment(
+        monkeypatch):
+    # the graph functions' degree-1 terms are rounding noise near 1e-11 of
+    # the largest coefficient: a clip of 1e-11 keeps one on this torus pair
+    M = torus(2.0, 0.5)
+    pair = find_parallel_pairs(M)[37]
+    monkeypatch.setattr(ge, "COEFF_CLIP", 1e-11)
+    with pytest.raises(FrameAlignmentError, match="keeps a degree-1 term"):
+        classify_pair(M, pair, "1/2")
+
+
+def test_series_invert_rejects_an_ill_conditioned_linear_part():
+    # through the bridge its linear part has the frame's condition number
+    # up to rounding, which _check_immersed bounds by 1 / TAU_RANK
+    A = [{(1, 0): 1.0}, {(1, 0): 1.0, (0, 1): 1e-9}]
+    with pytest.raises(FrameAlignmentError, match="ill-conditioned"):
+        ge._series_invert(A, 2, 3)
 
 
 def test_bridge_rejects_an_order_above_the_budget_before_any_jet(
@@ -2045,3 +2178,12 @@ def test_svg_writer_marks_cusps_and_nodes(tmp_path, main_03):
     assert text.count("<rect") >= 6 + 1   # nodes plus the background
     assert "nan" not in text
     assert "<polyline" in text
+    # an annotation whose refinement failed has no point to mark
+    bare = dataclasses.replace(main_03, annotations=[
+        ge.Annotation(index=0, label="UNRESOLVED")])
+    write_branches_svg([bare], str(path))
+    text = path.read_text()
+    assert text.count("<circle") == 0 and text.count("<rect") == 1
+    with pytest.raises(ValueError, match="no points to draw"):
+        write_branches_svg([], str(tmp_path / "none.svg"))
+    assert not (tmp_path / "none.svg").exists()

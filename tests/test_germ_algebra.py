@@ -70,7 +70,7 @@ def test_local_algebra_cube():
     assert rep.dimension == 3
     assert rep.hilbert == (1, 1, 1)
     assert rep.basis == ((0,), (1,), (2,))
-    assert rep.stabilized
+    assert rep.stabilized and rep.finite
 
 
 def test_local_algebra_two_component_example():
@@ -106,6 +106,7 @@ def test_local_algebra_explicit_low_order_still_exact():
 def test_local_algebra_zero_germ_is_infinite():
     rep = local_algebra(germ([{}], 2))
     assert rep.dimension == INFINITE
+    assert not rep.finite
 
 
 def test_local_algebra_nonisolated_pair_is_infinite():
@@ -251,6 +252,22 @@ def test_a_germ_built_in_code_keeps_the_order_budget(order):
                        match=rf"^map-germ order must be in 0\.\.64, got {order}$"):
         germ(polys, 2, order=order)
     assert germ(polys, 2, order=64).order == 64
+
+
+def test_a_germ_needs_one_component_per_target_dimension():
+    with pytest.raises(ValueError, match="component count does not match"):
+        MapGerm(2, 2, 6, ({(2, 0): 1},))
+
+
+def test_germs_and_polynomials_print_in_the_variables_y():
+    assert ga.format_poly({}) == "0"
+    assert ga.format_poly({(0, 0): Fraction(3), (1, 0): -1}) == "3 - y1"
+    f = germ([{(3, 0): 1, (0, 2): Fraction(-1, 2)}, {}, {(1, 1): -2}], 2)
+    assert str(f) == "(-1/2*y2^2 + y1^3, 0, -2*y1*y2)"
+
+
+def test_monomials_in_no_variable_are_the_constant():
+    assert ga.monomials_upto(0, 0) == ga.monomials_upto(0, 5) == [()]
 
 
 def test_reduce_full_rank_is_regular():

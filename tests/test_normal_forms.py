@@ -585,6 +585,38 @@ def test_recognize_error_paths():
         recognize(germ([{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}], 2))
 
 
+@pytest.mark.parametrize("polys, s, profile, message", [
+    # no quadratic part: the pencil is empty
+    ([{(3, 0): 1}, {(0, 3): 1}], 2, "W0",
+     "no two-component catalogue signature matches (mu=12)"),
+    # det(a*Q1 + b*Q2) = a^3, whose triple root b*Q2 is the zero member
+    ([{(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}, {(3, 0, 0): 1, (0, 0, 3): 1}],
+     3, "cub:triple:r0",
+     "no two-component catalogue signature matches (mu=13)"),
+    ([{(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1},
+      {(2, 0, 0, 0): 1, (0, 2, 0, 0): 2, (0, 0, 2, 0): 3, (0, 0, 0, 2): 4}],
+     4, None,
+     "two-component germs are catalogued only in 2 or 3 variables, got 4"),
+    # immersions: the reduction solves for every variable
+    ([{(1,): 1}, {(2,): 1}], 1, None, "germ is an immersion; no singular class"),
+    ([{(1, 0): 1}, {(0, 1): 1}, {(2, 0): 1, (0, 2): 1}], 2, None,
+     "germ is an immersion; no singular class"),
+], ids=["W0", "r0", "four_variables", "curve_immersion", "surface_immersion"])
+def test_recognize_names_why_a_germ_is_outside_the_catalogue(
+        polys, s, profile, message):
+    f = germ(polys, s)
+    if profile is not None:
+        assert nf._pencil_profile(f) == profile
+    with pytest.raises(UnrecognizedGermError) as err:
+        recognize(f)
+    assert str(err.value) == message
+
+
+def test_germ_class_prints_its_label():
+    assert str(GermClass("D", (4,), PLUS)) == "D4+"
+    assert str(parse_label("C2,3-")) == "C2,3-"
+
+
 def test_recognize_rejects_nonsimple_quartic_pair():
     f = germ([{(4, 0): 1, (0, 4): 1}], 2)
     assert ke_codimension(f) == 9

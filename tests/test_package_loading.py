@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import equidistants
 from equidistants.contact_lab import GraphPair, graphpair_to_json
 from equidistants.geometry_engine import fourier_oval
 from equidistants.germ_algebra import MapGerm, mapgerm_to_json
@@ -158,6 +159,11 @@ def test_an_unknown_name_raises_attribute_error():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == (
         "AttributeError module 'equidistants' has no attribute 'no_such_name'")
+
+
+def test_an_unknown_name_raises_attribute_error_in_process():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        equidistants.no_such_name
 
 
 @pytest.mark.parametrize("demo", sorted(
